@@ -634,6 +634,16 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     return _make(out, (a,), bwd)
 
 
+def cast(a: Tensor, dtype) -> Tensor:
+    """Convert to another float dtype; the gradient returns in the input's."""
+    src = a.data.dtype
+
+    def bwd(g):
+        _accum(a, g.astype(src, copy=False))
+
+    return _make(a.data.astype(dtype, copy=False), (a,), bwd)
+
+
 def take(a: Tensor, idx) -> Tensor:
     """Indexing/slicing; gradients scatter-add back into place."""
     out = a.data[idx]

@@ -12,8 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-
-
 from .frontend import load_wav, write_wav
 from .model import predict_probs
 from .rttm import read_rttm, write_rttm
@@ -65,18 +63,10 @@ def cmd_synth_data(args) -> int:
 
 
 def _segments_from_labels(rec) -> list:
-    segs = []
+    """Reference segments of a labeled recording, speakers named spk<i>."""
     y = rec.labels.y_01
-    for spk in range(y.shape[1]):
-        start = None
-        for i in range(y.shape[0] + 1):
-            active = i < y.shape[0] and y[i, spk] > 0
-            if active and start is None:
-                start = i
-            elif not active and start is not None:
-                segs.append((round(start * 0.1, 3), round(i * 0.1, 3), f"spk{spk}"))
-                start = None
-    return segs
+    names = [f"spk{i}" for i in range(y.shape[1])]
+    return posterior_to_segments(y, median_w=1, speaker_names=names).segments
 
 
 def cmd_train(args) -> int:

@@ -23,6 +23,7 @@ from .autodiff import Tensor
 from .serialize import save_array
 
 SAMPLE_RATE = 8000
+FRAME_S = 0.1                      # output frame grid: one frame per window hop
 
 
 class WavParseError(ValueError):

@@ -20,7 +20,6 @@ from .autodiff import NORM_EPS, Tensor, tensor
 from .model import ForwardResult
 
 DPCL_MODES = ("activity", "attractor", "none")
-PAIR_BUDGET = 2048
 
 
 class CapacityError(ValueError):
@@ -112,11 +111,12 @@ def bce_cost_matrix(logits: np.ndarray, labels: LabelMatrix) -> np.ndarray:
 
 
 def pit_align(logits, labels: LabelMatrix) -> Alignment:
-    """Minimum-cost injective assignment of true speakers to slots."""
+    """Minimum-cost injective assignment of true speakers to slots.
+
+    A crop with no active speaker gets the empty alignment.
+    """
     z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     cols = labels.active_columns
-    if len(cols) < 1:
-        raise ValueError("alignment needs at least one active speaker")
     if len(cols) > z.shape[1]:
         raise CapacityError(f"{len(cols)} speakers exceed {z.shape[1]} slots")
     cost = bce_cost_matrix(z, labels)
@@ -131,8 +131,6 @@ def pit_align_bruteforce(logits, labels: LabelMatrix) -> Alignment:
     """Exhaustive S!/(S-K)! search; the oracle the fast path is tested against."""
     z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     cols = labels.active_columns
-    if len(cols) < 1:
-        raise ValueError("alignment needs at least one active speaker")
     if len(cols) > z.shape[1]:
         raise CapacityError(f"{len(cols)} speakers exceed {z.shape[1]} slots")
     cost = bce_cost_matrix(z, labels)
@@ -161,10 +159,11 @@ def bce_with_suppression(logits: Tensor, labels: LabelMatrix, align: Alignment,
     The BCE is the mean over all T x S entries.
     """
     t, s = logits.shape
-    slot_idx = np.asarray(align.slots, dtype=np.intp)
-    y_act = labels.y_01[:, list(align.active_cols)]
-    z_act = logits[:, slot_idx]
-    total = ad.sum_(ad.bce_logits(z_act, y_act))
+    if align.slots:
+        z_act = logits[:, np.asarray(align.slots, dtype=np.intp)]
+        total = ad.sum_(ad.bce_logits(z_act, labels.y_01[:, list(align.active_cols)]))
+    else:
+        total = tensor(np.zeros((), dtype=logits.dtype))
 
     rest = sorted(set(range(s)) - set(align.slots))
     if rest:
@@ -189,8 +188,7 @@ def activity_dpcl_targets(labels: LabelMatrix) -> np.ndarray:
     Rows always have L2 norm sqrt(S), so after normalization frames with the
     same speaker set collide at Gram +1 and frames with complementary
     patterns sit at Gram -1, not merely orthogonal. Computed in float64 so
-    those extremes hold to machine precision; the loss casts to the frame
-    dtype.
+    those extremes hold to machine precision.
     """
     y = labels.y_pm.astype(np.float64)
     norms = np.linalg.norm(y, axis=1, keepdims=True)
@@ -209,30 +207,27 @@ def attractor_dpcl_targets(labels: LabelMatrix, dirs: Tensor,
     return ad.l2_normalize(ad.matmul(y_slot, dirs))
 
 
-def dpcl_loss(targets, frames: Tensor, pair_budget: int = PAIR_BUDGET,
-              rng: np.random.Generator | None = None) -> Tensor:
+def dpcl_loss(targets, frames: Tensor) -> Tensor:
     """Mean squared Gram mismatch between targets and normalized embeddings.
 
-    Exact over all T^2 ordered pairs (self-pairs included) while T fits the
-    pair budget; above that, a uniform sample of pair_budget^2 pairs.
+    Exact over all T^2 ordered pairs (self-pairs included) through the
+    low-rank identity ||X X' - L L'||_F^2 = ||X' X||^2 - 2 ||X' L||^2 + ||L' L||^2
+    (Hershey et al., Deep clustering, arXiv:1508.04783), so it costs
+    O(T E^2) and builds no T x T matrix. The three terms nearly cancel, so
+    they are formed in float64; the loss comes back in the frame dtype.
     """
     if isinstance(targets, Tensor):
-        l = targets
+        l = ad.cast(targets, np.float64)
     else:
-        l = tensor(np.asarray(targets, dtype=frames.data.dtype))
-    xh = ad.l2_normalize(frames)
+        l = tensor(np.asarray(targets, dtype=np.float64))
+    xh = ad.cast(ad.l2_normalize(frames), np.float64)
+
+    def gram_sq(a: Tensor, b: Tensor) -> Tensor:
+        return ad.sum_(ad.matmul(a.transpose(1, 0), b) ** 2.0)
+
     t = frames.shape[0]
-    if t <= pair_budget:
-        gram_l = ad.matmul(l, l.transpose(1, 0))
-        gram_x = ad.matmul(xh, xh.transpose(1, 0))
-        return ad.mse(gram_x, gram_l)
-    rng = rng or np.random.default_rng(0)
-    m = pair_budget * pair_budget
-    ii = rng.integers(0, t, size=m)
-    jj = rng.integers(0, t, size=m)
-    dot_l = ad.sum_(ad.index_rows(l, ii) * ad.index_rows(l, jj), axis=1)
-    dot_x = ad.sum_(ad.index_rows(xh, ii) * ad.index_rows(xh, jj), axis=1)
-    return ad.mse(dot_x, dot_l)
+    loss = (gram_sq(xh, xh) - 2.0 * gram_sq(xh, l) + gram_sq(l, l)) * (1.0 / (t * t))
+    return ad.cast(loss, frames.dtype)
 
 
 def ortho_loss(dirs: Tensor, align: Alignment) -> Tensor:
@@ -276,8 +271,7 @@ class LossBundle:
 
 
 def total_loss(result: ForwardResult, labels: LabelMatrix,
-               weights: LossWeights | None = None, mode: str = "attractor",
-               pair_rng: np.random.Generator | None = None) -> LossBundle:
+               weights: LossWeights | None = None, mode: str = "attractor") -> LossBundle:
     """Align once, evaluate every component, return the weighted sum."""
     if mode not in DPCL_MODES:
         raise ValueError(f"mode must be one of {DPCL_MODES}, got {mode!r}")
@@ -291,13 +285,13 @@ def total_loss(result: ForwardResult, labels: LabelMatrix,
                                          result.attractor_dirs,
                                          result.attractor_biases,
                                          result.global_bias)
-    if mode == "activity":
-        dpcl = dpcl_loss(activity_dpcl_targets(labels), result.frames, rng=pair_rng)
-    elif mode == "attractor":
-        targets = attractor_dpcl_targets(labels, result.attractor_dirs, align)
-        dpcl = dpcl_loss(targets, result.frames, rng=pair_rng)
-    else:
+    if mode == "none" or not align.slots:  # a silent crop has no clusters
         dpcl = tensor(np.zeros((), dtype=np.float32))
+    elif mode == "activity":
+        dpcl = dpcl_loss(activity_dpcl_targets(labels), result.frames)
+    else:
+        targets = attractor_dpcl_targets(labels, result.attractor_dirs, align)
+        dpcl = dpcl_loss(targets, result.frames)
     ortho = ortho_loss(result.attractor_dirs, align)
 
     total = w.bce * bce + w.dpcl * dpcl + w.ortho * ortho + w.suppress * suppress

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-FRAME_S = 0.1
+from .frontend import FRAME_S
+
 _TIME_DECIMALS = 9
 
 
@@ -77,6 +78,13 @@ def _median_binary(mask: np.ndarray, width: int) -> np.ndarray:
     return counts > width // 2
 
 
+def mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Contiguous [start, end) index runs of a boolean vector."""
+    padded = np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0]))
+    edges = np.flatnonzero(np.diff(padded))
+    return [(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
+
+
 def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
                           median_w: int = 11, frame_s: float = FRAME_S,
                           file_id: str = "rec",
@@ -87,20 +95,13 @@ def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
         raise ValueError(f"expected (T, S) posteriors, got {probs.shape}")
     if np.any(probs < 0) or np.any(probs > 1):
         raise ValueError("posteriors must lie in [0, 1]")
-    t, s = probs.shape
+    s = probs.shape[1]
     names = speaker_names or [str(i) for i in range(s)]
     segments = []
     for slot in range(s):
         mask = _median_binary(probs[:, slot] >= threshold, median_w)
-        start = None
-        for i in range(t + 1):
-            active = i < t and mask[i]
-            if active and start is None:
-                start = i
-            elif not active and start is not None:
-                segments.append((round(start * frame_s, 3), round(i * frame_s, 3),
-                                 names[slot]))
-                start = None
+        segments += [(round(a * frame_s, 3), round(b * frame_s, 3), names[slot])
+                     for a, b in mask_runs(mask)]
     return DiarizationHypothesis(segments=segments, file_id=file_id)
 
 

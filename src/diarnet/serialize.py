@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -78,33 +77,37 @@ def save_bundle(path, named: dict, extra: dict | None = None) -> None:
             write_array(f, v)
 
 
+def _read_header(f, path) -> tuple[list, dict]:
+    """Parse the JSON manifest line: ([(name, shape tuple), ...], extra)."""
+    try:
+        manifest = json.loads(f.readline().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise SerializationError(f"bad bundle header in {path}: {e}") from e
+    if not isinstance(manifest, dict) or manifest.get("format") != "tensor-bundle-v1":
+        raise SerializationError(f"{path} is not a tensor bundle")
+    try:
+        entries = [(t["name"], tuple(t["shape"])) for t in manifest["tensors"]]
+    except (KeyError, TypeError) as e:
+        raise SerializationError(f"{path}: malformed tensor list in header: {e!r}") from e
+    return entries, manifest.get("extra", {})
+
+
 def read_manifest(path) -> tuple[dict, dict]:
     """Return ({name: shape tuple}, extra) without loading array payloads."""
     with open(path, "rb") as f:
-        header = f.readline()
-    try:
-        manifest = json.loads(header.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise SerializationError(f"bad bundle header in {path}: {e}") from e
-    if manifest.get("format") != "tensor-bundle-v1":
-        raise SerializationError(f"{path} is not a tensor bundle")
-    shapes = {t["name"]: tuple(t["shape"]) for t in manifest["tensors"]}
-    return shapes, manifest.get("extra", {})
+        entries, extra = _read_header(f, path)
+    return dict(entries), extra
 
 
 def load_bundle(path) -> tuple[dict, dict]:
     """Return ({name: float32 array}, extra)."""
-    path = Path(path)
     with open(path, "rb") as f:
-        header = f.readline()
-        manifest = json.loads(header.decode("utf-8"))
-        if manifest.get("format") != "tensor-bundle-v1":
-            raise SerializationError(f"{path} is not a tensor bundle")
+        entries, extra = _read_header(f, path)
         named = {}
-        for entry in manifest["tensors"]:
+        for name, shape in entries:
             arr = read_array(f)
-            if list(arr.shape) != entry["shape"]:
+            if arr.shape != shape:
                 raise SerializationError(
-                    f"{path}: payload shape {arr.shape} != manifest {entry['shape']} for {entry['name']}")
-            named[entry["name"]] = arr
-    return named, manifest.get("extra", {})
+                    f"{path}: payload shape {arr.shape} != manifest {list(shape)} for {name}")
+            named[name] = arr
+    return named, extra

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontend import SAMPLE_RATE, AudioClip, FeatureConfig, frame_count
+from .frontend import FRAME_S, SAMPLE_RATE, AudioClip, FeatureConfig, frame_count
 from .losses import LabelMatrix
+from .scoring import mask_runs
 
-FRAME_S = 0.1                      # label grid: one frame per window hop
 SAMPLES_PER_FRAME = 800            # 100 ms at 8 kHz
 
 # fundamental-frequency bands per speaker index; far apart on the mel axis
@@ -107,21 +107,6 @@ def _place_utterances(rng: np.random.Generator, n_frames: int, n_speakers: int,
 # waveform synthesis
 # ---------------------------------------------------------------------------
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Contiguous [start, end) index runs of a boolean vector."""
-    out = []
-    start = None
-    for i, v in enumerate(mask):
-        if v and start is None:
-            start = i
-        elif not v and start is not None:
-            out.append((start, i))
-            start = None
-    if start is not None:
-        out.append((start, len(mask)))
-    return out
-
-
 def _render_speaker(rng: np.random.Generator, sig: np.ndarray, mask: np.ndarray,
                     spk: int) -> None:
     lo, hi = _F0_BANDS[spk]
@@ -130,7 +115,7 @@ def _render_speaker(rng: np.random.Generator, sig: np.ndarray, mask: np.ndarray,
     n_harm = max(1, int(3600.0 // f0))
     amps = np.arange(1, n_harm + 1, dtype=np.float64) ** (-tilt)
     amps /= np.linalg.norm(amps)
-    for f_start, f_end in _runs(mask):
+    for f_start, f_end in mask_runs(mask):
         s0, s1 = f_start * SAMPLES_PER_FRAME, f_end * SAMPLES_PER_FRAME
         s1 = min(s1, len(sig))
         n = s1 - s0

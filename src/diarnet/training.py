@@ -18,11 +18,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frontend import FeatureConfig, MelFrames, cnn_encode, log_mel, window_stack
-from .losses import LabelMatrix, LossWeights, total_loss
+from .frontend import FRAME_S, FeatureConfig, MelFrames, cnn_encode, log_mel, window_stack
+from .losses import LabelMatrix, LossBundle, LossWeights, total_loss
 from .model import ModelConfig, forward, init_model_params, zero_grads
 from .serialize import load_bundle, save_bundle
-from .synth import FRAME_S, LabeledRecording, synth_mixture
+from .synth import LabeledRecording, synth_mixture
 
 
 class ScheduleError(ValueError):
@@ -204,12 +204,10 @@ def _crop_windows(mel: np.ndarray, labels: LabelMatrix, f0: int, nf: int,
 
 
 def _sample_loss(windows: np.ndarray, labels: LabelMatrix, params: dict,
-                 cfg: TrainConfig, pair_rng) -> tuple:
+                 cfg: TrainConfig) -> LossBundle:
     x0 = cnn_encode(windows, params, cfg.model.embed_dim)
     res = forward(x0, params, cfg.model)
-    bundle = total_loss(res, labels, weights=cfg.weights, mode=cfg.dpcl_mode,
-                        pair_rng=pair_rng)
-    return bundle
+    return total_loss(res, labels, weights=cfg.weights, mode=cfg.dpcl_mode)
 
 
 def _as_recording(item) -> LabeledRecording:
@@ -230,7 +228,6 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
     init_rng = np.random.default_rng([cfg.seed, 0])
     crop_rng = np.random.default_rng([cfg.seed, 1])
     order_rng = np.random.default_rng([cfg.seed, 2])
-    pair_rng = np.random.default_rng([cfg.seed, 3])
 
     train_recs = [_as_recording(s) for s in train_specs]
     val_recs = [_as_recording(s) for s in val_specs or []]
@@ -268,8 +265,7 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
             for mel, labels in val_data:
                 nf = min(nf_crop, labels.n_frames)
                 windows, lab = _crop_windows(mel, labels, 0, nf, feat)
-                bundle = _sample_loss(windows, lab, params, cfg,
-                                      np.random.default_rng([cfg.seed, 4]))
+                bundle = _sample_loss(windows, lab, params, cfg)
                 for k in agg:
                     agg[k] += getattr(bundle, k) / len(val_data)
         log_row("val", epoch, agg, lr)
@@ -295,7 +291,7 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
                 try:
                     # exploding parameters surface either as a non-finite loss
                     # or as a NumericError raised inside the forward pass
-                    bundle = _sample_loss(windows, lab, params, cfg, pair_rng)
+                    bundle = _sample_loss(windows, lab, params, cfg)
                 except ValueError:
                     bad = True
                     break

@@ -250,6 +250,8 @@ def test_grad_shape_ops(dims):
         ("transpose", lambda u, v: mean(u.transpose(1, 0) ** 2.0) + mean(v), [a, b]),
         ("take", lambda u, v: mean(u[1:, :2] ** 2.0), [a, b]),
         ("index_rows", lambda u, v: mean(index_rows(u, [0, dims[0] - 1, 0]) ** 2.0) + mean(v), [a, b]),
+        ("cast", lambda u, v: mean(dt.cast(dt.cast(u, np.longdouble) * 2.0, np.float64) * u)
+         + mean(v), [a, b]),
         ("concat", lambda u, v: mean(concat([u, v], axis=0) ** 2.0), [a, b]),
         ("stack", lambda u, v: mean(stack([u, u], axis=0) * 3.0), [a, b]),
     ]

@@ -88,6 +88,16 @@ def test_infer_writes_rttm(dataset, tmp_path):
     assert out_rttm.exists()
 
 
+def test_infer_corrupt_checkpoint_exits_1(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(b"{truncated json\n" + b"\x00" * 32)
+    wav = next(dataset.glob("*.wav"))
+    rc = main(["infer", "--ckpt", str(ckpt), "--wav", str(wav),
+               "--rttm", str(tmp_path / "hyp.rttm")])
+    assert rc == 1
+    assert "SerializationError" in capsys.readouterr().err
+
+
 def test_seed_env_override_changes_data(tmp_path, monkeypatch):
     spec = {"count": 1, "n_speakers": 2, "duration_s": 8.0, "overlap_ratio": 0.2,
             "noise_snr_db": 15.0, "seed": 7}

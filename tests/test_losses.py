@@ -126,6 +126,14 @@ def test_pit_align_capacity_error():
         pit_align(rng.standard_normal((10, 3)), labels)
 
 
+def test_pit_align_silent_crop_is_empty():
+    labels = LabelMatrix(-np.ones((10, 4), dtype=np.int8))
+    logits = np.random.default_rng(2).standard_normal((10, 4))
+    for align_fn in (pit_align, pit_align_bruteforce):
+        align = align_fn(logits, labels)
+        assert align.active_cols == () and align.slots == () and align.cost == 0.0
+
+
 # ---------------------------------------------------------------------------
 # detection BCE + suppression
 # ---------------------------------------------------------------------------
@@ -289,14 +297,34 @@ def test_dpcl_matches_naive_oracle(seed):
     assert abs(got - _naive_dpcl(l, x)) < 1e-10
 
 
-def test_dpcl_subsampled_path_is_deterministic():
-    rng = np.random.default_rng(7)
-    lm = LabelMatrix.from_activity(rng.random((10, 2)) < 0.5)
-    l = activity_dpcl_targets(lm)
-    x = tensor(rng.standard_normal((10, 4)).astype(np.float32))
-    a = float(dpcl_loss(l, x, pair_budget=3, rng=np.random.default_rng(0)).data)
-    b = float(dpcl_loss(l, x, pair_budget=3, rng=np.random.default_rng(0)).data)
-    assert a == b and np.isfinite(a)
+def _gram_dpcl(l: np.ndarray, x: np.ndarray) -> float:
+    """Vectorized float64 oracle: mean squared entry of the full Gram difference."""
+    xn = x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), 1e-8)
+    return float(((l @ l.T - xn @ xn.T) ** 2).mean())
+
+
+def _long_dpcl_case(t=2100, e=8):
+    rng = np.random.default_rng(21)
+    lm = LabelMatrix.from_activity(rng.random((t, 3)) < 0.4)
+    return activity_dpcl_targets(lm), rng.standard_normal((t, e))
+
+
+def test_dpcl_exact_above_two_thousand_frames():
+    l, x = _long_dpcl_case()
+    got = float(dpcl_loss(l, tensor(x, dtype=np.float64)).data)
+    assert got == pytest.approx(_gram_dpcl(l, x), rel=1e-10, abs=1e-12)
+
+
+def test_dpcl_builds_no_frame_by_frame_intermediate():
+    l, x = _long_dpcl_case()
+    frames = tensor(x.astype(np.float32), requires_grad=True)
+    with ad.audit() as rec:
+        loss = dpcl_loss(l, frames)
+        loss.backward()
+    t = x.shape[0]
+    assert loss.dtype == np.float32 and frames.grad.dtype == np.float32
+    assert not [sh for sh in rec["shapes"] if list(sh).count(t) >= 2]
+    assert max(int(np.prod(sh)) for sh in rec["shapes"]) <= frames.size
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +380,24 @@ def test_mode_none_disables_dpcl():
     labels = random_labels(rng, 10, 4, 2)
     bundle = total_loss(res, labels, mode="none")
     assert bundle.dpcl == 0.0
+
+
+@pytest.mark.parametrize("mode", ["activity", "attractor"])
+def test_silent_crop_trains_on_bce_and_suppression_only(mode):
+    rng = np.random.default_rng(15)
+    t, s = 10, 4
+    res = random_result(rng, t, s, 8)
+    labels = LabelMatrix(-np.ones((t, s), dtype=np.int8))
+    bundle = total_loss(res, labels, mode=mode)
+    assert bundle.alignment.slots == ()
+    assert bundle.dpcl == 0.0 and bundle.ortho == 0.0
+    # every slot is unassigned: bias-only BCE against zero, all directions suppressed
+    z = (res.attractor_biases.data + res.global_bias.data).astype(np.float64)
+    want_bce = float(np.mean(np.maximum(z, 0) + np.log1p(np.exp(-np.abs(z)))))
+    assert bundle.bce == pytest.approx(want_bce, rel=1e-5)
+    assert bundle.suppress == pytest.approx(float(np.mean(res.attractor_dirs.data ** 2)), rel=1e-5)
+    bundle.total_tensor.backward()
+    assert np.all(np.isfinite(res.attractor_dirs.grad))
 
 
 def test_total_is_weighted_sum():

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from der_oracle import corrupt_timeline, frame_der, random_timeline
+from diarnet.cli import _segments_from_labels
 from diarnet.rttm import RttmParseError, read_rttm, write_rttm
 from diarnet.scoring import (
     DiarizationHypothesis,
     ScoringError,
     aggregate_reports,
     der_score,
+    mask_runs,
     posterior_to_segments,
 )
+from diarnet.synth import MixtureSpec, synth_mixture
 
 
 def hyp(segs, file_id="rec"):
@@ -44,6 +47,40 @@ def test_median_window_one_keeps_spike():
     probs[7, 0] = 1.0
     out = posterior_to_segments(probs, median_w=1)
     assert out.segments == [(0.7, 0.8, "0")]
+
+
+def _runs_reference(mask) -> list:
+    """The frame-by-frame run scan that mask_runs replaced."""
+    out, start = [], None
+    for i in range(len(mask) + 1):
+        active = i < len(mask) and mask[i]
+        if active and start is None:
+            start = i
+        elif not active and start is not None:
+            out.append((start, i))
+            start = None
+    return out
+
+
+def test_mask_runs_matches_reference_scan():
+    rng = np.random.default_rng(4)
+    cases = [np.zeros(0, bool), np.zeros(5, bool), np.ones(5, bool), np.array([True]),
+             np.array([False, True, True, False, True])]
+    cases += [rng.random(int(rng.integers(1, 60))) < p for p in (0.2, 0.5, 0.8) * 10]
+    for mask in cases:
+        got = mask_runs(mask)
+        assert got == _runs_reference(mask)
+        assert all(type(v) is int for run in got for v in run)
+
+
+def test_reference_segments_match_reference_scan():
+    for seed in range(3):
+        rec = synth_mixture(MixtureSpec(n_speakers=3, duration_s=20.0, overlap_ratio=0.2,
+                                        seed=seed))
+        y = rec.labels.y_01 > 0
+        want = [(round(a * 0.1, 3), round(b * 0.1, 3), f"spk{spk}")
+                for spk in range(y.shape[1]) for a, b in _runs_reference(y[:, spk])]
+        assert _segments_from_labels(rec) == want
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -63,3 +63,18 @@ def test_bundle_rejects_foreign_file(tmp_path):
     p.write_bytes(b"\x00\x01\x02\x03 not json\n")
     with pytest.raises(SerializationError):
         read_manifest(p)
+
+
+@pytest.mark.parametrize("header", [
+    b"{not json\n",                                   # JSONDecodeError
+    b"\xff\xfe\x00garbage\n",                        # UnicodeDecodeError
+    b'{"format": "tensor-bundle-v1", "extra": {}}\n',  # no tensor list
+    b'{"format": "tensor-bundle-v1", "tensors": [{"shape": [2]}]}\n',
+    b"[1, 2, 3]\n",
+])
+def test_corrupt_bundle_header_raises_serialization_error(tmp_path, header):
+    p = tmp_path / "bad.ckpt"
+    p.write_bytes(header + b"\x00" * 16)
+    for reader in (load_bundle, read_manifest):
+        with pytest.raises(SerializationError):
+            reader(p)

@@ -1,12 +1,14 @@
 
 
+import warnings
+
 import numpy as np
 import pytest
 
 from diarnet.autodiff import Tensor
-from diarnet.losses import LossWeights
+from diarnet.losses import LabelMatrix, LossWeights
 from diarnet.model import ModelConfig
-from diarnet.synth import MixtureSpec
+from diarnet.synth import LabeledRecording, MixtureSpec, synth_mixture
 from diarnet.training import (
     AdamW,
     ScheduleError,
@@ -198,3 +200,17 @@ def test_divergence_aborts_with_last_finite_params(tmp_path):
     params, _ = load_checkpoint(tmp_path / "last.ckpt")
     for p in params.values():
         assert np.all(np.isfinite(p.data))
+
+
+def test_silent_recording_trains_instead_of_diverging(tmp_path):
+    rec = synth_mixture(desk_specs(1)[0])
+    silent = LabeledRecording(clip=rec.clip, labels=LabelMatrix(-np.ones_like(rec.labels.y_pm)),
+                              rec_id="silent")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = train(desk_config(epochs=1, batch_size=1), [silent], out_dir=tmp_path)
+    assert not result.diverged
+    rows = [r for r in result.history if r["split"] == "train"]
+    assert len(rows) == 1
+    assert rows[0]["dpcl"] == 0.0 and rows[0]["ortho"] == 0.0
+    assert np.isfinite(rows[0]["bce"]) and rows[0]["bce"] > 0
