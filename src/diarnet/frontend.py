@@ -20,7 +20,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .serialize import save_array
 
 SAMPLE_RATE = 8000
 FRAME_S = 0.1                      # output frame grid: one frame per window hop
@@ -243,11 +242,6 @@ def window_stack(mel: MelFrames, cfg: FeatureConfig | None = None) -> WindowTens
     # sliding_window_view puts the window axis last: (T, n_mels, wf)
     windows = np.ascontiguousarray(win.transpose(0, 2, 1))
     return WindowTensor(windows=windows.astype(np.float32), window_frames=wf, hop_frames=hp)
-
-
-def dump_mel(path, mel: MelFrames) -> None:
-    """Feature-dump mode: MelFrames in the flat tensor format, for fixtures."""
-    save_array(path, mel.frames)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,8 @@ class Alignment:
 def bce_cost_matrix(logits: np.ndarray, labels: LabelMatrix) -> np.ndarray:
     """cost[k, s]: mean frame BCE of slot s's logits against speaker k."""
     z = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise ad.NumericError("pit_align: non-finite logits")
     t = z.shape[0]
     base = (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))).mean(axis=0)  # (S,)
     y = labels.y_01[:, list(labels.active_columns)].astype(np.float64)       # (T, K)

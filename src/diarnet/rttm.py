@@ -7,6 +7,7 @@ Line format (3-decimal second precision):
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .scoring import DiarizationHypothesis
@@ -43,6 +44,9 @@ def read_rttm(path) -> dict[str, DiarizationHypothesis]:
             tdur = float(parts[4])
         except ValueError as e:
             raise RttmParseError(f"{path}:{lineno}: bad time field: {e}") from e
+        if not (math.isfinite(tbeg) and math.isfinite(tdur)):
+            raise RttmParseError(f"{path}:{lineno}: non-finite time field "
+                                 f"(tbeg {parts[3]}, tdur {parts[4]})")
         if tdur <= 0:
             raise RttmParseError(f"{path}:{lineno}: non-positive duration {tdur}")
         grouped.setdefault(parts[1], []).append((tbeg, tbeg + tdur, parts[7]))

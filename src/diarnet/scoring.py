@@ -1,11 +1,16 @@
 """Posterior post-processing and collar-aware DER/SAD scoring.
 
-The scorer works on exact timeline algebra rather than a frame grid: segment
-boundaries from both files split time into elementary intervals, a global
-speaker mapping is chosen by optimal assignment on overlap durations inside
-the scored regions, and missed/false-alarm/confusion time accumulates per
-interval. Overlapping speech is always scored; a collar around every
-reference boundary is excluded.
+The scorer works on exact timeline algebra rather than a frame grid. The
+boundaries of both files and of the collar zones, rounded to 1 ns, are
+sorted into cuts that split time into cells. Each speaker's merged intervals
+(and the merged collar zones) are sorted and disjoint, so whether a cell's
+midpoint lies inside them is one binary search over the interval starts:
+the activity of all speakers is a (speakers, cells) matrix built in
+O((N + C·S) log N) for N segments, C cells and S speakers. A global speaker
+mapping is chosen by optimal assignment on overlap durations inside the
+scored regions, and missed/false-alarm/confusion time is a dot product of
+per-cell speaker counts with the scored cell durations. Overlapping speech
+is always scored; a collar around every reference boundary is excluded.
 """
 
 from __future__ import annotations
@@ -142,55 +147,29 @@ def _collar_zones(ref: DiarizationHypothesis, collar_s: float) -> list[tuple[flo
     return merge_intervals(zones)
 
 
-def _elementary_intervals(ref: DiarizationHypothesis, hyp: DiarizationHypothesis,
-                          zones) -> list[tuple[float, float, frozenset, frozenset, bool]]:
-    """(t0, t1, ref speakers, hyp speakers, scored?) between all boundaries."""
-    bounds = set()
-    for seg in list(ref.segments) + list(hyp.segments):
-        bounds.add(round(seg[0], _TIME_DECIMALS))
-        bounds.add(round(seg[1], _TIME_DECIMALS))
-    for z0, z1 in zones:
-        bounds.add(round(z0, _TIME_DECIMALS))
-        bounds.add(round(z1, _TIME_DECIMALS))
-    cuts = sorted(bounds)
-    ref_by = ref.by_speaker()
-    hyp_by = hyp.by_speaker()
-    out = []
-    for t0, t1 in zip(cuts[:-1], cuts[1:]):
-        if t1 - t0 <= 0:
-            continue
-        mid = 0.5 * (t0 + t1)
-        r = frozenset(s for s, ivs in ref_by.items() if _covers(ivs, mid))
-        h = frozenset(s for s, ivs in hyp_by.items() if _covers(ivs, mid))
-        scored = not _covers(zones, mid)
-        out.append((t0, t1, r, h, scored))
-    return out
+def _activity(intervals: list[tuple[float, float]], mid: np.ndarray) -> np.ndarray:
+    """Cells whose midpoint lies in one of the sorted, disjoint intervals."""
+    if not intervals:
+        return np.zeros(mid.shape, dtype=bool)
+    starts, ends = np.array(intervals).T
+    i = np.searchsorted(starts, mid, side="right") - 1
+    return (i >= 0) & (mid < ends[i])
 
 
-def _covers(intervals, t: float) -> bool:
-    for s, e in intervals:
-        if s <= t < e:
-            return True
-    return False
+def _speaker_activity(timeline: DiarizationHypothesis, mid: np.ndarray) -> np.ndarray:
+    """(speakers, cells) 0/1 matrix, one row per speaker."""
+    rows = [_activity(ivs, mid) for ivs in timeline.by_speaker().values()]
+    return np.array(rows, dtype=float).reshape(len(rows), len(mid))
 
 
-def _optimal_speaker_map(cells) -> set[tuple[str, str]]:
-    """Global 1-1 speaker map maximizing matched time in scored regions."""
-    ref_names = sorted({s for _, _, r, _, sc in cells if sc for s in r})
-    hyp_names = sorted({s for _, _, _, h, sc in cells if sc for s in h})
-    if not ref_names or not hyp_names:
-        return set()
-    overlap = np.zeros((len(ref_names), len(hyp_names)))
-    r_idx = {s: i for i, s in enumerate(ref_names)}
-    h_idx = {s: i for i, s in enumerate(hyp_names)}
-    for t0, t1, r, h, scored in cells:
-        if not scored:
-            continue
-        for rs in r:
-            for hs in h:
-                overlap[r_idx[rs], h_idx[hs]] += t1 - t0
+def _optimal_speaker_map(ref_act: np.ndarray, hyp_act: np.ndarray,
+                         weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Global 1-1 speaker map (ref rows, hyp rows) maximizing matched time
+    in scored regions; pairs that never co-occur are left unmapped."""
+    overlap = (ref_act * weight) @ hyp_act.T
     rows, cols = linear_sum_assignment(-overlap)
-    return {(ref_names[i], hyp_names[j]) for i, j in zip(rows, cols) if overlap[i, j] > 0}
+    keep = overlap[rows, cols] > 0
+    return rows[keep], cols[keep]
 
 
 def der_score(ref: DiarizationHypothesis, hyp: DiarizationHypothesis,
@@ -204,27 +183,25 @@ def der_score(ref: DiarizationHypothesis, hyp: DiarizationHypothesis,
     if not ref.segments:
         raise ScoringError("reference timeline is empty")
     zones = _collar_zones(ref, collar_s)
-    cells = _elementary_intervals(ref, hyp, zones)
-    mapping = _optimal_speaker_map(cells)
+    bounds = [b for segs in (ref.segments, hyp.segments) for s, e, _ in segs for b in (s, e)]
+    bounds += [b for zone in zones for b in zone]
+    cuts = np.unique(np.round(np.array(bounds, dtype=float), _TIME_DECIMALS))
+    mid = 0.5 * (cuts[:-1] + cuts[1:])
+    weight = np.diff(cuts) * ~_activity(zones, mid)   # cell duration, 0 in a collar
+    ref_act = _speaker_activity(ref, mid)
+    hyp_act = _speaker_activity(hyp, mid)
+    rows, cols = _optimal_speaker_map(ref_act, hyp_act, weight)
 
-    ref_speaker = ref_speech = miss = fa = conf = sad_miss = sad_fa = scored_span = 0.0
-    for t0, t1, r, h, scored in cells:
-        if not scored:
-            continue
-        dur = t1 - t0
-        scored_span += dur
-        nr, nh = len(r), len(h)
-        ref_speaker += dur * nr
-        if nr:
-            ref_speech += dur
-        n_correct = sum(1 for pair in mapping if pair[0] in r and pair[1] in h)
-        miss += dur * max(0, nr - nh)
-        fa += dur * max(0, nh - nr)
-        conf += dur * (min(nr, nh) - n_correct)
-        if nr and not nh:
-            sad_miss += dur
-        if nh and not nr:
-            sad_fa += dur
+    nr, nh = ref_act.sum(axis=0), hyp_act.sum(axis=0)
+    n_correct = (ref_act[rows] * hyp_act[cols]).sum(axis=0)
+    ref_speaker = float(weight @ nr)
+    ref_speech = float(weight @ (nr > 0))
+    miss = float(weight @ np.maximum(nr - nh, 0))
+    fa = float(weight @ np.maximum(nh - nr, 0))
+    conf = float(weight @ (np.minimum(nr, nh) - n_correct))
+    sad_miss = float(weight @ ((nr > 0) & (nh == 0)))
+    sad_fa = float(weight @ ((nh > 0) & (nr == 0)))
+    scored_span = float(weight.sum())
     if ref_speaker <= 0:
         raise ScoringError("no scored reference speech (collar removed everything?)")
 

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frontend import FRAME_S, FeatureConfig, MelFrames, cnn_encode, log_mel, window_stack
-from .losses import LabelMatrix, LossBundle, LossWeights, total_loss
+from .frontend import (FRAME_S, ConfigError, FeatureConfig, MelFrames, cnn_encode, log_mel,
+                       window_stack)
+from .losses import DPCL_MODES, LabelMatrix, LossBundle, LossWeights, total_loss
 from .model import ModelConfig, forward, init_model_params, zero_grads
 from .serialize import load_bundle, save_bundle
 from .synth import LabeledRecording, synth_mixture
@@ -49,6 +50,10 @@ class TrainConfig:
     warmup_frac: float = 0.3
     div_factor: float = 25.0
     final_div: float = 1e4
+
+    def __post_init__(self):
+        if self.dpcl_mode not in DPCL_MODES:
+            raise ConfigError(f"dpcl_mode must be one of {DPCL_MODES}, got {self.dpcl_mode!r}")
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in (
@@ -292,7 +297,7 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
                     # exploding parameters surface either as a non-finite loss
                     # or as a NumericError raised inside the forward pass
                     bundle = _sample_loss(windows, lab, params, cfg)
-                except ValueError:
+                except ad.NumericError:
                     bad = True
                     break
                 if not math.isfinite(bundle.total):

@@ -61,6 +61,27 @@ def test_unknown_flag_exits_2():
     assert e.value.code == 2
 
 
+def test_score_non_finite_rttm_exits_1(tmp_path, capsys):
+    ref, bad = tmp_path / "ref.rttm", tmp_path / "hyp.rttm"
+    ref.write_text("SPEAKER f1 1 0.000 2.000 <NA> <NA> a <NA> <NA>\n")
+    bad.write_text("SPEAKER f1 1 0.000 inf <NA> <NA> a <NA> <NA>\n")
+    assert main(["score", "--ref", str(ref), "--hyp", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert "RttmParseError" in captured.err and ":1:" in captured.err
+    assert "DER" not in captured.out
+
+
+def test_train_bad_dpcl_mode_is_a_config_error(dataset, tmp_path, capsys):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(desk_train_config(dpcl_mode="bogus")))
+    rc = main(["train", "--config", str(cfg_path), "--data", str(dataset),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "dpcl_mode" in captured.err
+    assert "diverged" not in captured.out + captured.err
+
+
 def test_train_zero_epochs_writes_checkpoint(dataset, tmp_path):
     cfg_path = tmp_path / "train.json"
     cfg = desk_train_config(val_count=1)

@@ -18,7 +18,6 @@ from diarnet.frontend import (
     window_stack,
     write_wav,
 )
-from diarnet.serialize import load_array
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +123,6 @@ def test_pure_tone_concentrates_in_expected_mel_bin():
 def test_too_short_clip_rejected():
     with pytest.raises(InsufficientAudioError):
         log_mel(AudioClip(np.zeros(100, dtype=np.float32)))
-
-
-def test_mel_dump_fixture_round_trip(tmp_path):
-    mel = log_mel(AudioClip(np.random.default_rng(1).random(4000).astype(np.float32) - 0.5))
-    p = tmp_path / "mel.tnsr"
-    fe.dump_mel(p, mel)
-    assert np.array_equal(load_array(p), mel.frames)
 
 
 # ---------------------------------------------------------------------------

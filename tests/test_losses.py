@@ -126,6 +126,17 @@ def test_pit_align_capacity_error():
         pit_align(rng.standard_normal((10, 3)), labels)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pit_align_non_finite_logits_is_numeric_error(bad):
+    rng = np.random.default_rng(3)
+    labels = random_labels(rng, 10, 3, 3)
+    logits = rng.standard_normal((10, 3))
+    logits[4, 1] = bad
+    for align_fn in (pit_align, pit_align_bruteforce):
+        with pytest.raises(ad.NumericError):
+            align_fn(logits, labels)
+
+
 def test_pit_align_silent_crop_is_empty():
     labels = LabelMatrix(-np.ones((10, 4), dtype=np.int8))
     logits = np.random.default_rng(2).standard_normal((10, 4))

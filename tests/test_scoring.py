@@ -1,15 +1,21 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from der_oracle import corrupt_timeline, frame_der, random_timeline
 from diarnet.cli import _segments_from_labels
 from diarnet.rttm import RttmParseError, read_rttm, write_rttm
 from diarnet.scoring import (
+    DerReport,
     DiarizationHypothesis,
     ScoringError,
     aggregate_reports,
     der_score,
     mask_runs,
+    merge_intervals,
     posterior_to_segments,
 )
 from diarnet.synth import MixtureSpec, synth_mixture
@@ -170,6 +176,146 @@ def test_two_speaker_overlap_with_swap_matches_oracle():
         assert getattr(rep, key) == pytest.approx(oracle[key], abs=0.05), key
 
 
+# ---------------------------------------------------------------------------
+# the sorted-cut scorer against the per-cut interval scan it replaced
+# ---------------------------------------------------------------------------
+
+def _covers(intervals, t) -> bool:
+    return any(s <= t < e for s, e in intervals)
+
+
+def _der_reference(ref, h, collar_s) -> DerReport:
+    """The cell-by-cell scorer: every speaker's interval list is scanned for
+    each cut midpoint, and the mapping and error times are summed per cell."""
+    if not ref.segments:
+        raise ScoringError("reference timeline is empty")
+    zones = []
+    if collar_s > 0:
+        for start, end, _ in ref.segments:
+            zones += [(start - collar_s, start + collar_s), (end - collar_s, end + collar_s)]
+        zones = merge_intervals(zones)
+    bounds = {round(b, 9) for seg in ref.segments + h.segments for b in seg[:2]}
+    bounds |= {round(b, 9) for zone in zones for b in zone}
+    cuts = sorted(bounds)
+    ref_by, hyp_by = ref.by_speaker(), h.by_speaker()
+    cells = []
+    for t0, t1 in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (t0 + t1)
+        cells.append((t1 - t0,
+                      frozenset(s for s, ivs in ref_by.items() if _covers(ivs, mid)),
+                      frozenset(s for s, ivs in hyp_by.items() if _covers(ivs, mid)),
+                      not _covers(zones, mid)))
+
+    ref_names = sorted({s for _, r, _, sc in cells if sc for s in r})
+    hyp_names = sorted({s for _, _, hs, sc in cells if sc for s in hs})
+    mapping = set()
+    if ref_names and hyp_names:
+        overlap = np.zeros((len(ref_names), len(hyp_names)))
+        for dur, r, hs, scored in cells:
+            for rs in r if scored else ():
+                for s in hs:
+                    overlap[ref_names.index(rs), hyp_names.index(s)] += dur
+        rows, cols = linear_sum_assignment(-overlap)
+        mapping = {(ref_names[i], hyp_names[j]) for i, j in zip(rows, cols) if overlap[i, j] > 0}
+
+    acc = dict.fromkeys(("span", "ref_speaker", "ref_speech", "miss", "fa", "conf",
+                         "sad_miss", "sad_fa"), 0.0)
+    for dur, r, hs, scored in cells:
+        if not scored:
+            continue
+        nr, nh = len(r), len(hs)
+        n_correct = sum(1 for a, b in mapping if a in r and b in hs)
+        acc["span"] += dur
+        acc["ref_speaker"] += dur * nr
+        acc["ref_speech"] += dur * (nr > 0)
+        acc["miss"] += dur * max(0, nr - nh)
+        acc["fa"] += dur * max(0, nh - nr)
+        acc["conf"] += dur * (min(nr, nh) - n_correct)
+        acc["sad_miss"] += dur * (nr > 0 and nh == 0)
+        acc["sad_fa"] += dur * (nh > 0 and nr == 0)
+    if acc["ref_speaker"] <= 0:
+        raise ScoringError("no scored reference speech")
+    pct = 100.0 / acc["ref_speaker"]
+    sad_pct = 100.0 / acc["ref_speech"] if acc["ref_speech"] > 0 else 0.0
+    return DerReport(
+        der=(acc["miss"] + acc["fa"] + acc["conf"]) * pct, ms=acc["miss"] * pct,
+        fa=acc["fa"] * pct, cf=acc["conf"] * pct, sad_ms=acc["sad_miss"] * sad_pct,
+        sad_fa=acc["sad_fa"] * sad_pct, total_scored_s=acc["span"],
+        ref_speaker_s=acc["ref_speaker"], ref_speech_s=acc["ref_speech"],
+        miss_s=acc["miss"], fa_s=acc["fa"], conf_s=acc["conf"],
+        sad_miss_s=acc["sad_miss"], sad_fa_s=acc["sad_fa"])
+
+
+def _assert_matches_reference(ref_segs, hyp_segs, collar_s):
+    ref, h = hyp(ref_segs), hyp(hyp_segs)
+    try:
+        want = dataclasses.asdict(_der_reference(ref, h, collar_s))
+    except ScoringError:
+        with pytest.raises(ScoringError):
+            der_score(ref, h, collar_s=collar_s)
+        return
+    got = dataclasses.asdict(der_score(ref, h, collar_s=collar_s))
+    assert len(got) == 14
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, abs=1e-9), key
+
+
+@pytest.mark.parametrize("collar", [0.0, 0.25])
+@pytest.mark.parametrize("seed", range(24))
+def test_scorer_matches_reference_scan(seed, collar):
+    rng = np.random.default_rng(500 + seed)
+    ref_segs = random_timeline(rng, 2 + seed % 3)
+    _assert_matches_reference(ref_segs, corrupt_timeline(rng, ref_segs), collar)
+
+
+EDGE_CASES = {
+    "same_speaker_abutting_and_overlapping": (
+        [(0.0, 2.0, "a"), (2.0, 4.0, "a"), (3.0, 5.0, "a"), (4.5, 9.0, "b")],
+        [(0.0, 1.0, "x"), (1.0, 3.0, "x"), (2.5, 7.0, "y"), (6.0, 6.5, "y")]),
+    "hypothesis_speakers_absent_from_reference": (
+        [(0.0, 5.0, "a"), (4.0, 8.0, "b")],
+        [(0.0, 5.0, "a"), (1.0, 3.0, "ghost"), (6.0, 9.0, "phantom")]),
+    "empty_hypothesis": ([(0.0, 5.0, "a"), (2.0, 6.0, "b")], []),
+    "reference_segment_inside_a_collar": (
+        [(0.0, 5.0, "a"), (5.1, 5.3, "b"), (8.0, 9.0, "a")],
+        [(0.0, 5.2, "a"), (5.2, 5.4, "b"), (8.1, 9.0, "b")]),
+    "whole_reference_inside_a_collar": ([(1.0, 1.3, "a")], [(1.0, 1.3, "a")]),
+    "off_grid_boundaries": (
+        [(0.1 + 0.2, 1.1 + 0.6, "a"), (0.7, 2.9000000000000004, "b"), (1.0 / 3, 0.9, "c")],
+        [(0.3, 1.7, "a"), (0.1 * 7, 2.9, "b"), (0.30000000000000004, 2.0 / 3, "b")]),
+}
+
+
+@pytest.mark.parametrize("collar", [0.0, 0.25])
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_scorer_edge_cases_match_reference_scan(case, collar):
+    _assert_matches_reference(*EDGE_CASES[case], collar)
+
+
+def test_scorer_at_ten_thousand_segments_matches_frame_oracle():
+    rng = np.random.default_rng(77)
+    ref_segs = []
+    for spk in range(4):
+        cursor = int(rng.integers(0, 300))
+        for _ in range(1400):
+            dur = int(rng.integers(80, 600))
+            ref_segs.append((cursor / 100, (cursor + dur) / 100, f"spk{spk}"))
+            cursor += dur + int(rng.integers(20, 500))
+    span = max(e for _, e, _ in ref_segs)
+    hyp_segs = corrupt_timeline(rng, ref_segs, span_s=span)
+    assert len(ref_segs) + len(hyp_segs) >= 10_000
+    ref, h = hyp(ref_segs), hyp(hyp_segs)
+    tracemalloc.start()
+    rep = der_score(ref, h, collar_s=0.25)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    oracle = frame_der(ref, h, collar_s=0.25)
+    for key in ("der", "ms", "fa", "cf", "sad_ms", "sad_fa"):
+        assert getattr(rep, key) == pytest.approx(oracle[key], abs=0.05), key
+    # a few (speakers, cells) float rows; nothing grows as cells x cells
+    assert peak < 12 * 2**20
+
+
 def test_aggregate_reports_weights_by_duration():
     ref1 = hyp([(0.0, 10.0, "a")])
     rep1 = der_score(ref1, ref1, collar_s=0.0)                 # DER 0 over 10 s
@@ -204,6 +350,18 @@ def test_rttm_rejects_nonpositive_duration(tmp_path):
     with pytest.raises(RttmParseError) as e:
         read_rttm(p)
     assert ":1:" in str(e.value)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("field", ["tbeg", "tdur"])
+def test_rttm_rejects_non_finite_times(tmp_path, field, value):
+    tbeg, tdur = (value, "1.000") if field == "tbeg" else ("1.000", value)
+    p = tmp_path / "bad.rttm"
+    p.write_text("SPEAKER f1 1 0.000 1.000 <NA> <NA> a <NA> <NA>\n"
+                 f"SPEAKER f1 1 {tbeg} {tdur} <NA> <NA> a <NA> <NA>\n")
+    with pytest.raises(RttmParseError) as e:
+        read_rttm(p)
+    assert ":2:" in str(e.value)
 
 
 def test_rttm_groups_by_file_id(tmp_path):
