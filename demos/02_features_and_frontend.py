@@ -31,13 +31,13 @@ print("samples:", len(clip.samples))
 
 # ## Log-mel frames
 mel = log_mel(clip)
-print("mel frames:", mel.frames.shape, "(10 ms hop, 25 ms window, 23 bins)")
+print("mel frames:", mel.shape, "(10 ms hop, 25 ms window, 23 bins)")
 
 # ## Windows: 15 frames, hop 10, 5-frame overlap; 15*23 = 345 values each
-wt = window_stack(mel)
-print("windows:", wt.windows.shape)
-print("window count matches the label grid:", wt.n_windows == frame_count(len(clip.samples)))
-assert np.array_equal(wt.windows[1][:5], wt.windows[0][10:])
+windows = window_stack(mel)
+print("windows:", windows.shape)
+print("window count matches the label grid:", len(windows) == frame_count(len(clip.samples)))
+assert np.array_equal(windows[1][:5], windows[0][10:])
 
 # ## CNN encoder: (T, 15, 23) -> (T, 256), RMS-normalized
 #
@@ -46,7 +46,7 @@ assert np.array_equal(wt.windows[1][:5], wt.windows[0][10:])
 # 15x23 -> 8x12 -> 4x6 -> 2x3 -> 1x2 -> 1x1.
 
 params = init_frontend_params(256, np.random.default_rng(0))
-emb = cnn_encode(wt, params, 256)
+emb = cnn_encode(windows, params, 256)
 print("embeddings:", emb.shape)
 rms = np.sqrt((emb.data ** 2).mean(axis=1))
 print("per-frame RMS after the norm (gain=1 init): %.3f .. %.3f" % (rms.min(), rms.max()))

@@ -18,9 +18,6 @@ from .autodiff import (
 )
 from .frontend import (
     AudioClip,
-    FeatureConfig,
-    MelFrames,
-    WindowTensor,
     cnn_encode,
     encode_clip,
     frame_count,
@@ -70,7 +67,6 @@ from .synth import (
     GenerationError,
     LabeledRecording,
     MixtureSpec,
-    crop_sample,
     synth_mixture,
 )
 from .training import (

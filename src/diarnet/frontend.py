@@ -2,11 +2,14 @@
 
 The processing chain is
 
-    samples (8 kHz mono) -> log-mel frames (T0 x 23, 10 ms hop)
+    samples (8 kHz mono) -> log-mel frames (T0 x 23, 25 ms window, 10 ms hop)
     -> overlapping windows (T x 15 x 23, hop 10 frames)
     -> CNN window encoder -> frame embeddings (T x E, RMS-normalized)
 
-so each output frame nominally covers 100 ms of audio.
+so each output frame covers 100 ms of audio. The geometry is the fixed EEND
+recipe (Fujita et al., arXiv:1909.06247) and is not configurable: the CNN
+collapses exactly a 15 x 23 window, and the synthetic labels, the crops,
+the posterior segmenter and the scorer all step in ``FRAME_S`` frames.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 SAMPLE_RATE = 8000
-FRAME_S = 0.1                      # output frame grid: one frame per window hop
+N_MELS = 23
+WIN_SAMPLES = 200                  # 25 ms analysis window
+HOP_SAMPLES = 80                   # 10 ms mel hop
+N_FFT = 256                        # next power of two above WIN_SAMPLES
+LOG_FLOOR = 1e-10
+WINDOW_FRAMES = 15                 # mel frames per CNN window
+WINDOW_HOP = 10                    # mel frames between window starts
+SAMPLES_PER_FRAME = HOP_SAMPLES * WINDOW_HOP
+FRAME_S = SAMPLES_PER_FRAME / SAMPLE_RATE      # output frame grid: 100 ms
 
 
 class WavParseError(ValueError):
@@ -38,44 +49,13 @@ class InsufficientAudioError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Inconsistent feature or encoder configuration."""
-
-
-@dataclass
-class FeatureConfig:
-    """Log-mel and windowing parameters.
-
-    The analysis window length is deliberately configurable: 25 ms is the
-    conventional choice for a 10 ms hop.
-    """
-    sample_rate: int = SAMPLE_RATE
-    n_mels: int = 23
-    win_ms: float = 25.0
-    hop_ms: float = 10.0
-    fmin: float = 0.0
-    fmax: float = 4000.0
-    window_frames: int = 15
-    window_hop: int = 10
-    log_floor: float = 1e-10
-
-    @property
-    def win_samples(self) -> int:
-        return int(round(self.win_ms * self.sample_rate / 1000.0))
-
-    @property
-    def hop_samples(self) -> int:
-        return int(round(self.hop_ms * self.sample_rate / 1000.0))
-
-    @property
-    def n_fft(self) -> int:
-        return 1 << (self.win_samples - 1).bit_length()
+    """Inconsistent encoder configuration or input geometry."""
 
 
 @dataclass
 class AudioClip:
-    """Mono audio at the canonical 8 kHz rate, amplitudes clipped to [-1, 1]."""
+    """Mono audio at SAMPLE_RATE, amplitudes clipped to [-1, 1]."""
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float32).reshape(-1)
@@ -83,28 +63,7 @@ class AudioClip:
 
     @property
     def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
-
-
-@dataclass
-class MelFrames:
-    frames: np.ndarray          # (T0, n_mels) float32
-    hop_ms: float = 10.0
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-
-@dataclass
-class WindowTensor:
-    windows: np.ndarray         # (T, window_frames, n_mels) float32
-    window_frames: int = 15
-    hop_frames: int = 10
-
-    @property
-    def n_windows(self) -> int:
-        return self.windows.shape[0]
+        return len(self.samples) / SAMPLE_RATE
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +96,8 @@ def load_wav(path) -> AudioClip:
     audio_format, channels, rate, _, _, bits = fmt
     if channels < 1:
         raise WavParseError(f"{path}: zero channels")
+    if rate < 1:
+        raise WavParseError(f"{path}: zero sample rate")
     if audio_format == 1 and bits == 16:
         x = np.frombuffer(data[:len(data) - len(data) % 2], dtype="<i2").astype(np.float32) / 32768.0
     elif audio_format == 3 and bits == 32:
@@ -164,8 +125,8 @@ def write_wav(path, clip: AudioClip) -> None:
     pcm = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype("<i2")
     payload = pcm.tobytes()
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, clip.sample_rate,
-                                    clip.sample_rate * 2, 2, 16)
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, SAMPLE_RATE,
+                                    SAMPLE_RATE * 2, 2, 16)
     header += b"data" + struct.pack("<I", len(payload))
     Path(path).write_bytes(header + payload)
 
@@ -182,13 +143,13 @@ def _mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
-    """Triangular filters (n_mels, n_fft//2 + 1) spanning [fmin, fmax]."""
-    n_bins = cfg.n_fft // 2 + 1
-    freqs = np.arange(n_bins) * cfg.sample_rate / cfg.n_fft
-    pts = _mel_to_hz(np.linspace(_hz_to_mel(cfg.fmin), _hz_to_mel(cfg.fmax), cfg.n_mels + 2))
-    fb = np.zeros((cfg.n_mels, n_bins), dtype=np.float64)
-    for m in range(cfg.n_mels):
+def mel_filterbank() -> np.ndarray:
+    """Triangular filters (N_MELS, N_FFT//2 + 1) spanning 0 Hz to Nyquist."""
+    n_bins = N_FFT // 2 + 1
+    freqs = np.arange(n_bins) * SAMPLE_RATE / N_FFT
+    pts = _mel_to_hz(np.linspace(_hz_to_mel(0.0), _hz_to_mel(SAMPLE_RATE / 2), N_MELS + 2))
+    fb = np.zeros((N_MELS, n_bins), dtype=np.float64)
+    for m in range(N_MELS):
         lo, mid, hi = pts[m], pts[m + 1], pts[m + 2]
         up = (freqs - lo) / max(mid - lo, 1e-12)
         down = (hi - freqs) / max(hi - mid, 1e-12)
@@ -196,52 +157,34 @@ def mel_filterbank(cfg: FeatureConfig) -> np.ndarray:
     return fb
 
 
-def log_mel(clip: AudioClip, cfg: FeatureConfig | None = None) -> MelFrames:
-    """Log mel-filterbank energies with a hard floor at ``cfg.log_floor``."""
-    cfg = cfg or FeatureConfig()
-    win, hop = cfg.win_samples, cfg.hop_samples
+def log_mel(clip: AudioClip) -> np.ndarray:
+    """(T0, N_MELS) float32 log mel-filterbank energies, floored at LOG_FLOOR."""
     x = clip.samples
-    if len(x) < win:
+    if len(x) < WIN_SAMPLES:
         raise InsufficientAudioError(
-            f"clip of {len(x)} samples is shorter than one {win}-sample analysis window")
-    frames = np.lib.stride_tricks.sliding_window_view(x, win)[::hop].astype(np.float64)
-    windowed = frames * np.hanning(win)
-    spec = np.abs(np.fft.rfft(windowed, n=cfg.n_fft, axis=1)) ** 2
-    energies = spec @ mel_filterbank(cfg).T
-    logm = np.log(np.maximum(energies, cfg.log_floor))
-    return MelFrames(frames=logm.astype(np.float32), hop_ms=cfg.hop_ms)
+            f"clip of {len(x)} samples is shorter than one {WIN_SAMPLES}-sample analysis window")
+    frames = np.lib.stride_tricks.sliding_window_view(x, WIN_SAMPLES)[::HOP_SAMPLES]
+    windowed = frames.astype(np.float64) * np.hanning(WIN_SAMPLES)
+    spec = np.abs(np.fft.rfft(windowed, n=N_FFT, axis=1)) ** 2
+    energies = spec @ mel_filterbank().T
+    return np.log(np.maximum(energies, LOG_FLOOR)).astype(np.float32)
 
 
-def mel_frame_count(n_samples: int, cfg: FeatureConfig | None = None) -> int:
-    cfg = cfg or FeatureConfig()
-    if n_samples < cfg.win_samples:
-        return 0
-    return (n_samples - cfg.win_samples) // cfg.hop_samples + 1
-
-
-def window_count(n_mel_frames: int, cfg: FeatureConfig | None = None) -> int:
-    cfg = cfg or FeatureConfig()
-    if n_mel_frames < cfg.window_frames:
-        return 0
-    return (n_mel_frames - cfg.window_frames) // cfg.window_hop + 1
-
-
-def frame_count(n_samples: int, cfg: FeatureConfig | None = None) -> int:
+def frame_count(n_samples: int) -> int:
     """Number of embedding frames the front-end will produce for a clip."""
-    return window_count(mel_frame_count(n_samples, cfg), cfg)
+    n_mel = (n_samples - WIN_SAMPLES) // HOP_SAMPLES + 1
+    return max((n_mel - WINDOW_FRAMES) // WINDOW_HOP + 1, 0)
 
 
-def window_stack(mel: MelFrames, cfg: FeatureConfig | None = None) -> WindowTensor:
-    """Stack mel frames into overlapping windows (hop 10, overlap 5)."""
-    cfg = cfg or FeatureConfig()
-    wf, hp = cfg.window_frames, cfg.window_hop
-    t0 = mel.n_frames
-    if t0 < wf:
-        raise InsufficientAudioError(f"{t0} mel frames < window of {wf}")
-    win = np.lib.stride_tricks.sliding_window_view(mel.frames, wf, axis=0)[::hp]
-    # sliding_window_view puts the window axis last: (T, n_mels, wf)
-    windows = np.ascontiguousarray(win.transpose(0, 2, 1))
-    return WindowTensor(windows=windows.astype(np.float32), window_frames=wf, hop_frames=hp)
+def window_stack(mel: np.ndarray) -> np.ndarray:
+    """Stack (T0, N_MELS) mel frames into (T, WINDOW_FRAMES, N_MELS) windows
+    (hop 10, overlap 5)."""
+    t0 = mel.shape[0]
+    if t0 < WINDOW_FRAMES:
+        raise InsufficientAudioError(f"{t0} mel frames < window of {WINDOW_FRAMES}")
+    win = np.lib.stride_tricks.sliding_window_view(mel, WINDOW_FRAMES, axis=0)[::WINDOW_HOP]
+    # sliding_window_view puts the window axis last: (T, N_MELS, WINDOW_FRAMES)
+    return np.ascontiguousarray(win.transpose(0, 2, 1), dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +204,14 @@ def _same_pads(size: int, k: int, s: int) -> tuple[int, int]:
     return total // 2, total - total // 2
 
 
-def init_frontend_params(embed_dim: int, rng: np.random.Generator,
-                         window_frames: int = 15, n_mels: int = 23) -> dict:
+def init_frontend_params(embed_dim: int, rng: np.random.Generator) -> dict:
     """Parameters for the 5-layer encoder; layers 1-4 are stride-2 3x3 with
     same padding, layer 5 is a valid 1x2 kernel collapsing the residual map."""
     chans = cnn_channel_plan(embed_dim)
     params: dict[str, Tensor] = {}
     cin = 1
-    h, w = window_frames, n_mels
     for i, cout in enumerate(chans, start=1):
-        if i < 5:
-            kh, kw, stride = 3, 3, 2
-            h, w = math.ceil(h / stride), math.ceil(w / stride)
-        else:
-            kh, kw, stride = h, 2, 1
-            h, w = 1, w - 1
+        kh, kw = (3, 3) if i < 5 else (1, 2)
         fan_in = cin * kh * kw
         fan_out = cout * kh * kw
         limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -285,9 +221,6 @@ def init_frontend_params(embed_dim: int, rng: np.random.Generator,
         params[f"frontend.conv{i}.b"] = Tensor(np.zeros(cout, dtype=np.float32),
                                                requires_grad=True)
         cin = cout
-    if (h, w) != (1, 1):
-        raise ConfigError(f"encoder does not collapse to 1x1 (got {h}x{w}); "
-                          f"window geometry must be {window_frames}x{n_mels}")
     params["frontend.norm_gain"] = Tensor(np.ones(embed_dim, dtype=np.float32),
                                           requires_grad=True)
     return params
@@ -299,14 +232,13 @@ def cnn_encode(windows, params: dict, embed_dim: int) -> Tensor:
     N may span several recordings: windows never mix, so batching is pure
     concatenation.
     """
-    if isinstance(windows, WindowTensor):
-        windows = windows.windows
     arr = np.asarray(windows, dtype=np.float32)
-    if arr.ndim != 3:
-        raise ConfigError(f"expected (N, win, mels) windows, got shape {arr.shape}")
+    if arr.ndim != 3 or arr.shape[1:] != (WINDOW_FRAMES, N_MELS):
+        raise ConfigError(f"expected (N, {WINDOW_FRAMES}, {N_MELS}) windows, "
+                          f"got shape {arr.shape}")
     chans = cnn_channel_plan(embed_dim)
     x = Tensor(arr[:, None, :, :])
-    h, w = arr.shape[1], arr.shape[2]
+    h, w = WINDOW_FRAMES, N_MELS
     for i, cout in enumerate(chans, start=1):
         wk = params[f"frontend.conv{i}.w"]
         bk = params[f"frontend.conv{i}.b"]
@@ -327,7 +259,6 @@ def cnn_encode(windows, params: dict, embed_dim: int) -> Tensor:
     return ad.rms_norm(x, params["frontend.norm_gain"])
 
 
-def encode_clip(clip: AudioClip, params: dict, embed_dim: int,
-                cfg: FeatureConfig | None = None) -> Tensor:
+def encode_clip(clip: AudioClip, params: dict, embed_dim: int) -> Tensor:
     """Full front-end: clip -> (T, E) embeddings."""
-    return cnn_encode(window_stack(log_mel(clip, cfg), cfg), params, embed_dim)
+    return cnn_encode(window_stack(log_mel(clip)), params, embed_dim)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frontend import ConfigError, init_frontend_params
+from .frontend import ConfigError, encode_clip, init_frontend_params
 
 
 @dataclass
@@ -327,12 +327,10 @@ def forward(x0: Tensor, params: dict, cfg: ModelConfig) -> ForwardResult:
                          attractor_biases=biases, global_bias=params["head.b_global"])
 
 
-def predict_probs(clip, params: dict, cfg: ModelConfig, feat_cfg=None) -> np.ndarray:
+def predict_probs(clip, params: dict, cfg: ModelConfig) -> np.ndarray:
     """Inference: audio clip -> per-frame speaker probabilities (T, S)."""
-    from .frontend import encode_clip
-
     with ad.no_grad():
-        x0 = encode_clip(clip, params, cfg.embed_dim, feat_cfg)
+        x0 = encode_clip(clip, params, cfg.embed_dim)
         res = forward(x0, params, cfg)
         return ad.sigmoid(res.logits).data
 

@@ -1,12 +1,11 @@
-"""Binary tensor serialization and named-bundle files.
+"""Named-bundle files for checkpoints.
 
-Single-array layout (used for feature dumps and fixtures):
+A bundle is a JSON manifest line mapping names to shapes, followed by the
+arrays in manifest order, each laid out as
 
     uint32 rank | uint32 dims[rank] | float32 data[prod(dims)]
 
-all little-endian. A bundle file (used for checkpoints) prefixes a JSON
-manifest line mapping names to shapes, followed by the arrays in manifest
-order in the same layout.
+all little-endian.
 """
 
 from __future__ import annotations
@@ -50,16 +49,6 @@ def read_array(f) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
 
 
-def save_array(path, arr: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        write_array(f, arr)
-
-
-def load_array(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        return read_array(f)
-
-
 # ---------------------------------------------------------------------------
 # named bundles (checkpoints)
 # ---------------------------------------------------------------------------
@@ -89,14 +78,10 @@ def _read_header(f, path) -> tuple[list, dict]:
         entries = [(t["name"], tuple(t["shape"])) for t in manifest["tensors"]]
     except (KeyError, TypeError) as e:
         raise SerializationError(f"{path}: malformed tensor list in header: {e!r}") from e
-    return entries, manifest.get("extra", {})
-
-
-def read_manifest(path) -> tuple[dict, dict]:
-    """Return ({name: shape tuple}, extra) without loading array payloads."""
-    with open(path, "rb") as f:
-        entries, extra = _read_header(f, path)
-    return dict(entries), extra
+    extra = manifest.get("extra", {})
+    if not isinstance(extra, dict):
+        raise SerializationError(f"{path}: header extra is not an object")
+    return entries, extra
 
 
 def load_bundle(path) -> tuple[dict, dict]:

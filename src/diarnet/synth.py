@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frontend import FRAME_S, SAMPLE_RATE, AudioClip, FeatureConfig, frame_count
+from .frontend import FRAME_S, SAMPLE_RATE, SAMPLES_PER_FRAME, AudioClip, frame_count
 from .losses import LabelMatrix
 from .scoring import mask_runs
-
-SAMPLES_PER_FRAME = 800            # 100 ms at 8 kHz
 
 # fundamental-frequency bands per speaker index; far apart on the mel axis
 _F0_BANDS = ((100.0, 135.0), (215.0, 265.0), (150.0, 185.0), (320.0, 380.0))
@@ -55,13 +53,6 @@ class LabeledRecording:
     @property
     def n_frames(self) -> int:
         return self.labels.n_frames
-
-
-def samples_for_frames(n_frames: int, cfg: FeatureConfig | None = None) -> int:
-    """Audio samples the front-end consumes to emit exactly n_frames."""
-    cfg = cfg or FeatureConfig()
-    n_mel = cfg.window_hop * (n_frames - 1) + cfg.window_frames
-    return cfg.hop_samples * (n_mel - 1) + cfg.win_samples
 
 
 def overlap_fraction(activity: np.ndarray) -> float:
@@ -177,30 +168,6 @@ def synth_mixture(spec: MixtureSpec) -> LabeledRecording:
     return LabeledRecording(clip=AudioClip(sig.astype(np.float32)),
                             labels=LabelMatrix.from_activity(activity),
                             rec_id=f"mix{spec.seed:06d}")
-
-
-# ---------------------------------------------------------------------------
-# cropping
-# ---------------------------------------------------------------------------
-
-def crop_sample(rec: LabeledRecording, crop_s: float,
-                rng: np.random.Generator) -> LabeledRecording:
-    """Contiguous crop on the label grid; labels and audio stay aligned.
-
-    A crop of N label frames keeps exactly the samples the front-end needs
-    to reproduce those N frames. Recordings shorter than the crop are
-    returned whole.
-    """
-    nf = int(round(crop_s / FRAME_S))
-    t_rec = rec.labels.n_frames
-    if nf >= t_rec:
-        return rec
-    f0 = int(rng.integers(0, t_rec - nf + 1))
-    s0 = f0 * SAMPLES_PER_FRAME
-    samples = rec.clip.samples[s0:s0 + samples_for_frames(nf)]
-    labels = LabelMatrix(rec.labels.y_pm[f0:f0 + nf].copy())
-    return LabeledRecording(clip=AudioClip(samples), labels=labels,
-                            rec_id=f"{rec.rec_id}+{f0}")
 
 
 def labels_from_segments(segments, n_frames: int,

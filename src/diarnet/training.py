@@ -18,11 +18,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frontend import (FRAME_S, ConfigError, FeatureConfig, MelFrames, cnn_encode, log_mel,
+from .frontend import (FRAME_S, WINDOW_FRAMES, WINDOW_HOP, ConfigError, cnn_encode, log_mel,
                        window_stack)
 from .losses import DPCL_MODES, LabelMatrix, LossBundle, LossWeights, total_loss
 from .model import ModelConfig, forward, init_model_params, zero_grads
-from .serialize import load_bundle, save_bundle
+from .serialize import SerializationError, load_bundle, save_bundle
 from .synth import LabeledRecording, synth_mixture
 
 
@@ -54,6 +54,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.dpcl_mode not in DPCL_MODES:
             raise ConfigError(f"dpcl_mode must be one of {DPCL_MODES}, got {self.dpcl_mode!r}")
+        for name in ("batch_size", "val_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
+        if not (math.isfinite(self.crop_s) and round(self.crop_s / FRAME_S) >= 1):
+            raise ConfigError(f"crop_s must cover at least one {FRAME_S} s frame, "
+                              f"got {self.crop_s}")
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in (
@@ -165,17 +173,21 @@ def save_checkpoint(path, params: dict, model_cfg: ModelConfig,
 
 def load_checkpoint(path) -> tuple[dict, ModelConfig]:
     named, extra = load_bundle(path)
-    if "model" not in extra:
-        raise ValueError(f"{path}: checkpoint carries no model config")
-    cfg = ModelConfig.from_dict(extra["model"])
+    if not isinstance(extra.get("model"), dict):
+        raise SerializationError(f"{path}: checkpoint carries no model config")
+    try:
+        cfg = ModelConfig.from_dict(extra["model"])
+    except (TypeError, ValueError) as e:
+        raise SerializationError(f"{path}: bad model config: {e}") from e
     reference = init_model_params(cfg, np.random.default_rng(0))
     if set(reference) != set(named):
         missing = sorted(set(reference) ^ set(named))
-        raise ValueError(f"{path}: parameter names do not match config: {missing[:4]}")
+        raise SerializationError(f"{path}: parameter names do not match config: {missing[:4]}")
     params = {}
     for k, ref in reference.items():
         if named[k].shape != ref.shape:
-            raise ValueError(f"{path}: {k} has shape {named[k].shape}, expected {ref.shape}")
+            raise SerializationError(
+                f"{path}: {k} has shape {named[k].shape}, expected {ref.shape}")
         params[k] = Tensor(named[k], requires_grad=True)
     return params, cfg
 
@@ -194,18 +206,16 @@ class TrainResult:
     wall_s: float
 
 
-def _prepare(rec: LabeledRecording, n_slots: int,
-             feat: FeatureConfig) -> tuple[np.ndarray, LabelMatrix]:
-    mel = log_mel(rec.clip, feat)
-    labels = rec.labels.pad_to(n_slots)
-    return mel.frames, labels
+def _prepare(rec: LabeledRecording, n_slots: int) -> tuple[np.ndarray, LabelMatrix]:
+    return log_mel(rec.clip), rec.labels.pad_to(n_slots)
 
 
-def _crop_windows(mel: np.ndarray, labels: LabelMatrix, f0: int, nf: int,
-                  feat: FeatureConfig) -> tuple[np.ndarray, LabelMatrix]:
-    rows = mel[feat.window_hop * f0: feat.window_hop * (f0 + nf - 1) + feat.window_frames]
-    wt = window_stack(MelFrames(frames=rows), feat)
-    return wt.windows, LabelMatrix(labels.y_pm[f0:f0 + nf].copy())
+def _crop_windows(mel: np.ndarray, labels: LabelMatrix, f0: int,
+                  nf: int) -> tuple[np.ndarray, LabelMatrix]:
+    """Windows and labels of output frames [f0, f0 + nf) of a recording, from
+    the mel rows those frames read; equal to ``window_stack(mel)[f0:f0 + nf]``."""
+    rows = mel[WINDOW_HOP * f0: WINDOW_HOP * (f0 + nf - 1) + WINDOW_FRAMES]
+    return window_stack(rows), LabelMatrix(labels.y_pm[f0:f0 + nf].copy())
 
 
 def _sample_loss(windows: np.ndarray, labels: LabelMatrix, params: dict,
@@ -229,7 +239,6 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
     the last finite parameters.
     """
     t_start = time.perf_counter()
-    feat = FeatureConfig()
     init_rng = np.random.default_rng([cfg.seed, 0])
     crop_rng = np.random.default_rng([cfg.seed, 1])
     order_rng = np.random.default_rng([cfg.seed, 2])
@@ -237,8 +246,8 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
     train_recs = [_as_recording(s) for s in train_specs]
     val_recs = [_as_recording(s) for s in val_specs or []]
     s_slots = cfg.model.n_attractors
-    train_data = [_prepare(r, s_slots, feat) for r in train_recs]
-    val_data = [_prepare(r, s_slots, feat) for r in val_recs]
+    train_data = [_prepare(r, s_slots) for r in train_recs]
+    val_data = [_prepare(r, s_slots) for r in val_recs]
 
     params = init_model_params(cfg.model, init_rng)
     opt = AdamW(params, betas=cfg.betas, eps=cfg.eps, weight_decay=cfg.weight_decay)
@@ -269,7 +278,7 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
         with ad.no_grad():
             for mel, labels in val_data:
                 nf = min(nf_crop, labels.n_frames)
-                windows, lab = _crop_windows(mel, labels, 0, nf, feat)
+                windows, lab = _crop_windows(mel, labels, 0, nf)
                 bundle = _sample_loss(windows, lab, params, cfg)
                 for k in agg:
                     agg[k] += getattr(bundle, k) / len(val_data)
@@ -292,7 +301,7 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
                 mel, labels = train_data[idx]
                 nf = min(nf_crop, labels.n_frames)
                 f0 = int(crop_rng.integers(0, labels.n_frames - nf + 1))
-                windows, lab = _crop_windows(mel, labels, f0, nf, feat)
+                windows, lab = _crop_windows(mel, labels, f0, nf)
                 try:
                     # exploding parameters surface either as a non-finite loss
                     # or as a NumericError raised inside the forward pass

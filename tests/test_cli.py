@@ -82,6 +82,17 @@ def test_train_bad_dpcl_mode_is_a_config_error(dataset, tmp_path, capsys):
     assert "diverged" not in captured.out + captured.err
 
 
+def test_train_negative_epochs_is_a_config_error(dataset, tmp_path, capsys):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(desk_train_config()))
+    rc = main(["train", "--config", str(cfg_path), "--data", str(dataset),
+               "--out", str(tmp_path / "run"), "--epochs", "-1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "ConfigError" in captured.err and "epochs" in captured.err
+    assert "train done" not in captured.out
+
+
 def test_train_zero_epochs_writes_checkpoint(dataset, tmp_path):
     cfg_path = tmp_path / "train.json"
     cfg = desk_train_config(val_count=1)

@@ -4,9 +4,8 @@ import pytest
 from diarnet import frontend as fe
 from diarnet.frontend import (
     AudioClip,
-    FeatureConfig,
+    ConfigError,
     InsufficientAudioError,
-    MelFrames,
     WavFormatError,
     WavParseError,
     cnn_encode,
@@ -80,6 +79,18 @@ def test_unsupported_codec_rejected(tmp_path):
         load_wav(p)
 
 
+def test_zero_sample_rate_rejected(tmp_path):
+    import struct
+    payload = np.zeros(100, dtype="<i2").tobytes()
+    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 0, 0, 2, 16)
+    header += b"data" + struct.pack("<I", len(payload))
+    p = tmp_path / "rate0.wav"
+    p.write_bytes(header + payload)
+    with pytest.raises(WavParseError, match="sample rate"):
+        load_wav(p)
+
+
 def test_wav_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     x = (rng.random(4000).astype(np.float32) - 0.5)
@@ -97,24 +108,22 @@ def test_one_second_clip_gives_98_frames():
     clip = AudioClip(np.zeros(8000, dtype=np.float32))
     mel = log_mel(clip)
     # (8000 - 200) // 80 + 1 with a 25 ms window and 10 ms hop, no padding
-    assert mel.n_frames == 98
-    assert mel.frames.shape == (98, 23)
+    assert mel.shape == (98, 23)
+    assert mel.dtype == np.float32
 
 
 def test_silence_hits_log_floor():
     mel = log_mel(AudioClip(np.zeros(4000, dtype=np.float32)))
-    assert np.allclose(mel.frames, np.log(1e-10))
+    assert np.allclose(mel, np.log(1e-10))
 
 
 def test_pure_tone_concentrates_in_expected_mel_bin():
-    cfg = FeatureConfig()
-    t = np.arange(16000) / cfg.sample_rate
+    t = np.arange(16000) / fe.SAMPLE_RATE
     clip = AudioClip((0.8 * np.sin(2 * np.pi * 1000.0 * t)).astype(np.float32))
-    mel = log_mel(clip, cfg)
-    got = np.argmax(mel.frames, axis=1)
+    got = np.argmax(log_mel(clip), axis=1)
     # independent derivation: the filter with the largest response at 1 kHz
-    fb = mel_filterbank(cfg)
-    freqs = np.arange(fb.shape[1]) * cfg.sample_rate / cfg.n_fft
+    fb = mel_filterbank()
+    freqs = np.arange(fb.shape[1]) * fe.SAMPLE_RATE / fe.N_FFT
     bin_1k = int(np.argmin(np.abs(freqs - 1000.0)))
     expected = int(np.argmax(fb[:, bin_1k]))
     assert np.all(got == expected)
@@ -129,34 +138,34 @@ def test_too_short_clip_rejected():
 # windowing
 # ---------------------------------------------------------------------------
 
-def _mel_of(t0: int) -> MelFrames:
+def _mel_of(t0: int) -> np.ndarray:
     rng = np.random.default_rng(t0)
-    return MelFrames(frames=rng.standard_normal((t0, 23)).astype(np.float32))
+    return rng.standard_normal((t0, 23)).astype(np.float32)
 
 
 @pytest.mark.parametrize("t0,expected", [(15, 1), (105, 10), (24, 1), (25, 2)])
 def test_window_counts(t0, expected):
-    wt = window_stack(_mel_of(t0))
-    assert wt.n_windows == expected
-    assert wt.windows.shape == (expected, 15, 23)
+    windows = window_stack(_mel_of(t0))
+    assert windows.shape == (expected, 15, 23)
+    assert windows.dtype == np.float32
 
 
 def test_window_overlap_is_five_frames():
-    wt = window_stack(_mel_of(40))
-    assert np.array_equal(wt.windows[1][0:5], wt.windows[0][10:15])
+    windows = window_stack(_mel_of(40))
+    assert np.array_equal(windows[1][0:5], windows[0][10:15])
 
 
 def test_flattened_window_dimension_is_345():
-    wt = window_stack(_mel_of(30))
-    assert wt.windows[0].reshape(-1).shape == (345,)
+    windows = window_stack(_mel_of(30))
+    assert windows[0].reshape(-1).shape == (345,)
 
 
 def test_windowing_covers_all_frames_when_aligned():
     # T0 = 5 (mod 10): the last window ends exactly at the last mel frame.
     for t0 in (15, 25, 45, 105):
-        wt = window_stack(_mel_of(t0))
+        windows = window_stack(_mel_of(t0))
         covered = np.zeros(t0, dtype=bool)
-        for t in range(wt.n_windows):
+        for t in range(len(windows)):
             covered[10 * t: 10 * t + 15] = True
         assert covered.all()
 
@@ -213,13 +222,20 @@ def test_cnn_batching_matches_unbatched():
 
 
 def test_frame_count_helper_matches_pipeline():
-    for n in (8000, 48000, 400520, 12345):
+    # 200 samples make one mel frame and 1320 the first 15-frame window
+    for n in (0, 199, 200, 1319, 1320, 8000, 48000, 400520, 12345):
         clip = AudioClip(np.zeros(n, dtype=np.float32))
         try:
-            wt = window_stack(log_mel(clip))
-            assert frame_count(n) == wt.n_windows
+            windows = window_stack(log_mel(clip))
+            assert frame_count(n) == len(windows)
         except InsufficientAudioError:
             assert frame_count(n) == 0
+
+
+def test_one_output_frame_per_frame_s_of_audio():
+    assert fe.SAMPLES_PER_FRAME == 800 and fe.FRAME_S == 0.1
+    for n in (1320, 8000, 12345):
+        assert frame_count(n + fe.SAMPLES_PER_FRAME) == frame_count(n) + 1
 
 
 def test_param_shape_mismatch_raises_config_error():
@@ -227,5 +243,12 @@ def test_param_shape_mismatch_raises_config_error():
     params = init_frontend_params(64, rng)
     bad = dict(params)
     bad["frontend.conv2.w"] = params["frontend.conv1.w"]
-    with pytest.raises(fe.ConfigError):
+    with pytest.raises(ConfigError):
         cnn_encode(np.zeros((2, 15, 23), dtype=np.float32), bad, 64)
+
+
+@pytest.mark.parametrize("shape", [(2, 16, 23), (2, 15, 22), (15, 23), (1, 2, 15, 23)])
+def test_cnn_rejects_windows_of_another_geometry(shape):
+    params = init_frontend_params(64, np.random.default_rng(5))
+    with pytest.raises(ConfigError, match="15, 23"):
+        cnn_encode(np.zeros(shape, dtype=np.float32), params, 64)

@@ -1,44 +1,49 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
 from diarnet.serialize import (
     SerializationError,
-    load_array,
     load_bundle,
-    read_manifest,
-    save_array,
+    read_array,
     save_bundle,
+    write_array,
 )
 
 
-def test_array_round_trip(tmp_path):
+def _round_trip(arr: np.ndarray) -> np.ndarray:
+    buf = io.BytesIO()
+    write_array(buf, arr)
+    buf.seek(0)
+    return read_array(buf)
+
+
+def test_array_round_trip():
     rng = np.random.default_rng(0)
     arr = rng.standard_normal((3, 5, 2)).astype(np.float32)
-    p = tmp_path / "a.tnsr"
-    save_array(p, arr)
-    back = load_array(p)
+    back = _round_trip(arr)
     assert back.dtype == np.float32
     assert np.array_equal(back, arr)
 
 
-def test_array_layout_is_rank_shape_floats(tmp_path):
+def test_array_layout_is_rank_shape_floats():
     arr = np.arange(6, dtype=np.float32).reshape(2, 3)
-    p = tmp_path / "a.tnsr"
-    save_array(p, arr)
-    raw = p.read_bytes()
+    buf = io.BytesIO()
+    write_array(buf, arr)
+    raw = buf.getvalue()
     assert raw[:4] == (2).to_bytes(4, "little")
     assert raw[4:8] == (2).to_bytes(4, "little")
     assert raw[8:12] == (3).to_bytes(4, "little")
     assert np.array_equal(np.frombuffer(raw[12:], dtype="<f4"), arr.reshape(-1))
 
 
-def test_truncated_file_rejected(tmp_path):
-    arr = np.ones((4, 4), dtype=np.float32)
-    p = tmp_path / "a.tnsr"
-    save_array(p, arr)
-    p.write_bytes(p.read_bytes()[:-8])
+def test_truncated_file_rejected():
+    buf = io.BytesIO()
+    write_array(buf, np.ones((4, 4), dtype=np.float32))
     with pytest.raises(SerializationError):
-        load_array(p)
+        read_array(io.BytesIO(buf.getvalue()[:-8]))
 
 
 def test_bundle_round_trip_and_manifest(tmp_path):
@@ -49,11 +54,12 @@ def test_bundle_round_trip_and_manifest(tmp_path):
     }
     p = tmp_path / "ckpt.bin"
     save_bundle(p, named, extra={"note": "unit", "dims": [4, 3]})
-    shapes, extra = read_manifest(p)
-    assert shapes == {"enc.w": (4, 3), "enc.b": (4,)}
-    assert extra["note"] == "unit"
-    back, extra2 = load_bundle(p)
-    assert extra2 == extra
+    manifest = json.loads(p.read_bytes().split(b"\n", 1)[0])
+    assert manifest["tensors"] == [{"name": "enc.w", "shape": [4, 3]},
+                                   {"name": "enc.b", "shape": [4]}]
+    back, extra = load_bundle(p)
+    assert extra == {"note": "unit", "dims": [4, 3]}
+    assert list(back) == list(named)
     for k in named:
         assert np.array_equal(back[k], named[k])
 
@@ -62,7 +68,7 @@ def test_bundle_rejects_foreign_file(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"\x00\x01\x02\x03 not json\n")
     with pytest.raises(SerializationError):
-        read_manifest(p)
+        load_bundle(p)
 
 
 @pytest.mark.parametrize("header", [
@@ -71,10 +77,23 @@ def test_bundle_rejects_foreign_file(tmp_path):
     b'{"format": "tensor-bundle-v1", "extra": {}}\n',  # no tensor list
     b'{"format": "tensor-bundle-v1", "tensors": [{"shape": [2]}]}\n',
     b"[1, 2, 3]\n",
+    b'{"format": "tensor-bundle-v1", "tensors": [], "extra": [1]}\n',
 ])
 def test_corrupt_bundle_header_raises_serialization_error(tmp_path, header):
     p = tmp_path / "bad.ckpt"
     p.write_bytes(header + b"\x00" * 16)
-    for reader in (load_bundle, read_manifest):
-        with pytest.raises(SerializationError):
-            reader(p)
+    with pytest.raises(SerializationError):
+        load_bundle(p)
+
+
+@pytest.mark.parametrize("cut", [0, 8])
+def test_bundle_payload_must_match_manifest(tmp_path, cut):
+    p = tmp_path / "m.ckpt"
+    save_bundle(p, {"a": np.zeros(3, dtype=np.float32)})
+    raw = p.read_bytes()
+    if cut:
+        p.write_bytes(raw[:-cut])                          # truncated payload
+    else:
+        p.write_bytes(raw.replace(b'"shape": [3]', b'"shape": [2]'))
+    with pytest.raises(SerializationError):
+        load_bundle(p)

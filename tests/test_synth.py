@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from diarnet.frontend import frame_count, log_mel, window_stack
+from diarnet.frontend import FRAME_S, frame_count, log_mel, window_stack
+from diarnet.model import ModelConfig
 from diarnet.synth import (
     GenerationError,
     MixtureSpec,
-    crop_sample,
     labels_from_segments,
     overlap_fraction,
-    samples_for_frames,
     synth_mixture,
 )
+from diarnet.training import TrainConfig, _crop_windows, train
 
 
 def test_single_speaker_never_overlaps():
@@ -65,40 +65,48 @@ def test_impossible_overlap_raises_after_retries():
 
 
 # ---------------------------------------------------------------------------
-# cropping
+# cropping (training._crop_windows cuts crops from a recording's mel rows)
 # ---------------------------------------------------------------------------
 
 def test_crop_longer_than_recording_is_identity():
-    rec = synth_mixture(MixtureSpec(n_speakers=2, duration_s=12, seed=21))
-    out = crop_sample(rec, 30.0, np.random.default_rng(0))
-    assert out is rec
+    # a crop_s past the recording trains on the whole recording, exactly as a
+    # crop of the recording's own length does
+    specs = [MixtureSpec(n_speakers=2, duration_s=8.0, seed=21 + i) for i in range(2)]
+    whole_s = synth_mixture(specs[0]).n_frames * FRAME_S
+    model = ModelConfig(depth=1, embed_dim=32, latte_dim=16, n_latents=2, n_attractors=2,
+                        ff_expansion=2, conv_kernel=3, heads=2)
+    runs = [train(TrainConfig(batch_size=2, epochs=1, crop_s=crop_s, model=model),
+                  specs, val_specs=specs[:1])
+            for crop_s in (30.0, whole_s)]
+    assert not runs[0].diverged
+    assert all(np.isfinite(r["total"]) for r in runs[0].history)
+    assert runs[0].history == runs[1].history
 
 
 def test_fifty_second_crop_has_500_frames():
     rec = synth_mixture(MixtureSpec(n_speakers=2, duration_s=60, seed=22))
-    out = crop_sample(rec, 50.0, np.random.default_rng(1))
-    assert out.labels.n_frames == 500
-    assert len(out.clip.samples) == samples_for_frames(500)
-    assert frame_count(len(out.clip.samples)) == 500
+    nf = round(50.0 / FRAME_S)
+    windows, labels = _crop_windows(log_mel(rec.clip), rec.labels, 37, nf)
+    assert nf == 500
+    assert labels.n_frames == 500
+    assert windows.shape == (500, 15, 23)
 
 
 def test_crop_labels_match_source_slice():
     rec = synth_mixture(MixtureSpec(n_speakers=2, duration_s=30, seed=23))
-    rng = np.random.default_rng(2)
-    out = crop_sample(rec, 10.0, rng)
-    f0 = int(out.rec_id.rsplit("+", 1)[1])
-    nf = out.labels.n_frames
-    assert np.array_equal(out.labels.y_pm, rec.labels.y_pm[f0:f0 + nf])
+    mel, nf = log_mel(rec.clip), 100
+    for f0 in (0, rec.n_frames - nf):
+        _, labels = _crop_windows(mel, rec.labels, f0, nf)
+        assert np.array_equal(labels.y_pm, rec.labels.y_pm[f0:f0 + nf])
 
 
 def test_crop_features_match_source_windows():
     rec = synth_mixture(MixtureSpec(n_speakers=2, duration_s=20, seed=24))
-    rng = np.random.default_rng(3)
-    out = crop_sample(rec, 6.0, rng)
-    f0 = int(out.rec_id.rsplit("+", 1)[1])
-    full = window_stack(log_mel(rec.clip)).windows
-    cropped = window_stack(log_mel(out.clip)).windows
-    assert np.array_equal(cropped, full[f0:f0 + out.labels.n_frames])
+    mel, nf = log_mel(rec.clip), 60
+    full = window_stack(mel)
+    for f0 in (0, rec.n_frames - nf):
+        windows, _ = _crop_windows(mel, rec.labels, f0, nf)
+        assert np.array_equal(windows, full[f0:f0 + nf])
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from diarnet.autodiff import Tensor
+from diarnet.frontend import ConfigError
 from diarnet.losses import LabelMatrix, LossWeights
-from diarnet.model import ModelConfig
+from diarnet.model import ModelConfig, init_model_params
+from diarnet.serialize import SerializationError, save_bundle
 from diarnet.synth import LabeledRecording, MixtureSpec, synth_mixture
 from diarnet.training import (
     AdamW,
@@ -115,11 +117,23 @@ def test_clip_grad_norm():
 
 
 # ---------------------------------------------------------------------------
+# config
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("field,value", [
+    ("val_every", 0), ("batch_size", 0), ("epochs", -1),
+    ("crop_s", 0.0), ("crop_s", -5.0), ("crop_s", 0.04), ("crop_s", float("nan")),
+])
+def test_config_rejects_values_that_fail_mid_run(field, value):
+    with pytest.raises(ConfigError, match=field):
+        desk_config(**{field: value})
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
-    from diarnet.model import init_model_params
     cfg = desk_model()
     params = init_model_params(cfg, np.random.default_rng(7))
     p = tmp_path / "m.ckpt"
@@ -132,7 +146,6 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_rejects_mismatched_config(tmp_path):
-    from diarnet.model import init_model_params
     cfg = desk_model()
     params = init_model_params(cfg, np.random.default_rng(7))
     p = tmp_path / "m.ckpt"
@@ -140,6 +153,29 @@ def test_checkpoint_rejects_mismatched_config(tmp_path):
                         n_attractors=2, ff_expansion=2, conv_kernel=3, heads=2)
     save_checkpoint(p, params, other)
     with pytest.raises(ValueError):
+        load_checkpoint(p)
+
+
+def _corrupt_checkpoint(case: str, named: dict, model: dict) -> tuple[dict, dict]:
+    if case == "no model config":
+        return named, {}
+    if case == "unknown model key":
+        return named, {"model": dict(model, bogus=1)}
+    if case == "missing parameter":
+        return {k: v for k, v in named.items() if k != "head.b_global"}, {"model": model}
+    # wrong shape
+    return dict(named, **{"frontend.conv1.b": np.zeros(3, np.float32)}), {"model": model}
+
+
+@pytest.mark.parametrize("case", ["no model config", "unknown model key",
+                                  "missing parameter", "wrong shape"])
+def test_corrupt_checkpoint_raises_serialization_error(tmp_path, case):
+    cfg = desk_model()
+    named = {k: p.data for k, p in init_model_params(cfg, np.random.default_rng(7)).items()}
+    named, extra = _corrupt_checkpoint(case, named, cfg.to_dict())
+    p = tmp_path / "m.ckpt"
+    save_bundle(p, named, extra=extra)
+    with pytest.raises(SerializationError):
         load_checkpoint(p)
 
 
@@ -162,7 +198,6 @@ def test_zero_weighted_losses_leave_params_unchanged():
     # disabled so the optimizer really is a no-op.
     cfg = desk_config(epochs=1, weights=LossWeights(0.0, 0.0, 0.0, 0.0),
                       weight_decay=0.0)
-    from diarnet.model import init_model_params
     reference = init_model_params(cfg.model, np.random.default_rng([cfg.seed, 0]))
     result = train(cfg, desk_specs(2))
     for k, p in result.params.items():
