@@ -4,6 +4,9 @@
 # overlapping 15-frame windows (hop 10, so one window per 100 ms) -> a
 # 5-layer CNN that collapses each 15x23 window to one embedding vector.
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from diarnet import (
@@ -25,8 +28,9 @@ rec = synth_mixture(MixtureSpec(n_speakers=2, duration_s=12.0, overlap_ratio=0.2
 print(f"recording: {rec.clip.duration_s:.1f}s, {rec.labels.n_frames} label frames")
 
 # WAV round-trip is part of the deal (PCM16 write, parse, resample on read).
-write_wav("/tmp/demo_mix.wav", rec.clip)
-clip = load_wav("/tmp/demo_mix.wav")
+with tempfile.TemporaryDirectory() as tmp:
+    write_wav(Path(tmp) / "demo_mix.wav", rec.clip)
+    clip = load_wav(Path(tmp) / "demo_mix.wav")
 print("samples:", len(clip.samples))
 
 # ## Log-mel frames

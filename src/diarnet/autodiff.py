@@ -10,7 +10,9 @@ Conventions:
   * broadcasting is supported for leading batch axes and singleton axes;
     anything fancier needs an explicit reshape;
   * guarded normalizations (`rms_norm`, `l2_normalize`) use a
-    ``max(norm, NORM_EPS)`` denominator.
+    ``max(norm, NORM_EPS)`` denominator; `layer_norm` adds ``LN_EPS`` to the
+    variance;
+  * every op that scans its inputs rejects NaN/Inf with `NumericError`.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 NORM_EPS = 1e-8
-
-# Set False to skip NaN/Inf input validation in the hot path.
-CHECK_FINITE = True
+LN_EPS = 1e-5
 
 
 class ShapeError(ValueError):
@@ -116,15 +116,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- autodiff -------------------------------------------------------------
 
@@ -260,7 +251,7 @@ def _check(op: str, *tensors: Tensor) -> None:
     for t in tensors:
         if 0 in t.data.shape:
             raise ShapeError(f"{op}: zero-size dimension in operand of shape {t.data.shape}")
-        if CHECK_FINITE and not np.all(np.isfinite(t.data)):
+        if not np.all(np.isfinite(t.data)):
             raise NumericError(f"{op}: non-finite value in input")
 
 
@@ -321,26 +312,6 @@ def power(a: Tensor, p: float) -> Tensor:
 
     def bwd(g):
         _accum(a, g * p * a.data ** (p - 1.0))
-
-    return _make(out, (a,), bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def bwd(g):
-        _accum(a, g * out)
-
-    return _make(out, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    if CHECK_FINITE and np.any(a.data <= 0):
-        raise NumericError("log: non-positive input")
-    out = np.log(a.data)
-
-    def bwd(g):
-        _accum(a, g / a.data)
 
     return _make(out, (a,), bwd)
 
@@ -460,12 +431,12 @@ def mse(a: Tensor, b) -> Tensor:
 # normalizations
 # ---------------------------------------------------------------------------
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = NORM_EPS) -> Tensor:
-    """y = gain * x / max(rms(x), eps), rms over the last axis."""
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
+    """y = gain * x / max(rms(x), NORM_EPS), rms over the last axis."""
     _check("rms_norm", x, gain)
     n = x.shape[-1]
     r = np.sqrt((x.data * x.data).mean(axis=-1, keepdims=True))
-    denom = np.maximum(r, eps)
+    denom = np.maximum(r, NORM_EPS)
     xn = x.data / denom
     out = xn * gain.data
 
@@ -473,34 +444,34 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = NORM_EPS) -> Tensor:
         _accum(gain, g * xn)
         gx_n = g * gain.data
         s = (gx_n * x.data).sum(axis=-1, keepdims=True)
-        corr = np.where(r > eps, x.data * s / (n * denom ** 3), 0.0)
+        corr = np.where(r > NORM_EPS, x.data * s / (n * denom ** 3), 0.0)
         _accum(x, gx_n / denom - corr)
 
     return _make(out, (x, gain), bwd)
 
 
-def l2_normalize(x: Tensor, eps: float = NORM_EPS) -> Tensor:
+def l2_normalize(x: Tensor) -> Tensor:
     """Rows scaled to unit L2 norm along the last axis; zero rows stay zero."""
     _check("l2_normalize", x)
     nu = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
-    denom = np.maximum(nu, eps)
+    denom = np.maximum(nu, NORM_EPS)
     out = x.data / denom
 
     def bwd(g):
         s = (g * x.data).sum(axis=-1, keepdims=True)
-        corr = np.where(nu > eps, x.data * s / denom ** 3, 0.0)
+        corr = np.where(nu > NORM_EPS, x.data * s / denom ** 3, 0.0)
         _accum(x, g / denom - corr)
 
     return _make(out, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Standard layer norm over the last axis with learned gain and bias."""
     _check("layer_norm", x, gain, bias)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xn = xc * inv
     out = xn * gain.data + bias.data
 
@@ -660,21 +631,6 @@ def index_rows(a: Tensor, idx) -> Tensor:
     """Gather rows by integer index along axis 0."""
     idx = np.asarray(idx, dtype=np.intp)
     return take(a, idx)
-
-
-def concat(tensors: list, axis: int = 0) -> Tensor:
-    tensors = list(tensors)  # snapshot: the caller may mutate its list
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
-
-    return _make(out, tuple(tensors), bwd)
 
 
 def stack(tensors: list, axis: int = 0) -> Tensor:

@@ -84,10 +84,6 @@ class Alignment:
     slots: tuple[int, ...]
     cost: float
 
-    @property
-    def active_slots(self) -> frozenset:
-        return frozenset(self.slots)
-
     def slot_targets(self, labels: LabelMatrix) -> np.ndarray:
         """Labels rearranged into slot order; unassigned slots read -1."""
         out = np.full((labels.n_frames, labels.n_slots), -1.0, dtype=np.float32)
@@ -256,9 +252,6 @@ class LossWeights:
     ortho: float = 0.1
     suppress: float = 0.1
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.bce, self.dpcl, self.ortho, self.suppress)
-
 
 @dataclass
 class LossBundle:
@@ -267,7 +260,6 @@ class LossBundle:
     ortho: float
     suppress: float
     total: float
-    weights: tuple[float, float, float, float]
     total_tensor: Tensor = field(repr=False)
     alignment: Alignment = field(repr=False)
 
@@ -299,5 +291,4 @@ def total_loss(result: ForwardResult, labels: LabelMatrix,
     total = w.bce * bce + w.dpcl * dpcl + w.ortho * ortho + w.suppress * suppress
     return LossBundle(bce=float(bce.data), dpcl=float(dpcl.data),
                       ortho=float(ortho.data), suppress=float(suppress.data),
-                      total=float(total.data), weights=w.as_tuple(),
-                      total_tensor=total, alignment=align)
+                      total=float(total.data), total_tensor=total, alignment=align)

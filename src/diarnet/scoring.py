@@ -50,10 +50,6 @@ class DiarizationHypothesis:
             out.setdefault(spk, []).append((start, end))
         return {spk: merge_intervals(iv) for spk, iv in out.items()}
 
-    def total_speech(self) -> float:
-        merged = merge_intervals([(s, e) for s, e, _ in self.segments])
-        return sum(e - s for s, e in merged)
-
 
 def merge_intervals(intervals) -> list[tuple[float, float]]:
     ivs = sorted((float(s), float(e)) for s, e in intervals)
@@ -91,8 +87,7 @@ def mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
 
 
 def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
-                          median_w: int = 11, frame_s: float = FRAME_S,
-                          file_id: str = "rec",
+                          median_w: int = 11, file_id: str = "rec",
                           speaker_names: list | None = None) -> DiarizationHypothesis:
     """Threshold per slot, median-filter, merge runs on the frame grid."""
     probs = np.asarray(probs)
@@ -105,7 +100,7 @@ def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
     segments = []
     for slot in range(s):
         mask = _median_binary(probs[:, slot] >= threshold, median_w)
-        segments += [(round(a * frame_s, 3), round(b * frame_s, 3), names[slot])
+        segments += [(round(a * FRAME_S, 3), round(b * FRAME_S, 3), names[slot])
                      for a, b in mask_runs(mask)]
     return DiarizationHypothesis(segments=segments, file_id=file_id)
 

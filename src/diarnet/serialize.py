@@ -90,7 +90,10 @@ def load_bundle(path) -> tuple[dict, dict]:
         entries, extra = _read_header(f, path)
         named = {}
         for name, shape in entries:
-            arr = read_array(f)
+            try:
+                arr = read_array(f)
+            except SerializationError as e:
+                raise SerializationError(f"{path}: {e} for {name}") from e
             if arr.shape != shape:
                 raise SerializationError(
                     f"{path}: payload shape {arr.shape} != manifest {list(shape)} for {name}")

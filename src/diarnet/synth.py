@@ -170,8 +170,7 @@ def synth_mixture(spec: MixtureSpec) -> LabeledRecording:
                             rec_id=f"mix{spec.seed:06d}")
 
 
-def labels_from_segments(segments, n_frames: int,
-                         frame_s: float = FRAME_S) -> tuple[LabelMatrix, list[str]]:
+def labels_from_segments(segments, n_frames: int) -> tuple[LabelMatrix, list[str]]:
     """Rasterize (start_s, end_s, speaker) triples onto the label grid.
 
     A frame is active when a segment covers its midpoint, which is exact for
@@ -181,7 +180,7 @@ def labels_from_segments(segments, n_frames: int,
     speakers = sorted({seg[2] for seg in segments})
     index = {name: i for i, name in enumerate(speakers)}
     act = np.zeros((n_frames, max(len(speakers), 1)), dtype=bool)
-    mids = (np.arange(n_frames) + 0.5) * frame_s
+    mids = (np.arange(n_frames) + 0.5) * FRAME_S
     for start, end, name in segments:
         act[(mids >= start) & (mids < end), index[name]] = True
     return LabelMatrix.from_activity(act), speakers

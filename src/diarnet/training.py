@@ -11,7 +11,7 @@ import csv
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,16 @@ from .losses import DPCL_MODES, LabelMatrix, LossBundle, LossWeights, total_loss
 from .model import ModelConfig, forward, init_model_params, zero_grads
 from .serialize import SerializationError, load_bundle, save_bundle
 from .synth import LabeledRecording, synth_mixture
+
+
+# The fixed optimizer recipe: AdamW moments and epsilon, the global gradient
+# norm clip, and the one-cycle shape (warmup share, start and final divisors).
+BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+GRAD_CLIP = 5.0
+WARMUP_FRAC = 0.3
+DIV_FACTOR = 25.0
+FINAL_DIV = 1e4
 
 
 class ScheduleError(ValueError):
@@ -43,13 +53,7 @@ class TrainConfig:
     dpcl_mode: str = "attractor"
     model: ModelConfig = field(default_factory=ModelConfig)
     weight_decay: float = 0.01
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    grad_clip: float = 5.0
     val_every: int = 10
-    warmup_frac: float = 0.3
-    div_factor: float = 25.0
-    final_div: float = 1e4
 
     def __post_init__(self):
         if self.dpcl_mode not in DPCL_MODES:
@@ -57,31 +61,27 @@ class TrainConfig:
         for name in ("batch_size", "val_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.max_lr) and self.max_lr > 0):
+            raise ConfigError(f"max_lr must be finite and positive, got {self.max_lr}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if not (math.isfinite(self.crop_s) and round(self.crop_s / FRAME_S) >= 1):
             raise ConfigError(f"crop_s must cover at least one {FRAME_S} s frame, "
                               f"got {self.crop_s}")
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "batch_size", "epochs", "max_lr", "crop_s", "seed", "dpcl_mode",
-            "weight_decay", "betas", "eps", "grad_clip", "val_every",
-            "warmup_frac", "div_factor", "final_div")}
-        d["betas"] = list(self.betas)
-        d["weights"] = list(self.weights.as_tuple())
-        d["model"] = self.model.to_dict()
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
-        if "weights" in d:
-            d["weights"] = LossWeights(*d["weights"])
-        if "model" in d:
-            d["model"] = ModelConfig.from_dict(d["model"])
-        if "betas" in d:
-            d["betas"] = tuple(d["betas"])
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown train config keys: {unknown}")
+        for key, build in (("weights", lambda v: LossWeights(*v)),
+                           ("model", ModelConfig.from_dict)):
+            if key in d:
+                try:
+                    d[key] = build(d[key])
+                except (TypeError, ValueError) as e:
+                    raise ConfigError(f"bad {key} in train config: {e}") from e
         return cls(**d)
 
 
@@ -89,16 +89,14 @@ class TrainConfig:
 # schedule and optimizer
 # ---------------------------------------------------------------------------
 
-def one_cycle_lr(step: int, total_steps: int, max_lr: float,
-                 warmup_frac: float = 0.3, div_factor: float = 25.0,
-                 final_div: float = 1e4) -> float:
-    """Cosine ramp from max_lr/div_factor to max_lr over the first
-    warmup_frac of steps, then cosine anneal to max_lr/final_div."""
+def one_cycle_lr(step: int, total_steps: int, max_lr: float) -> float:
+    """Cosine ramp from max_lr/DIV_FACTOR to max_lr over the first
+    WARMUP_FRAC of steps, then cosine anneal to max_lr/FINAL_DIV."""
     if not 0 <= step < total_steps:
         raise ScheduleError(f"step {step} outside schedule of {total_steps}")
-    warm = int(round(warmup_frac * total_steps))
-    start = max_lr / div_factor
-    floor = max_lr / final_div
+    warm = int(round(WARMUP_FRAC * total_steps))
+    start = max_lr / DIV_FACTOR
+    floor = max_lr / FINAL_DIV
     if step <= warm:
         tau = step / max(warm, 1)
         return start + (max_lr - start) * 0.5 * (1.0 - math.cos(math.pi * tau))
@@ -109,11 +107,8 @@ def one_cycle_lr(step: int, total_steps: int, max_lr: float,
 class AdamW:
     """Decoupled weight decay Adam over a named parameter store."""
 
-    def __init__(self, params: dict, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+    def __init__(self, params: dict, weight_decay: float = 0.01):
         self.params = params
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.skipped = 0
@@ -132,14 +127,14 @@ class AdamW:
                 return False
             grads[k] = g
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = BETAS
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for k, p in self.params.items():
             g = grads[k]
             self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
             self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
-            update = (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)
+            update = (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + ADAM_EPS)
             p.data = p.data - lr * (update + self.weight_decay * p.data)
         return True
 
@@ -250,7 +245,7 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
     val_data = [_prepare(r, s_slots) for r in val_recs]
 
     params = init_model_params(cfg.model, init_rng)
-    opt = AdamW(params, betas=cfg.betas, eps=cfg.eps, weight_decay=cfg.weight_decay)
+    opt = AdamW(params, weight_decay=cfg.weight_decay)
 
     n = len(train_data)
     if n == 0:
@@ -262,7 +257,6 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
     history: list[dict] = []
     best_val = math.inf
     best_params = {k: p.data.copy() for k, p in params.items()}
-    last_good = {k: p.data.copy() for k, p in params.items()}
     diverged = False
     step = 0
 
@@ -288,8 +282,7 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
             best_params = {k: p.data.copy() for k, p in params.items()}
         return agg["total"]
 
-    lr = one_cycle_lr(0, total_steps, cfg.max_lr, cfg.warmup_frac,
-                      cfg.div_factor, cfg.final_div)
+    lr = one_cycle_lr(0, total_steps, cfg.max_lr)
     for epoch in range(cfg.epochs):
         order = order_rng.permutation(n)
         for b0 in range(0, n, cfg.batch_size):
@@ -318,23 +311,21 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
             if bad:
                 diverged = True
                 break
-            clip_grad_norm(params, cfg.grad_clip)
-            lr = one_cycle_lr(step, total_steps, cfg.max_lr, cfg.warmup_frac,
-                              cfg.div_factor, cfg.final_div)
+            clip_grad_norm(params, GRAD_CLIP)
+            lr = one_cycle_lr(step, total_steps, cfg.max_lr)
             opt.step(lr)
             log_row("train", epoch, agg, lr)
             step += 1
-            last_good = {k: p.data.copy() for k, p in params.items()}
         if diverged:
             break
         if val_data and ((epoch + 1) % cfg.val_every == 0 or epoch == cfg.epochs - 1):
             run_validation(epoch, lr)
 
     if diverged:
-        warnings.warn(f"training diverged at step {step}; restoring the last "
+        # parameters change only in opt.step, which runs after every crop of
+        # the batch gave a finite loss, so they are still the last finite ones
+        warnings.warn(f"training diverged at step {step}; keeping the last "
                       "finite parameters", RuntimeWarning, stacklevel=2)
-        for k, p in params.items():
-            p.data = last_good[k].copy()
 
     if cfg.epochs == 0 and val_data:
         run_validation(0, lr)

@@ -7,7 +7,6 @@ from diarnet.autodiff import (
     NumericError,
     ShapeError,
     bce_logits,
-    concat,
     conv2d,
     depthwise_conv1d,
     index_rows,
@@ -164,8 +163,6 @@ def test_grad_nonlinearities(shape):
         ("relu", lambda u: mean(relu(u + 0.05))),
         ("sigmoid", lambda u: mean(sigmoid(u))),
         ("softmax", lambda u: mean(softmax(u, axis=-1) ** 2.0)),
-        ("exp", lambda u: mean(dt.exp(u))),
-        ("log", lambda u: mean(dt.log(sigmoid(u) + 0.5))),
         ("power", lambda u: mean(u ** 2.0)),
     ]:
         rep = grad_check(fn, [x], tol=1e-5, name=name)
@@ -252,7 +249,6 @@ def test_grad_shape_ops(dims):
         ("index_rows", lambda u, v: mean(index_rows(u, [0, dims[0] - 1, 0]) ** 2.0) + mean(v), [a, b]),
         ("cast", lambda u, v: mean(dt.cast(dt.cast(u, np.longdouble) * 2.0, np.float64) * u)
          + mean(v), [a, b]),
-        ("concat", lambda u, v: mean(concat([u, v], axis=0) ** 2.0), [a, b]),
         ("stack", lambda u, v: mean(stack([u, u], axis=0) * 3.0), [a, b]),
     ]
     for name, fn, args in checks:

@@ -7,15 +7,16 @@ import pytest
 from diarnet.cli import main
 from diarnet.model import ModelConfig, init_model_params
 from diarnet.rttm import read_rttm
-from diarnet.training import TrainConfig, save_checkpoint
+from diarnet.training import save_checkpoint
+
+DESK_MODEL = {"depth": 1, "embed_dim": 32, "latte_dim": 16, "n_latents": 2,
+              "n_attractors": 2, "ff_expansion": 2, "conv_kernel": 3, "heads": 2}
 
 
 def desk_train_config(**kw) -> dict:
-    cfg = TrainConfig(batch_size=2, epochs=1, max_lr=1e-3, crop_s=3.0, seed=0,
-                      model=ModelConfig(depth=1, embed_dim=32, latte_dim=16,
-                                        n_latents=2, n_attractors=2,
-                                        ff_expansion=2, conv_kernel=3, heads=2))
-    d = cfg.to_dict()
+    d = {"batch_size": 2, "epochs": 1, "max_lr": 1e-3, "crop_s": 3.0, "seed": 0,
+         "dpcl_mode": "attractor", "weight_decay": 0.01, "val_every": 10,
+         "weights": [1.0, 0.5, 0.1, 0.1], "model": dict(DESK_MODEL)}
     d.update(kw)
     return d
 
@@ -93,6 +94,24 @@ def test_train_negative_epochs_is_a_config_error(dataset, tmp_path, capsys):
     assert "train done" not in captured.out
 
 
+@pytest.mark.parametrize("override,key", [
+    pytest.param({"bogus": 1}, "bogus", id="bogus"),
+    pytest.param({"betas": [0.9, 0.999]}, "betas", id="betas"),
+    pytest.param({"warmup_frac": 0.3}, "warmup_frac", id="warmup_frac"),
+    pytest.param({"model": dict(DESK_MODEL, depht=2)}, "depht", id="model.depht"),
+    pytest.param({"weights": [1.0, 0.5, 0.1, 0.1, 0.1]}, "weights", id="weights5"),
+])
+def test_train_bad_config_key_is_a_config_error(dataset, tmp_path, capsys, override, key):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(desk_train_config(**override)))
+    rc = main(["train", "--config", str(cfg_path), "--data", str(dataset),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "ConfigError" in captured.err and key in captured.err
+    assert "train done" not in captured.out
+
+
 def test_train_zero_epochs_writes_checkpoint(dataset, tmp_path):
     cfg_path = tmp_path / "train.json"
     cfg = desk_train_config(val_count=1)
@@ -107,8 +126,7 @@ def test_train_zero_epochs_writes_checkpoint(dataset, tmp_path):
 
 
 def test_infer_writes_rttm(dataset, tmp_path):
-    cfg = ModelConfig(depth=1, embed_dim=32, latte_dim=16, n_latents=2,
-                      n_attractors=2, ff_expansion=2, conv_kernel=3, heads=2)
+    cfg = ModelConfig(**DESK_MODEL)
     params = init_model_params(cfg, np.random.default_rng(0))
     ckpt = tmp_path / "m.ckpt"
     save_checkpoint(ckpt, params, cfg)

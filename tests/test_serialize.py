@@ -89,11 +89,12 @@ def test_corrupt_bundle_header_raises_serialization_error(tmp_path, header):
 @pytest.mark.parametrize("cut", [0, 8])
 def test_bundle_payload_must_match_manifest(tmp_path, cut):
     p = tmp_path / "m.ckpt"
-    save_bundle(p, {"a": np.zeros(3, dtype=np.float32)})
+    save_bundle(p, {"head.w": np.zeros(3, dtype=np.float32)})
     raw = p.read_bytes()
     if cut:
         p.write_bytes(raw[:-cut])                          # truncated payload
     else:
         p.write_bytes(raw.replace(b'"shape": [3]', b'"shape": [2]'))
-    with pytest.raises(SerializationError):
+    with pytest.raises(SerializationError) as e:
         load_bundle(p)
+    assert str(p) in str(e.value) and "head.w" in str(e.value)

@@ -123,6 +123,7 @@ def test_clip_grad_norm():
 @pytest.mark.parametrize("field,value", [
     ("val_every", 0), ("batch_size", 0), ("epochs", -1),
     ("crop_s", 0.0), ("crop_s", -5.0), ("crop_s", 0.04), ("crop_s", float("nan")),
+    ("max_lr", float("nan")), ("max_lr", 0.0), ("max_lr", -1e-3),
 ])
 def test_config_rejects_values_that_fail_mid_run(field, value):
     with pytest.raises(ConfigError, match=field):
