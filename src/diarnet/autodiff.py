@@ -12,7 +12,10 @@ Conventions:
   * guarded normalizations (`rms_norm`, `l2_normalize`) use a
     ``max(norm, NORM_EPS)`` denominator; `layer_norm` adds ``LN_EPS`` to the
     variance;
-  * every op that scans its inputs rejects NaN/Inf with `NumericError`.
+  * every tensor is scanned once, when it is made (a leaf in
+    `Tensor.__init__`, an op result in `_make`): NaN/Inf raises
+    `NumericError` and a zero-size dimension `ShapeError`, both naming the
+    op that made the value.
 """
 
 from __future__ import annotations
@@ -89,6 +92,7 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype.kind != "f":
             arr = arr.astype(DEFAULT_DTYPE)
+        _scan("tensor", arr)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -215,8 +219,18 @@ def _coerce(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
+def _scan(op: str, arr: np.ndarray) -> None:
+    """Reject a new value with a zero-size dimension or a NaN/Inf."""
+    if 0 in arr.shape:
+        raise ShapeError(f"{op}: zero-size dimension in array of shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"{op}: non-finite value in array of shape {arr.shape}")
+
+
 def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    """Wire an op result into the graph (or prune when grads are off)."""
+    """Wire an op result into the graph (or prune when grads are off); the op
+    is named by its backward closure, ``<op>.<locals>.bwd``."""
+    _scan(backward.__qualname__.partition(".")[0], data)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -247,21 +261,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _check(op: str, *tensors: Tensor) -> None:
-    for t in tensors:
-        if 0 in t.data.shape:
-            raise ShapeError(f"{op}: zero-size dimension in operand of shape {t.data.shape}")
-        if not np.all(np.isfinite(t.data)):
-            raise NumericError(f"{op}: non-finite value in input")
-
-
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check("add", a, b)
-
     def bwd(g):
         _accum(a, g)
         _accum(b, g)
@@ -270,8 +274,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check("sub", a, b)
-
     def bwd(g):
         _accum(a, g)
         _accum(b, -g)
@@ -280,8 +282,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check("mul", a, b)
-
     def bwd(g):
         _accum(a, g * b.data)
         _accum(b, g * a.data)
@@ -290,8 +290,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check("div", a, b)
-
     def bwd(g):
         _accum(a, g / b.data)
         _accum(b, -g * a.data / (b.data * b.data))
@@ -326,7 +324,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: operands must be >=2-d, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    _check("matmul", a, b)
     out = a.data @ b.data
     _audit_macs(out.size * a.shape[-1])
 
@@ -342,7 +339,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
-    _check("relu", a)
     mask = a.data > 0
     out = np.where(mask, a.data, 0.0).astype(a.data.dtype, copy=False)
 
@@ -353,7 +349,6 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    _check("sigmoid", a)
     out = _sigmoid_np(a.data)
 
     def bwd(g):
@@ -371,7 +366,6 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    _check("softmax", a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
@@ -399,7 +393,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    _check("mean", a)
     out = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size / max(np.asarray(out).size, 1)
 
@@ -414,7 +407,6 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def mse(a: Tensor, b) -> Tensor:
     """Mean squared error against a tensor or constant array."""
     b = _coerce(b, a)
-    _check("mse", a, b)
     d = a.data - b.data
     out = np.asarray((d * d).mean(), dtype=a.data.dtype)
     n = d.size
@@ -433,7 +425,6 @@ def mse(a: Tensor, b) -> Tensor:
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     """y = gain * x / max(rms(x), NORM_EPS), rms over the last axis."""
-    _check("rms_norm", x, gain)
     n = x.shape[-1]
     r = np.sqrt((x.data * x.data).mean(axis=-1, keepdims=True))
     denom = np.maximum(r, NORM_EPS)
@@ -452,7 +443,6 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
 
 def l2_normalize(x: Tensor) -> Tensor:
     """Rows scaled to unit L2 norm along the last axis; zero rows stay zero."""
-    _check("l2_normalize", x)
     nu = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
     denom = np.maximum(nu, NORM_EPS)
     out = x.data / denom
@@ -467,7 +457,6 @@ def l2_normalize(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Standard layer norm over the last axis with learned gain and bias."""
-    _check("layer_norm", x, gain, bias)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -492,7 +481,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def bce_logits(z: Tensor, targets) -> Tensor:
     """Elementwise binary cross-entropy on logits; targets are constants."""
-    _check("bce_logits", z)
     y = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
     y = y.astype(z.data.dtype, copy=False)
     zd = z.data
@@ -515,7 +503,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ShapeError(f"conv2d: need 4-d operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d: channel mismatch, input {x.shape} kernel {w.shape}")
-    _check("conv2d", x, w)
     n, cin, h, wdt = x.shape
     cout, _, kh, kw = w.shape
     sh, sw = stride
@@ -564,7 +551,6 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"depthwise_conv1d: channel mismatch, input {x.shape} kernel {w.shape}")
     if k % 2 != 1:
         raise ShapeError(f"depthwise_conv1d: kernel width must be odd, got {k}")
-    _check("depthwise_conv1d", x, w)
     t = x.shape[0]
     pad = k // 2
     xp = np.pad(x.data, ((pad, pad), (0, 0)))

@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .frontend import load_wav, write_wav
+from .frontend import ConfigError, load_wav, write_wav
 from .model import predict_probs
 from .rttm import read_rttm, write_rttm
 from .scoring import DiarizationHypothesis, aggregate_reports, der_score, posterior_to_segments
@@ -73,7 +73,9 @@ def cmd_train(args) -> int:
     cfg_dict = _load_json(Path(args.config))
     if args.epochs is not None:
         cfg_dict["epochs"] = args.epochs
-    val_count = int(cfg_dict.pop("val_count", 0))
+    val_count = cfg_dict.pop("val_count", 0)
+    if isinstance(val_count, bool) or not isinstance(val_count, int) or val_count < 0:
+        raise ConfigError(f"val_count must be a non-negative integer, got {val_count!r}")
     cfg = TrainConfig.from_dict(cfg_dict)
     cfg.seed = _seed_override(cfg.seed)
 
@@ -88,11 +90,13 @@ def cmd_train(args) -> int:
         specs.append((rec_id, data_dir / wav_name, data_dir / rttm_name))
     if not specs:
         raise ValueError(f"{manifest} lists no recordings")
-    val = specs[len(specs) - val_count:] if val_count else []
-    tr = specs[:len(specs) - val_count] if val_count else specs
+    n_train = len(specs) - val_count
+    if n_train < 1:
+        raise ConfigError(f"val_count {val_count} leaves none of the {len(specs)} "
+                          "recordings for training")
 
-    train_recs = [_load_recording(*s) for s in tr]
-    val_recs = [_load_recording(*s) for s in val]
+    train_recs = [_load_recording(*s) for s in specs[:n_train]]
+    val_recs = [_load_recording(*s) for s in specs[n_train:]]
     result = train(cfg, train_recs, val_recs, out_dir=Path(args.out))
     status = "diverged" if result.diverged else "done"
     print(f"train {status}: {len(result.history)} logged rows, "

@@ -15,8 +15,9 @@ the posterior segmenter and the scorer all step in ``FRAME_S`` frames.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,21 @@ class InsufficientAudioError(ValueError):
 
 class ConfigError(ValueError):
     """Inconsistent encoder configuration or input geometry."""
+
+
+_NUMBER_FIELDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+
+
+def check_number_fields(cfg, prefix: str = "") -> None:
+    """Raise ConfigError naming the first ``int`` or ``float`` field of the
+    dataclass ``cfg`` that holds something else: a bool or a string is not a
+    number, and a float is not an int."""
+    for f in fields(cfg):
+        if f.type in _NUMBER_FIELDS:
+            kind, what = _NUMBER_FIELDS[f.type]
+            v = getattr(cfg, f.name)
+            if isinstance(v, bool) or not isinstance(v, kind):
+                raise ConfigError(f"{prefix}{f.name} must be {what}, got {v!r}")
 
 
 @dataclass

@@ -18,13 +18,13 @@ T x T score matrix is ever formed and cost stays linear in T.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frontend import ConfigError, encode_clip, init_frontend_params
+from .frontend import ConfigError, check_number_fields, encode_clip, init_frontend_params
 
 
 @dataclass
@@ -39,6 +39,10 @@ class ModelConfig:
     heads: int = 4
 
     def __post_init__(self):
+        check_number_fields(self, "model.")
+        small = [k for k, v in self.to_dict().items() if v < 1]
+        if small:
+            raise ConfigError(f"model sizes must be positive: {small}")
         if self.embed_dim % self.heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.latte_dim % self.heads != 0:
@@ -47,17 +51,18 @@ class ModelConfig:
             raise ConfigError(f"conv_kernel must be odd, got {self.conv_kernel}")
         if self.embed_dim % 16 != 0:
             raise ConfigError(f"embed_dim must be divisible by 16, got {self.embed_dim}")
-        if min(self.depth, self.n_latents, self.n_attractors) < 1:
-            raise ConfigError("depth, n_latents and n_attractors must be positive")
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "depth", "embed_dim", "latte_dim", "n_latents", "n_attractors",
-            "ff_expansion", "conv_kernel", "heads")}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: int(v) for k, v in d.items()})
+        if not isinstance(d, dict):
+            raise ConfigError(f"model must be an object of integers, got {d!r}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown model config keys: {unknown}")
+        return cls(**d)
 
 
 @dataclass

@@ -15,7 +15,7 @@ is always scored; a collar around every reference boundary is excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -127,9 +127,26 @@ class DerReport:
     sad_miss_s: float = 0.0
     sad_fa_s: float = 0.0
 
+    @classmethod
+    def from_seconds(cls, total_scored_s, ref_speaker_s, ref_speech_s, miss_s, fa_s, conf_s,
+                     sad_miss_s, sad_fa_s) -> "DerReport":
+        """The rates, in percent of reference speaker time (SAD rates: of
+        reference speech time), next to the second totals they come from."""
+        if ref_speaker_s <= 0:
+            raise ScoringError("no scored reference speech (empty, or the collar removed it)")
+        pct = 100.0 / ref_speaker_s
+        sad_pct = 100.0 / ref_speech_s if ref_speech_s > 0 else 0.0
+        return cls((miss_s + fa_s + conf_s) * pct, miss_s * pct, fa_s * pct, conf_s * pct,
+                   sad_miss_s * sad_pct, sad_fa_s * sad_pct, total_scored_s, ref_speaker_s,
+                   ref_speech_s, miss_s, fa_s, conf_s, sad_miss_s, sad_fa_s)
+
     def __str__(self):
         return (f"DER {self.der:.2f} MS {self.ms:.2f} FA {self.fa:.2f} "
                 f"CF {self.cf:.2f} SAD_MS {self.sad_ms:.2f} SAD_FA {self.sad_fa:.2f}")
+
+
+# the absolute-second fields, which add across files: all but the six rates
+_SECONDS = tuple(f.name for f in fields(DerReport))[6:]
 
 
 def _collar_zones(ref: DiarizationHypothesis, collar_s: float) -> list[tuple[float, float]]:
@@ -189,45 +206,18 @@ def der_score(ref: DiarizationHypothesis, hyp: DiarizationHypothesis,
 
     nr, nh = ref_act.sum(axis=0), hyp_act.sum(axis=0)
     n_correct = (ref_act[rows] * hyp_act[cols]).sum(axis=0)
-    ref_speaker = float(weight @ nr)
-    ref_speech = float(weight @ (nr > 0))
-    miss = float(weight @ np.maximum(nr - nh, 0))
-    fa = float(weight @ np.maximum(nh - nr, 0))
-    conf = float(weight @ (np.minimum(nr, nh) - n_correct))
-    sad_miss = float(weight @ ((nr > 0) & (nh == 0)))
-    sad_fa = float(weight @ ((nh > 0) & (nr == 0)))
-    scored_span = float(weight.sum())
-    if ref_speaker <= 0:
-        raise ScoringError("no scored reference speech (collar removed everything?)")
-
-    pct = 100.0 / ref_speaker
-    sad_pct = 100.0 / ref_speech if ref_speech > 0 else 0.0
-    return DerReport(
-        der=(miss + fa + conf) * pct, ms=miss * pct, fa=fa * pct, cf=conf * pct,
-        sad_ms=sad_miss * sad_pct, sad_fa=sad_fa * sad_pct,
-        total_scored_s=scored_span,
-        ref_speaker_s=ref_speaker, ref_speech_s=ref_speech,
-        miss_s=miss, fa_s=fa, conf_s=conf, sad_miss_s=sad_miss, sad_fa_s=sad_fa)
+    return DerReport.from_seconds(
+        total_scored_s=float(weight.sum()), ref_speaker_s=float(weight @ nr),
+        ref_speech_s=float(weight @ (nr > 0)),
+        miss_s=float(weight @ np.maximum(nr - nh, 0)),
+        fa_s=float(weight @ np.maximum(nh - nr, 0)),
+        conf_s=float(weight @ (np.minimum(nr, nh) - n_correct)),
+        sad_miss_s=float(weight @ ((nr > 0) & (nh == 0))),
+        sad_fa_s=float(weight @ ((nh > 0) & (nr == 0))))
 
 
 def aggregate_reports(reports: list[DerReport]) -> DerReport:
     """Duration-weighted combination of per-file reports."""
     if not reports:
         raise ScoringError("nothing to aggregate")
-    ref_speaker = sum(r.ref_speaker_s for r in reports)
-    ref_speech = sum(r.ref_speech_s for r in reports)
-    if ref_speaker <= 0:
-        raise ScoringError("aggregate reference is empty")
-    miss = sum(r.miss_s for r in reports)
-    fa = sum(r.fa_s for r in reports)
-    conf = sum(r.conf_s for r in reports)
-    sad_miss = sum(r.sad_miss_s for r in reports)
-    sad_fa = sum(r.sad_fa_s for r in reports)
-    pct = 100.0 / ref_speaker
-    sad_pct = 100.0 / ref_speech if ref_speech > 0 else 0.0
-    return DerReport(
-        der=(miss + fa + conf) * pct, ms=miss * pct, fa=fa * pct, cf=conf * pct,
-        sad_ms=sad_miss * sad_pct, sad_fa=sad_fa * sad_pct,
-        total_scored_s=sum(r.total_scored_s for r in reports),
-        ref_speaker_s=ref_speaker, ref_speech_s=ref_speech,
-        miss_s=miss, fa_s=fa, conf_s=conf, sad_miss_s=sad_miss, sad_fa_s=sad_fa)
+    return DerReport.from_seconds(**{k: sum(getattr(r, k) for r in reports) for k in _SECONDS})

@@ -11,16 +11,16 @@ import csv
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frontend import (FRAME_S, WINDOW_FRAMES, WINDOW_HOP, ConfigError, cnn_encode, log_mel,
-                       window_stack)
-from .losses import DPCL_MODES, LabelMatrix, LossBundle, LossWeights, total_loss
+from .frontend import (FRAME_S, WINDOW_FRAMES, WINDOW_HOP, ConfigError, check_number_fields,
+                       cnn_encode, log_mel, window_stack)
+from .losses import DPCL_MODES, LabelMatrix, LossWeights, total_loss
 from .model import ModelConfig, forward, init_model_params, zero_grads
 from .serialize import SerializationError, load_bundle, save_bundle
 from .synth import LabeledRecording, synth_mixture
@@ -56,18 +56,25 @@ class TrainConfig:
     val_every: int = 10
 
     def __post_init__(self):
+        check_number_fields(self)
+        check_number_fields(self.weights, "weights.")
         if self.dpcl_mode not in DPCL_MODES:
             raise ConfigError(f"dpcl_mode must be one of {DPCL_MODES}, got {self.dpcl_mode!r}")
         for name in ("batch_size", "val_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not (math.isfinite(self.max_lr) and self.max_lr > 0):
             raise ConfigError(f"max_lr must be finite and positive, got {self.max_lr}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if not (math.isfinite(self.crop_s) and round(self.crop_s / FRAME_S) >= 1):
             raise ConfigError(f"crop_s must cover at least one {FRAME_S} s frame, "
                               f"got {self.crop_s}")
+        for name, v in [("weight_decay", self.weight_decay),
+                        *((f"weights.{k}", w) for k, w in asdict(self.weights).items())]:
+            if not (math.isfinite(v) and v >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {v}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -75,13 +82,13 @@ class TrainConfig:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown train config keys: {unknown}")
-        for key, build in (("weights", lambda v: LossWeights(*v)),
-                           ("model", ModelConfig.from_dict)):
-            if key in d:
-                try:
-                    d[key] = build(d[key])
-                except (TypeError, ValueError) as e:
-                    raise ConfigError(f"bad {key} in train config: {e}") from e
+        if "weights" in d:
+            if not (isinstance(d["weights"], list) and len(d["weights"]) == 4):
+                raise ConfigError("weights must be a list of 4 numbers (bce, dpcl, ortho, "
+                                  f"suppress), got {d['weights']!r}")
+            d["weights"] = LossWeights(*d["weights"])
+        if "model" in d:
+            d["model"] = ModelConfig.from_dict(d["model"])
         return cls(**d)
 
 
@@ -183,7 +190,10 @@ def load_checkpoint(path) -> tuple[dict, ModelConfig]:
         if named[k].shape != ref.shape:
             raise SerializationError(
                 f"{path}: {k} has shape {named[k].shape}, expected {ref.shape}")
-        params[k] = Tensor(named[k], requires_grad=True)
+        try:
+            params[k] = Tensor(named[k], requires_grad=True)
+        except ad.NumericError as e:
+            raise SerializationError(f"{path}: non-finite value in tensor {k}") from e
     return params, cfg
 
 
@@ -201,8 +211,11 @@ class TrainResult:
     wall_s: float
 
 
-def _prepare(rec: LabeledRecording, n_slots: int) -> tuple[np.ndarray, LabelMatrix]:
-    return log_mel(rec.clip), rec.labels.pad_to(n_slots)
+def _prepare(item, n_slots: int, nf_crop: int) -> tuple[np.ndarray, LabelMatrix, int]:
+    """Mel rows, slot-padded labels and crop length in frames of a MixtureSpec
+    (synthesized here) or a LabeledRecording (used as-is)."""
+    rec = item if isinstance(item, LabeledRecording) else synth_mixture(item)
+    return log_mel(rec.clip), rec.labels.pad_to(n_slots), min(nf_crop, rec.labels.n_frames)
 
 
 def _crop_windows(mel: np.ndarray, labels: LabelMatrix, f0: int,
@@ -213,15 +226,28 @@ def _crop_windows(mel: np.ndarray, labels: LabelMatrix, f0: int,
     return window_stack(rows), LabelMatrix(labels.y_pm[f0:f0 + nf].copy())
 
 
-def _sample_loss(windows: np.ndarray, labels: LabelMatrix, params: dict,
-                 cfg: TrainConfig) -> LossBundle:
-    x0 = cnn_encode(windows, params, cfg.model.embed_dim)
-    res = forward(x0, params, cfg.model)
-    return total_loss(res, labels, weights=cfg.weights, mode=cfg.dpcl_mode)
+def _mean_losses(crops: list, params: dict, cfg: TrainConfig) -> dict | None:
+    """Mean of each loss component over crops given as (mel, labels, f0, nf).
 
-
-def _as_recording(item) -> LabeledRecording:
-    return item if isinstance(item, LabeledRecording) else synth_mixture(item)
+    Each crop's windows are built just before its forward. With gradients
+    on, each crop backpropagates its share of the mean. Returns None when a
+    value goes non-finite: exploding parameters surface as a NumericError
+    where the first NaN/Inf is made.
+    """
+    means = dict.fromkeys(LOSS_FIELDS, 0.0)
+    for crop in crops:
+        windows, labels = _crop_windows(*crop)
+        try:
+            x0 = cnn_encode(windows, params, cfg.model.embed_dim)
+            res = forward(x0, params, cfg.model)
+            bundle = total_loss(res, labels, weights=cfg.weights, mode=cfg.dpcl_mode)
+        except ad.NumericError:
+            return None
+        if bundle.total_tensor.requires_grad:
+            (bundle.total_tensor * (1.0 / len(crops))).backward()
+        for k in means:
+            means[k] += getattr(bundle, k) / len(crops)
+    return means
 
 
 def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
@@ -230,19 +256,17 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
 
     Datasets are lists of MixtureSpec (synthesized here) or LabeledRecording
     (used as-is). Writes metrics.csv plus last.ckpt / best.ckpt under out_dir
-    when given. Aborts (diverged=True) if the loss goes non-finite, keeping
-    the last finite parameters.
+    when given. Aborts (diverged=True) as soon as a training or a validation
+    loss goes non-finite, keeping the parameters of the last step.
     """
     t_start = time.perf_counter()
     init_rng = np.random.default_rng([cfg.seed, 0])
     crop_rng = np.random.default_rng([cfg.seed, 1])
     order_rng = np.random.default_rng([cfg.seed, 2])
 
-    train_recs = [_as_recording(s) for s in train_specs]
-    val_recs = [_as_recording(s) for s in val_specs or []]
-    s_slots = cfg.model.n_attractors
-    train_data = [_prepare(r, s_slots) for r in train_recs]
-    val_data = [_prepare(r, s_slots) for r in val_recs]
+    nf_crop = int(round(cfg.crop_s / FRAME_S))
+    train_data = [_prepare(s, cfg.model.n_attractors, nf_crop) for s in train_specs]
+    val_data = [_prepare(s, cfg.model.n_attractors, nf_crop) for s in val_specs or []]
 
     params = init_model_params(cfg.model, init_rng)
     opt = AdamW(params, weight_decay=cfg.weight_decay)
@@ -250,85 +274,53 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
     n = len(train_data)
     if n == 0:
         raise ValueError("no training recordings")
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    total_steps = max(cfg.epochs * steps_per_epoch, 1)
-    nf_crop = int(round(cfg.crop_s / FRAME_S))
+    total_steps = max(cfg.epochs * math.ceil(n / cfg.batch_size), 1)
 
     history: list[dict] = []
     best_val = math.inf
     best_params = {k: p.data.copy() for k, p in params.items()}
     diverged = False
     step = 0
-
-    def log_row(split: str, epoch: int, comps: dict, lr: float) -> None:
-        row = {"step": step, "epoch": epoch, "split": split, **comps, "lr": lr}
-        history.append(row)
-
-    def run_validation(epoch: int, lr: float) -> float:
-        nonlocal best_val, best_params
-        if not val_data:
-            return math.nan
-        agg = {k: 0.0 for k in ("bce", "dpcl", "ortho", "suppress", "total")}
-        with ad.no_grad():
-            for mel, labels in val_data:
-                nf = min(nf_crop, labels.n_frames)
-                windows, lab = _crop_windows(mel, labels, 0, nf)
-                bundle = _sample_loss(windows, lab, params, cfg)
-                for k in agg:
-                    agg[k] += getattr(bundle, k) / len(val_data)
-        log_row("val", epoch, agg, lr)
-        if agg["total"] < best_val:
-            best_val = agg["total"]
-            best_params = {k: p.data.copy() for k, p in params.items()}
-        return agg["total"]
-
     lr = one_cycle_lr(0, total_steps, cfg.max_lr)
-    for epoch in range(cfg.epochs):
-        order = order_rng.permutation(n)
-        for b0 in range(0, n, cfg.batch_size):
-            batch = order[b0:b0 + cfg.batch_size]
+    # with epochs=0 the loop takes no step but still validates the initial
+    # parameters
+    for epoch in range(max(cfg.epochs, 1)):
+        order = order_rng.permutation(n) if cfg.epochs else []
+        for b0 in range(0, len(order), cfg.batch_size):
             zero_grads(params)
-            agg = {k: 0.0 for k in ("bce", "dpcl", "ortho", "suppress", "total")}
-            bad = False
-            for idx in batch:
-                mel, labels = train_data[idx]
-                nf = min(nf_crop, labels.n_frames)
+            crops = []
+            for mel, labels, nf in (train_data[i] for i in order[b0:b0 + cfg.batch_size]):
                 f0 = int(crop_rng.integers(0, labels.n_frames - nf + 1))
-                windows, lab = _crop_windows(mel, labels, f0, nf)
-                try:
-                    # exploding parameters surface either as a non-finite loss
-                    # or as a NumericError raised inside the forward pass
-                    bundle = _sample_loss(windows, lab, params, cfg)
-                except ad.NumericError:
-                    bad = True
-                    break
-                if not math.isfinite(bundle.total):
-                    bad = True
-                    break
-                (bundle.total_tensor * (1.0 / len(batch))).backward()
-                for k in agg:
-                    agg[k] += getattr(bundle, k) / len(batch)
-            if bad:
+                crops.append((mel, labels, f0, nf))
+            means = _mean_losses(crops, params, cfg)
+            if means is None:
                 diverged = True
                 break
             clip_grad_norm(params, GRAD_CLIP)
             lr = one_cycle_lr(step, total_steps, cfg.max_lr)
             opt.step(lr)
-            log_row("train", epoch, agg, lr)
+            history.append({"step": step, "epoch": epoch, "split": "train", **means, "lr": lr})
             step += 1
         if diverged:
             break
-        if val_data and ((epoch + 1) % cfg.val_every == 0 or epoch == cfg.epochs - 1):
-            run_validation(epoch, lr)
+        if val_data and ((epoch + 1) % cfg.val_every == 0 or epoch >= cfg.epochs - 1):
+            with ad.no_grad():
+                means = _mean_losses([(mel, labels, 0, nf) for mel, labels, nf in val_data],
+                                     params, cfg)
+            if means is None:
+                diverged = True
+                break
+            history.append({"step": step, "epoch": epoch, "split": "val", **means, "lr": lr})
+            if means["total"] < best_val:
+                best_val = means["total"]
+                best_params = {k: p.data.copy() for k, p in params.items()}
 
     if diverged:
         # parameters change only in opt.step, which runs after every crop of
-        # the batch gave a finite loss, so they are still the last finite ones
+        # a batch gave a finite loss, so they are those of the last full step
         warnings.warn(f"training diverged at step {step}; keeping the last "
                       "finite parameters", RuntimeWarning, stacklevel=2)
 
-    if cfg.epochs == 0 and val_data:
-        run_validation(0, lr)
     if not val_data:
         best_params = {k: p.data.copy() for k, p in params.items()}
         best_val = math.nan
@@ -348,8 +340,8 @@ def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
                        diverged=diverged, best_val=best_val, wall_s=wall)
 
 
-METRIC_FIELDS = ("step", "epoch", "split", "bce", "dpcl", "ortho", "suppress",
-                 "total", "lr")
+LOSS_FIELDS = ("bce", "dpcl", "ortho", "suppress", "total")   # LossBundle attributes
+METRIC_FIELDS = ("step", "epoch", "split", *LOSS_FIELDS, "lr")
 
 
 def write_metrics(path, history: list) -> None:

@@ -91,6 +91,30 @@ def test_zero_size_dimension_rejected():
         dt.add(tensor(np.zeros((0, 3))), tensor(np.zeros((0, 3))))
 
 
+# every op result is scanned where it is made, so a float32 overflow or a
+# division by zero is caught at the op that made the Inf
+NON_FINITE_RESULTS = {
+    "div": lambda: dt.div(tensor([1.0, 2.0]), tensor([1.0, 0.0])),
+    "power": lambda: dt.power(tensor([1e20, 1.0], dtype=np.float32), 2.0),
+    "mul": lambda: dt.mul(tensor([1e20, 1.0], dtype=np.float32),
+                          tensor([1e20, 1.0], dtype=np.float32)),
+    "sum_": lambda: dt.sum_(tensor([3e38, 3e38], dtype=np.float32)),
+    "cast": lambda: dt.cast(tensor([1e300, 1.0], dtype=np.float64), np.float32),
+}
+
+
+@pytest.mark.parametrize("op", list(NON_FINITE_RESULTS))
+def test_non_finite_result_names_the_op(op):
+    with np.errstate(over="ignore", divide="ignore"):
+        with pytest.raises(NumericError, match=f"^{op}: non-finite"):
+            NON_FINITE_RESULTS[op]()
+
+
+def test_zero_size_result_names_the_op():
+    with pytest.raises(ShapeError, match="^take: zero-size"):
+        tensor(np.ones((2, 3)))[:, 3:]
+
+
 def test_forward_determinism():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((5, 8)).astype(np.float32)

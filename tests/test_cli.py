@@ -100,6 +100,20 @@ def test_train_negative_epochs_is_a_config_error(dataset, tmp_path, capsys):
     pytest.param({"warmup_frac": 0.3}, "warmup_frac", id="warmup_frac"),
     pytest.param({"model": dict(DESK_MODEL, depht=2)}, "depht", id="model.depht"),
     pytest.param({"weights": [1.0, 0.5, 0.1, 0.1, 0.1]}, "weights", id="weights5"),
+    pytest.param({"batch_size": "2"}, "batch_size", id="batch_size-str"),
+    pytest.param({"max_lr": "1e-3"}, "max_lr", id="max_lr-str"),
+    pytest.param({"seed": "x"}, "seed", id="seed-str"),
+    pytest.param({"epochs": 2.5}, "epochs", id="epochs-float"),
+    pytest.param({"weight_decay": "0"}, "weight_decay", id="weight_decay-str"),
+    pytest.param({"weight_decay": -5}, "weight_decay", id="weight_decay-negative"),
+    pytest.param({"weights": "abc"}, "weights", id="weights-str"),
+    pytest.param({"weights": [-1.0, 0.5, 0.1, 0.1]}, "weights", id="weights-negative"),
+    pytest.param({"model": [1]}, "model", id="model-list"),
+    pytest.param({"model": dict(DESK_MODEL, depth=2.7)}, "depth", id="model.depth-float"),
+    pytest.param({"model": dict(DESK_MODEL, depth=True)}, "depth", id="model.depth-bool"),
+    pytest.param({"val_count": "1"}, "val_count", id="val_count-str"),
+    pytest.param({"val_count": -1}, "val_count", id="val_count-negative"),
+    pytest.param({"val_count": 3}, "val_count", id="val_count-all"),
 ])
 def test_train_bad_config_key_is_a_config_error(dataset, tmp_path, capsys, override, key):
     cfg_path = tmp_path / "train.json"

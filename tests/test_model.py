@@ -287,6 +287,13 @@ def test_config_validation():
         ModelConfig(latte_dim=126, heads=4)
     with pytest.raises(ConfigError):
         ModelConfig(conv_kernel=8)
+    # sizes are positive ints: no float truncated, no bool read as 1, no
+    # zero head count dividing by zero
+    for bad in ({"depth": 2.7}, {"depth": True}, {"depth": "2"}, {"heads": 0}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            ModelConfig.from_dict(dict(tiny_cfg().to_dict(), **bad))
+    with pytest.raises(ConfigError, match="model"):
+        ModelConfig.from_dict([1])
 
 
 def test_config_round_trip():

@@ -124,6 +124,14 @@ def test_clip_grad_norm():
     ("val_every", 0), ("batch_size", 0), ("epochs", -1),
     ("crop_s", 0.0), ("crop_s", -5.0), ("crop_s", 0.04), ("crop_s", float("nan")),
     ("max_lr", float("nan")), ("max_lr", 0.0), ("max_lr", -1e-3),
+    # a wrongly typed value: a string, a bool or a float is not an int
+    ("batch_size", "2"), ("batch_size", True), ("epochs", 2.5), ("seed", "x"),
+    ("max_lr", "1e-3"), ("crop_s", "3"), ("weight_decay", "0"),
+    # a value that trains silently into nonsense or reads as divergence
+    ("seed", -1), ("weight_decay", float("nan")), ("weight_decay", -5.0),
+    pytest.param("weights", LossWeights(-1.0, 0.5, 0.1, 0.1), id="weights-negative"),
+    pytest.param("weights", LossWeights(1.0, float("nan"), 0.1, 0.1), id="weights-nan"),
+    pytest.param("weights", LossWeights(1.0, 0.5, True, 0.1), id="weights-bool"),
 ])
 def test_config_rejects_values_that_fail_mid_run(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -157,27 +165,35 @@ def test_checkpoint_rejects_mismatched_config(tmp_path):
         load_checkpoint(p)
 
 
-def _corrupt_checkpoint(case: str, named: dict, model: dict) -> tuple[dict, dict]:
+def _corrupt_checkpoint(case: str, named: dict, model: dict) -> tuple[dict, dict, str]:
+    """The corrupted (tensors, extra) and the tensor name the error must give."""
     if case == "no model config":
-        return named, {}
+        return named, {}, ""
     if case == "unknown model key":
-        return named, {"model": dict(model, bogus=1)}
+        return named, {"model": dict(model, bogus=1)}, ""
     if case == "missing parameter":
-        return {k: v for k, v in named.items() if k != "head.b_global"}, {"model": model}
+        return ({k: v for k, v in named.items() if k != "head.b_global"}, {"model": model},
+                "head.b_global")
+    if case == "non-finite tensor":
+        w = named["frontend.conv1.w"].copy()
+        w.flat[3] = np.inf
+        return dict(named, **{"frontend.conv1.w": w}), {"model": model}, "frontend.conv1.w"
     # wrong shape
-    return dict(named, **{"frontend.conv1.b": np.zeros(3, np.float32)}), {"model": model}
+    return (dict(named, **{"frontend.conv1.b": np.zeros(3, np.float32)}), {"model": model},
+            "frontend.conv1.b")
 
 
 @pytest.mark.parametrize("case", ["no model config", "unknown model key",
-                                  "missing parameter", "wrong shape"])
+                                  "missing parameter", "wrong shape", "non-finite tensor"])
 def test_corrupt_checkpoint_raises_serialization_error(tmp_path, case):
     cfg = desk_model()
     named = {k: p.data for k, p in init_model_params(cfg, np.random.default_rng(7)).items()}
-    named, extra = _corrupt_checkpoint(case, named, cfg.to_dict())
+    named, extra, tensor_name = _corrupt_checkpoint(case, named, cfg.to_dict())
     p = tmp_path / "m.ckpt"
     save_bundle(p, named, extra=extra)
-    with pytest.raises(SerializationError):
+    with pytest.raises(SerializationError) as e:
         load_checkpoint(p)
+    assert str(p) in str(e.value) and tensor_name in str(e.value)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +251,21 @@ def test_divergence_aborts_with_last_finite_params(tmp_path):
     assert (tmp_path / "last.ckpt").exists()
     params, _ = load_checkpoint(tmp_path / "last.ckpt")
     for p in params.values():
+        assert np.all(np.isfinite(p.data))
+
+
+def test_validation_divergence_ends_the_run(tmp_path):
+    # the first step explodes the parameters; the validation pass after it is
+    # where the loss first goes non-finite
+    cfg = desk_config(batch_size=3, epochs=4, max_lr=1e12, val_every=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.warns(RuntimeWarning, match="diverged"):
+            result = train(cfg, desk_specs(3), val_specs=desk_specs(1, seed0=80),
+                           out_dir=tmp_path)
+    assert result.diverged
+    assert [r["split"] for r in result.history] == ["train"]
+    assert (tmp_path / "metrics.csv").exists() and (tmp_path / "last.ckpt").exists()
+    for p in result.params.values():
         assert np.all(np.isfinite(p.data))
 
 
