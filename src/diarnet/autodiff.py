@@ -2,13 +2,18 @@
 
 Every operation builds a node in a dynamic graph; `Tensor.backward()` walks
 the graph in reverse topological order and accumulates gradients into the
-`.grad` field of any tensor created with ``requires_grad=True``.
+`.grad` field of any tensor created with ``requires_grad=True``. The walk
+frees the graph behind it: once a node's backward closure has run, its
+closure, gradient and parent links are dropped, so intermediate arrays are
+released as the walk passes them and only leaves keep a `.grad`. A graph
+can therefore be backpropagated once.
 
 Conventions:
   * training math runs in float32, gradient checks in float64 (dtype follows
     the inputs, so building float64 leaves is enough);
   * broadcasting is supported for leading batch axes and singleton axes;
-    anything fancier needs an explicit reshape;
+    anything fancier needs an explicit reshape. `linear`, `attention` and
+    `depthwise_conv1d` take any number of leading batch axes;
   * guarded normalizations (`rms_norm`, `l2_normalize`) use a
     ``max(norm, NORM_EPS)`` denominator; `layer_norm` adds ``LN_EPS`` to the
     variance;
@@ -20,6 +25,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -124,7 +130,11 @@ class Tensor:
     # -- autodiff -------------------------------------------------------------
 
     def backward(self, seed=None) -> None:
-        """Backpropagate from this tensor; scalar outputs seed with 1."""
+        """Backpropagate from this tensor; scalar outputs seed with 1.
+
+        The graph is freed on the way (see the module docstring), so a second
+        call through the same graph finds nothing to propagate.
+        """
         if seed is None:
             if self.data.size != 1:
                 raise ValueError("backward() on a non-scalar needs an explicit seed")
@@ -151,9 +161,17 @@ class Tensor:
                     stack.append((p, False))
 
         self.grad = seed if self.grad is None else self.grad + seed
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # popping drops the list's reference; with the closure and the parent
+        # links gone too, nothing but the caller holds a finished node
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = None
+            node._parents = ()
 
     # -- operator sugar -------------------------------------------------------
 
@@ -334,6 +352,67 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for x (..., n_in), w (n_in, n_out) and b (n_out,), as one
+    node; the leading axes fold into the rows of one 2-d product."""
+    if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: cannot apply {w.shape} weights and {b.shape} bias "
+                         f"to {x.shape}")
+    n_in, n_out = w.shape
+    x2 = x.data.reshape(-1, n_in)
+    out = x2 @ w.data + b.data
+    _audit_macs(out.size * n_in)
+
+    def bwd(g):
+        g2 = g.reshape(-1, n_out)
+        _accum(w, x2.T @ g2)
+        _accum(b, g2.sum(axis=0))
+        _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
+
+    return _make(out.reshape(*x.shape[:-1], n_out), (x, w, b), bwd)
+
+
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(..., N, H*dh) -> (..., H, N, dh), a view."""
+    return np.swapaxes(a.reshape(*a.shape[:-1], heads, a.shape[-1] // heads), -2, -3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(..., H, N, dh) -> (..., N, H*dh)."""
+    a = np.swapaxes(a, -2, -3)
+    return a.reshape(*a.shape[:-2], -1)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention on projected inputs, one node.
+
+    q is (..., Nq, D), k and v are (..., Nk, D); each of the `heads` slices of
+    width dh = D / heads computes softmax(q k^T / sqrt(dh)) v (Vaswani et al.,
+    arXiv:1706.03762). Leading axes broadcast, so one (Nq, D) query set can
+    attend to a (B, Nk, D) batch. The backward is written by hand from the
+    stored weights, the only (..., H, Nq, Nk) array.
+    """
+    d = q.shape[-1]
+    if k.shape[-1] != d or v.shape != k.shape or d % heads:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} "
+                         f"with {heads} heads")
+    scale = 1.0 / math.sqrt(d // heads)
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    p = _softmax_np(qh @ np.swapaxes(kh, -1, -2) * scale, -1)
+    _audit_shape(p.shape)
+    _audit_macs(2 * p.size * (d // heads))
+
+    def bwd(g):
+        gh = _split_heads(g, heads)
+        gp = gh @ np.swapaxes(vh, -1, -2)
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+        _accum(q, _merge_heads(gs @ kh))
+        _accum(k, _merge_heads(np.swapaxes(gs, -1, -2) @ qh))
+        _accum(v, _merge_heads(np.swapaxes(p, -1, -2) @ gh))
+
+    return _make(_merge_heads(p @ vh), (q, k, v), bwd)
+
+
 # ---------------------------------------------------------------------------
 # nonlinearities
 # ---------------------------------------------------------------------------
@@ -365,10 +444,13 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
+def _softmax_np(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax_np(a.data, axis)
 
     def bwd(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
@@ -540,30 +622,32 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
 
 def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
-    """Per-channel 1-d convolution along the first axis, same padding.
+    """Per-channel 1-d convolution along the time axis, same padding.
 
-    x is (T, C), w is (k, C) with odd k; output is (T, C).
+    x is (..., T, C), w is (k, C) with odd k; output is (..., T, C).
     """
-    if x.ndim != 2 or w.ndim != 2:
-        raise ShapeError(f"depthwise_conv1d: need 2-d operands, got {x.shape} and {w.shape}")
+    if x.ndim < 2 or w.ndim != 2:
+        raise ShapeError(f"depthwise_conv1d: need (..., T, C) input and a 2-d kernel, "
+                         f"got {x.shape} and {w.shape}")
     k, c = w.shape
-    if c != x.shape[1]:
+    if c != x.shape[-1]:
         raise ShapeError(f"depthwise_conv1d: channel mismatch, input {x.shape} kernel {w.shape}")
     if k % 2 != 1:
         raise ShapeError(f"depthwise_conv1d: kernel width must be odd, got {k}")
-    t = x.shape[0]
+    t = x.shape[-2]
     pad = k // 2
-    xp = np.pad(x.data, ((pad, pad), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (T, C, k)
-    out = (win * w.data.T[None, :, :]).sum(axis=-1)
-    _audit_macs(t * c * k)
+    xp = np.pad(x.data, [(0, 0)] * (x.ndim - 2) + [(pad, pad), (0, 0)])
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-2)  # (..., T, C, k)
+    out = (win * w.data.T).sum(axis=-1)
+    _audit_macs(x.size * k)
 
     def bwd(g):
-        _accum(w, np.einsum("tck,tc->kc", win, g))
+        lead = "ABCDEFGH"[:x.ndim - 2]   # einsum keeps "..." axes, so name them
+        _accum(w, np.einsum(f"{lead}tck,{lead}tc->kc", win, g))
         gxp = np.zeros_like(xp)
         for i in range(k):
-            gxp[i:i + t] += g * w.data[i]
-        _accum(x, gxp[pad:pad + t])
+            gxp[..., i:i + t, :] += g * w.data[i]
+        _accum(x, gxp[..., pad:pad + t, :])
 
     return _make(np.ascontiguousarray(out), (x, w), bwd)
 
@@ -601,13 +685,26 @@ def cast(a: Tensor, dtype) -> Tensor:
     return _make(a.data.astype(dtype, copy=False), (a,), bwd)
 
 
+def _is_basic_index(idx) -> bool:
+    """An int, a slice, ``...`` or a tuple of those: it selects each element
+    at most once."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(i is Ellipsis or isinstance(i, (slice, np.integer))
+               or (isinstance(i, int) and not isinstance(i, bool)) for i in parts)
+
+
 def take(a: Tensor, idx) -> Tensor:
-    """Indexing/slicing; gradients scatter-add back into place."""
+    """Indexing/slicing; gradients write (basic index) or scatter-add
+    (integer arrays, which may repeat an element) back into place."""
     out = a.data[idx]
+    basic = _is_basic_index(idx)
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        if basic:
+            ga[idx] = g
+        else:
+            np.add.at(ga, idx, g)
         _accum(a, ga)
 
     return _make(np.array(out, copy=True), (a,), bwd)

@@ -1,7 +1,8 @@
 """Command-line surface: synth-data | train | infer | score.
 
 Exit codes: 0 success, 2 usage errors / missing files, 1 runtime failures.
-The DIARNET_SEED environment variable overrides config seeds.
+The DIARNET_SEED environment variable (a non-negative integer) overrides
+config seeds.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ from .training import TrainConfig, load_checkpoint, train
 
 def _seed_override(seed: int) -> int:
     env = os.environ.get("DIARNET_SEED")
-    return int(env) if env else seed
+    if not env:
+        return seed
+    if not env.isdecimal():
+        raise ConfigError(f"DIARNET_SEED must be a non-negative integer, got {env!r}")
+    return int(env)
 
 
 def _load_json(path: Path) -> dict:
@@ -95,8 +100,10 @@ def cmd_train(args) -> int:
         raise ConfigError(f"val_count {val_count} leaves none of the {len(specs)} "
                           "recordings for training")
 
-    train_recs = [_load_recording(*s) for s in specs[:n_train]]
-    val_recs = [_load_recording(*s) for s in specs[n_train:]]
+    # generators: train() keeps only the features, so each WAV is freed
+    # once its log-mel is made
+    train_recs = (_load_recording(*s) for s in specs[:n_train])
+    val_recs = (_load_recording(*s) for s in specs[n_train:])
     result = train(cfg, train_recs, val_recs, out_dir=Path(args.out))
     status = "diverged" if result.diverged else "done"
     print(f"train {status}: {len(result.history)} logged rows, "

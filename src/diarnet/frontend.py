@@ -70,11 +70,14 @@ def check_number_fields(cfg, prefix: str = "") -> None:
 
 @dataclass
 class AudioClip:
-    """Mono audio at SAMPLE_RATE, amplitudes clipped to [-1, 1]."""
+    """Mono audio at SAMPLE_RATE, amplitudes clipped to [-1, 1]; NaN or Inf
+    samples raise WavFormatError (clipping would keep a NaN)."""
     samples: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float32).reshape(-1)
+        if not np.all(np.isfinite(arr)):
+            raise WavFormatError("audio holds NaN or Inf samples")
         self.samples = np.clip(arr, -1.0, 1.0)
 
     @property
@@ -125,7 +128,10 @@ def load_wav(path) -> AudioClip:
         x = x[:len(x) - len(x) % channels].reshape(-1, channels).mean(axis=1)
     if rate != SAMPLE_RATE:
         x = _resample_linear(x, rate, SAMPLE_RATE)
-    return AudioClip(x)
+    try:
+        return AudioClip(x)
+    except WavFormatError as e:
+        raise WavFormatError(f"{path}: {e}") from None
 
 
 def _resample_linear(x: np.ndarray, src_rate: int, dst_rate: int) -> np.ndarray:

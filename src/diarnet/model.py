@@ -13,6 +13,13 @@ One recording flows as:
 
 Self-attention over time goes through a small set of learned latents, so no
 T x T score matrix is ever formed and cost stays linear in T.
+
+A batch of B equal-length crops runs as one graph: `forward` also takes
+(B, T, E), and every tensor above gains a leading B axis. The learned
+latents and the initial attractor slots have none; they broadcast over the
+batch, and attractors become (B, S, E) at the first cross-attention to the
+frames. Samples never mix, so sample b of a batched forward equals a forward
+of crop b alone, up to float rounding.
 """
 
 from __future__ import annotations
@@ -67,12 +74,20 @@ class ModelConfig:
 
 @dataclass
 class ForwardResult:
-    """Everything the losses need from one forward pass."""
+    """Everything the losses need from one forward pass; a batched pass puts
+    a leading B axis on all but the global bias."""
     logits: Tensor            # (T, S)
     frames: Tensor            # (T, E) final embeddings, used by clustering losses
     attractor_dirs: Tensor    # (S, E) post-split directions a_s
     attractor_biases: Tensor  # (S,)  per-slot biases b_s
     global_bias: Tensor       # scalar b_global
+
+    def sample(self, b: int) -> "ForwardResult":
+        """Sample b of a batched result, as slices of its graph."""
+        return ForwardResult(logits=self.logits[b], frames=self.frames[b],
+                             attractor_dirs=self.attractor_dirs[b],
+                             attractor_biases=self.attractor_biases[b],
+                             global_bias=self.global_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -169,34 +184,11 @@ def init_model_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
 # ---------------------------------------------------------------------------
 
 def _apply_linear(x: Tensor, params: dict, name: str) -> Tensor:
-    return ad.matmul(x, params[name + ".w"]) + params[name + ".b"]
+    return ad.linear(x, params[name + ".w"], params[name + ".b"])
 
 
 def _apply_ln(x: Tensor, params: dict, name: str) -> Tensor:
     return ad.layer_norm(x, params[name + ".g"], params[name + ".b"])
-
-
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    # (N, H*dh) -> (H, N, dh)
-    n, inner = x.shape
-    return x.reshape(n, heads, inner // heads).transpose(1, 0, 2)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    # (H, N, dh) -> (N, H*dh)
-    h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
-
-
-def _attend(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention on pre-projected tensors."""
-    dh = q.shape[-1] // heads
-    qh = _split_heads(q, heads)
-    kh = _split_heads(k, heads)
-    vh = _split_heads(v, heads)
-    scores = ad.matmul(qh, kh.transpose(0, 2, 1)) * (1.0 / math.sqrt(dh))
-    weights = ad.softmax(scores, axis=-1)
-    return _merge_heads(ad.matmul(weights, vh))
 
 
 def multihead_attention(q_in: Tensor, kv_in: Tensor, params: dict, name: str,
@@ -204,8 +196,7 @@ def multihead_attention(q_in: Tensor, kv_in: Tensor, params: dict, name: str,
     q = _apply_linear(q_in, params, name + ".q")
     k = _apply_linear(kv_in, params, name + ".k")
     v = _apply_linear(kv_in, params, name + ".v")
-    ctx = _attend(q, k, v, heads)
-    return _apply_linear(ctx, params, name + ".o")
+    return _apply_linear(ad.attention(q, k, v, heads), params, name + ".o")
 
 
 def latte_attention(x: Tensor, params: dict, name: str, cfg: ModelConfig) -> Tensor:
@@ -218,11 +209,11 @@ def latte_attention(x: Tensor, params: dict, name: str, cfg: ModelConfig) -> Ten
     heads = cfg.heads
     k1 = _apply_linear(x, params, name + ".k1")
     v1 = _apply_linear(x, params, name + ".v1")
-    z = _attend(params[name + ".latents"], k1, v1, heads)     # (n_latents, L)
+    z = ad.attention(params[name + ".latents"], k1, v1, heads)  # (..., n_latents, L)
     q2 = _apply_linear(x, params, name + ".q2")
     k2 = _apply_linear(z, params, name + ".k2")
     v2 = _apply_linear(z, params, name + ".v2")
-    out = _attend(q2, k2, v2, heads)                          # (T, L)
+    out = ad.attention(q2, k2, v2, heads)                       # (..., T, L)
     return _apply_linear(out, params, name + ".o")
 
 
@@ -235,8 +226,8 @@ def _conv_block(x: Tensor, params: dict, name: str) -> Tensor:
     """Pointwise GLU -> depthwise conv along time -> RMS norm -> pointwise."""
     h = _apply_linear(_apply_ln(x, params, name + ".ln"), params, name + ".pw1")
     e = x.shape[-1]
-    gate = h[:, e:]
-    h = h[:, :e] * ad.sigmoid(gate)
+    gate = h[..., e:]
+    h = h[..., :e] * ad.sigmoid(gate)
     h = ad.depthwise_conv1d(h, params[name + ".dw"])
     h = ad.relu(ad.rms_norm(h, params[name + ".norm_g"]))
     return _apply_linear(h, params, name + ".pw2")
@@ -277,12 +268,10 @@ def sap_pool(stack: list[Tensor], params: dict, name: str) -> Tensor:
         raise ConfigError("depth stack is empty")
     if len(stack) == 1:
         return stack[0]
-    h = ad.stack(stack, axis=0)                       # (d, T, E)
-    d, t, e = h.shape
-    flat = h.reshape(d * t, e)
-    s = ad.relu(_apply_linear(flat, params, name + ".w1"))
-    s = _apply_linear(s, params, name + ".w2")        # (d*t, 1)
-    weights = ad.softmax(s.reshape(d, t, 1), axis=0)  # softmax over depth
+    h = ad.stack(stack, axis=0)                       # (d, ..., T, E)
+    s = ad.relu(_apply_linear(h, params, name + ".w1"))
+    s = _apply_linear(s, params, name + ".w2")        # (d, ..., T, 1)
+    weights = ad.softmax(s, axis=0)                   # softmax over depth
     return (weights * h).sum(axis=0)
 
 
@@ -297,15 +286,17 @@ def split_attractors(attractors: Tensor, params: dict) -> tuple[Tensor, Tensor]:
     keeps logit scale independent of decoder depth.
     """
     a_n = _apply_ln(attractors, params, "head.ln")
-    proj = _apply_linear(a_n, params, "head.split")   # (S, E+1)
+    proj = _apply_linear(a_n, params, "head.split")   # (..., S, E+1)
     e = attractors.shape[-1]
-    return proj[:, :e], proj[:, e]
+    return proj[..., :e], proj[..., e]
 
 
 def forward(x0: Tensor, params: dict, cfg: ModelConfig) -> ForwardResult:
-    """Run the decoder stack on front-end embeddings for one recording."""
-    if x0.ndim != 2 or x0.shape[1] != cfg.embed_dim:
-        raise ConfigError(f"expected (T, {cfg.embed_dim}) embeddings, got {x0.shape}")
+    """Run the decoder stack on the front-end embeddings of one recording,
+    (T, E), or of a batch of equal-length crops, (B, T, E)."""
+    if x0.ndim not in (2, 3) or x0.shape[-1] != cfg.embed_dim:
+        raise ConfigError(f"expected (T, {cfg.embed_dim}) or (B, T, {cfg.embed_dim}) "
+                          f"embeddings, got {x0.shape}")
     if "attractors.init" not in params:
         raise ConfigError("parameter store is missing attractors.init")
     if params["attractors.init"].shape != (cfg.n_attractors, cfg.embed_dim):
@@ -326,8 +317,9 @@ def forward(x0: Tensor, params: dict, cfg: ModelConfig) -> ForwardResult:
         stack.append(x)
 
     dirs, biases = split_attractors(attractors, params)
-    logits = ad.matmul(x, dirs.transpose(1, 0)) + biases.reshape(1, -1) \
-        + params["head.b_global"]
+    lead = tuple(range(dirs.ndim - 2))
+    logits = ad.matmul(x, dirs.transpose(*lead, dirs.ndim - 1, dirs.ndim - 2)) \
+        + biases.reshape(*biases.shape[:-1], 1, -1) + params["head.b_global"]
     return ForwardResult(logits=logits, frames=x, attractor_dirs=dirs,
                          attractor_biases=biases, global_bias=params["head.b_global"])
 

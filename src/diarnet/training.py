@@ -11,6 +11,7 @@ import csv
 import math
 import time
 import warnings
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -229,33 +230,47 @@ def _crop_windows(mel: np.ndarray, labels: LabelMatrix, f0: int,
 def _mean_losses(crops: list, params: dict, cfg: TrainConfig) -> dict | None:
     """Mean of each loss component over crops given as (mel, labels, f0, nf).
 
-    Each crop's windows are built just before its forward. With gradients
-    on, each crop backpropagates its share of the mean. Returns None when a
-    value goes non-finite: exploding parameters surface as a NumericError
-    where the first NaN/Inf is made.
+    Crops of one length form a group, in order of first appearance; a group
+    is one `cnn_encode` over all its windows (exact, since windows never
+    mix) and one `forward` on (B, T, E). PIT alignment and the losses run
+    per sample on slices of the result. With gradients on, each group
+    backpropagates its share of the mean in one `backward()`. Returns None
+    when a value goes non-finite: exploding parameters surface as a
+    NumericError where the first NaN/Inf is made.
     """
-    means = dict.fromkeys(LOSS_FIELDS, 0.0)
+    groups: dict[int, list] = {}
     for crop in crops:
-        windows, labels = _crop_windows(*crop)
+        groups.setdefault(crop[3], []).append(crop)
+    means = dict.fromkeys(LOSS_FIELDS, 0.0)
+    for nf, group in groups.items():
+        cut = [_crop_windows(*crop) for crop in group]
         try:
-            x0 = cnn_encode(windows, params, cfg.model.embed_dim)
-            res = forward(x0, params, cfg.model)
-            bundle = total_loss(res, labels, weights=cfg.weights, mode=cfg.dpcl_mode)
+            x0 = cnn_encode(np.concatenate([windows for windows, _ in cut]), params,
+                            cfg.model.embed_dim)
+            res = forward(x0.reshape(len(group), nf, cfg.model.embed_dim), params, cfg.model)
+            bundles = [total_loss(res.sample(b), labels, weights=cfg.weights,
+                                  mode=cfg.dpcl_mode) for b, (_, labels) in enumerate(cut)]
         except ad.NumericError:
             return None
-        if bundle.total_tensor.requires_grad:
-            (bundle.total_tensor * (1.0 / len(crops))).backward()
-        for k in means:
-            means[k] += getattr(bundle, k) / len(crops)
+        total = bundles[0].total_tensor
+        for bundle in bundles[1:]:
+            total = total + bundle.total_tensor
+        if total.requires_grad:
+            (total * (1.0 / len(crops))).backward()
+        for bundle in bundles:
+            for k in means:
+                means[k] += getattr(bundle, k) / len(crops)
     return means
 
 
-def train(cfg: TrainConfig, train_specs: list, val_specs: list | None = None,
+def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = None,
           out_dir=None) -> TrainResult:
     """Run the epoch loop and keep the best checkpoint.
 
-    Datasets are lists of MixtureSpec (synthesized here) or LabeledRecording
-    (used as-is). Writes metrics.csv plus last.ckpt / best.ckpt under out_dir
+    Datasets are iterables of MixtureSpec (synthesized here) or
+    LabeledRecording (used as-is), each read once: only its mel rows and
+    labels are kept, so a generator lets each recording's audio go as soon
+    as its features are made. Writes metrics.csv plus last.ckpt / best.ckpt under out_dir
     when given. Aborts (diverged=True) as soon as a training or a validation
     loss goes non-finite, keeping the parameters of the last step.
     """

@@ -261,6 +261,62 @@ def test_grad_depthwise_conv1d(tc):
     assert rep.passed, str(rep)
 
 
+# the fused primitives, on criterion 1's shapes and at its tolerance
+FUSED_SHAPES = [(2, 5), (4, 3), (3, 7)]
+FUSED_TOL = 1e-4
+
+
+@pytest.mark.parametrize("shape", FUSED_SHAPES)
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
+def test_grad_linear(shape, lead):
+    n, d = shape
+    rng = np.random.default_rng(41 + n * d)
+    x, w, b = rand(rng, *lead, n, d), rand(rng, d, 4), rand(rng, 4)
+    rep = grad_check(lambda u, v, c: mean(dt.linear(u, v, c) ** 2.0), [x, w, b],
+                     tol=FUSED_TOL, name="linear")
+    assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("shape", FUSED_SHAPES)
+@pytest.mark.parametrize("q_lead,kv_lead", [((), ()), ((2,), (2,)), ((), (2,))],
+                         ids=["unbatched", "batched", "broadcast-query"])
+def test_grad_attention(shape, q_lead, kv_lead):
+    n, d = shape
+    rng = np.random.default_rng(43 + n * d)
+    q = rand(rng, *q_lead, n, d)
+    k, v = rand(rng, *kv_lead, n + 1, d), rand(rng, *kv_lead, n + 1, d)
+    for heads in (1, d):
+        rep = grad_check(lambda a, b, c: mean(dt.attention(a, b, c, heads) ** 2.0),
+                         [q, k, v], tol=FUSED_TOL, name=f"attention/{heads}")
+        assert rep.passed, str(rep)
+
+
+def test_attention_matches_per_head_softmax():
+    rng = np.random.default_rng(47)
+    q, k, v = (rng.standard_normal((2, n, 6)) for n in (3, 5, 5))
+    got = dt.attention(tensor(q[0]), tensor(k, dtype=np.float64),
+                       tensor(v, dtype=np.float64), heads=2).data
+    for b in range(2):
+        for h in (slice(0, 3), slice(3, 6)):
+            s = q[0][:, h] @ k[b][:, h].T / np.sqrt(3.0)
+            p = np.exp(s - s.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            assert np.allclose(got[b][:, h], p @ v[b][:, h], atol=1e-12)
+
+
+@pytest.mark.parametrize("tc", [(6, 3), (5, 4), (9, 2)])
+def test_grad_depthwise_conv1d_batched(tc):
+    t, c = tc
+    rng = np.random.default_rng(53 + t + c)
+    x, w = rand(rng, 2, t, c), rand(rng, 3, c)
+    rep = grad_check(lambda u, v: mean(depthwise_conv1d(u, v) ** 2.0),
+                     [x, w], tol=FUSED_TOL, name="depthwise_conv1d/batched")
+    assert rep.passed, str(rep)
+    for b in range(2):
+        one = depthwise_conv1d(tensor(x.data[b]), tensor(w.data)).data
+        assert np.array_equal(depthwise_conv1d(x, w).data[b], one)
+
+
 @pytest.mark.parametrize("dims", [(3, 4), (2, 6), (5, 3)])
 def test_grad_shape_ops(dims):
     rng = np.random.default_rng(23 + dims[0])
@@ -270,6 +326,7 @@ def test_grad_shape_ops(dims):
         ("reshape", lambda u, v: mean(u.reshape(-1, 1) ** 2.0) + mean(v), [a, b]),
         ("transpose", lambda u, v: mean(u.transpose(1, 0) ** 2.0) + mean(v), [a, b]),
         ("take", lambda u, v: mean(u[1:, :2] ** 2.0), [a, b]),
+        ("take_int", lambda u, v: mean(u[1] ** 2.0) + mean(v[..., 0, 1:] * 3.0), [a, b]),
         ("index_rows", lambda u, v: mean(index_rows(u, [0, dims[0] - 1, 0]) ** 2.0) + mean(v), [a, b]),
         ("cast", lambda u, v: mean(dt.cast(dt.cast(u, np.longdouble) * 2.0, np.float64) * u)
          + mean(v), [a, b]),
@@ -285,6 +342,19 @@ def test_index_rows_repeated_index_accumulates():
     out = dt.sum_(index_rows(x, [1, 1, 1]))
     out.backward()
     assert np.allclose(x.grad, [[0, 0], [3, 3], [0, 0]])
+
+
+def test_backward_frees_the_graph():
+    rng = np.random.default_rng(59)
+    x, w = rand(rng, 3, 4), rand(rng, 3, 4)
+    prod = x * w
+    sq = prod ** 2.0
+    out = mean(sq)
+    out.backward()
+    for node in (prod, sq, out):
+        assert node.grad is None and node._backward is None and node._parents == ()
+    assert np.allclose(x.grad, 2.0 * x.data * w.data ** 2 / 12, atol=1e-15)
+    assert np.allclose(w.grad, 2.0 * w.data * x.data ** 2 / 12, atol=1e-15)
 
 
 def test_backward_requires_scalar():

@@ -1,10 +1,11 @@
 import json
-
+import struct
 
 import numpy as np
 import pytest
 
 from diarnet.cli import main
+from diarnet.frontend import load_wav
 from diarnet.model import ModelConfig, init_model_params
 from diarnet.rttm import read_rttm
 from diarnet.training import save_checkpoint
@@ -174,3 +175,43 @@ def test_seed_env_override_changes_data(tmp_path, monkeypatch):
     wav_a = next(out_a.glob("*.wav")).read_bytes()
     wav_b = next(out_b.glob("*.wav")).read_bytes()
     assert wav_a != wav_b
+
+
+def _write_float_wav(path, samples) -> None:
+    """A float32 mono WAV at 8 kHz (write_wav writes PCM16, which has no NaN)."""
+    payload = np.asarray(samples, dtype="<f4").tobytes()
+    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, 8000, 32000, 4, 32)
+    header += b"data" + struct.pack("<I", len(payload))
+    path.write_bytes(header + payload)
+
+
+def test_train_on_nan_audio_is_a_wav_format_error(dataset, tmp_path, capsys):
+    wav = sorted(dataset.glob("*.wav"))[0]
+    samples = load_wav(wav).samples.copy()
+    samples[1000:1100] = np.nan
+    _write_float_wav(wav, samples)
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(desk_train_config()))
+    rc = main(["train", "--config", str(cfg_path), "--data", str(dataset),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "WavFormatError" in captured.err and wav.name in captured.err
+    assert "diverged" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("value", ["-1", "x", "1.5"])
+@pytest.mark.parametrize("command", ["synth-data", "train"])
+def test_bad_seed_env_is_a_config_error(dataset, tmp_path, capsys, monkeypatch, command, value):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"count": 1, "duration_s": 8.0, "seed": 7}))
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(desk_train_config()))
+    argv = {"synth-data": ["--spec", str(spec_path), "--out", str(tmp_path / "synth")],
+            "train": ["--config", str(cfg_path), "--data", str(dataset),
+                      "--out", str(tmp_path / "run")]}[command]
+    monkeypatch.setenv("DIARNET_SEED", value)
+    assert main([command, *argv]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "DIARNET_SEED" in err

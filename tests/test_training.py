@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from diarnet.autodiff import Tensor
-from diarnet.frontend import ConfigError
-from diarnet.losses import LabelMatrix, LossWeights
-from diarnet.model import ModelConfig, init_model_params
+from diarnet.frontend import ConfigError, cnn_encode
+from diarnet.losses import LabelMatrix, LossWeights, total_loss
+from diarnet.model import ModelConfig, forward, init_model_params, zero_grads
 from diarnet.serialize import SerializationError, save_bundle
 from diarnet.synth import LabeledRecording, MixtureSpec, synth_mixture
 from diarnet.training import (
+    LOSS_FIELDS,
     AdamW,
     ScheduleError,
     TrainConfig,
+    _crop_windows,
+    _mean_losses,
+    _prepare,
     clip_grad_norm,
     load_checkpoint,
     one_cycle_lr,
@@ -281,3 +285,34 @@ def test_silent_recording_trains_instead_of_diverging(tmp_path):
     assert len(rows) == 1
     assert rows[0]["dpcl"] == 0.0 and rows[0]["ortho"] == 0.0
     assert np.isfinite(rows[0]["bce"]) and rows[0]["bce"] > 0
+
+
+def test_ragged_batch_matches_per_crop_reference():
+    # crops of 30 and 20 frames, interleaved: two groups, one a single crop
+    cfg = desk_config(model=ModelConfig(depth=2, embed_dim=32, latte_dim=16, n_latents=2,
+                                        n_attractors=3, ff_expansion=2, conv_kernel=3,
+                                        heads=2))
+    data = [_prepare(spec, 3, 30) for spec in desk_specs(3)]
+    crops = [(data[0][0], data[0][1], 0, 30), (data[1][0], data[1][1], 7, 20),
+             (data[2][0], data[2][1], 11, 30)]
+    params = {k: Tensor(p.data.astype(np.float64), requires_grad=True)
+              for k, p in init_model_params(cfg.model, np.random.default_rng(3)).items()}
+
+    zero_grads(params)
+    means = _mean_losses(crops, params, cfg)
+    batched = {k: p.grad for k, p in params.items()}
+
+    zero_grads(params)
+    want = dict.fromkeys(LOSS_FIELDS, 0.0)
+    for crop in crops:
+        windows, labels = _crop_windows(*crop)
+        res = forward(cnn_encode(windows, params, cfg.model.embed_dim), params, cfg.model)
+        bundle = total_loss(res, labels, weights=cfg.weights, mode=cfg.dpcl_mode)
+        (bundle.total_tensor * (1.0 / len(crops))).backward()
+        for k in want:
+            want[k] += getattr(bundle, k) / len(crops)
+
+    for k in LOSS_FIELDS:
+        assert means[k] == pytest.approx(want[k], rel=1e-5), k
+    for k, p in params.items():
+        assert np.allclose(batched[k], p.grad, rtol=1e-5, atol=1e-12), k
