@@ -157,7 +157,8 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                # leaves and untracked values have nothing to propagate
+                if p._backward is not None and id(p) not in seen:
                     stack.append((p, False))
 
         self.grad = seed if self.grad is None else self.grad + seed
@@ -241,7 +242,7 @@ def _scan(op: str, arr: np.ndarray) -> None:
     """Reject a new value with a zero-size dimension or a NaN/Inf."""
     if 0 in arr.shape:
         raise ShapeError(f"{op}: zero-size dimension in array of shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{op}: non-finite value in array of shape {arr.shape}")
 
 
@@ -263,7 +264,8 @@ def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
-    g = _unbroadcast(g, t.data.shape)
+    if g.shape != t.data.shape:
+        g = _unbroadcast(g, t.data.shape)
     t.grad = g if t.grad is None else t.grad + g
 
 
@@ -419,7 +421,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    out = np.where(mask, a.data, 0.0).astype(a.data.dtype, copy=False)
+    out = np.maximum(a.data, 0)    # branch-free, unlike np.where on a random mask
 
     def bwd(g):
         _accum(a, g * mask)
@@ -437,11 +439,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # Stable in both tails.
-    pos = x >= 0
-    z = np.where(pos, -x, x)
-    ez = np.exp(z)
-    return np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    # Stable in both tails: e^min(x, 0) / (1 + e^-|x|). Branch-free, which
+    # beats np.where on a mixed-sign input.
+    return np.exp(np.minimum(x, 0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def _softmax_np(x: np.ndarray, axis: int) -> np.ndarray:
@@ -508,7 +508,7 @@ def mse(a: Tensor, b) -> Tensor:
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     """y = gain * x / max(rms(x), NORM_EPS), rms over the last axis."""
     n = x.shape[-1]
-    r = np.sqrt((x.data * x.data).mean(axis=-1, keepdims=True))
+    r = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) / n)
     denom = np.maximum(r, NORM_EPS)
     xn = x.data / denom
     out = xn * gain.data
@@ -539,9 +539,11 @@ def l2_normalize(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Standard layer norm over the last axis with learned gain and bias."""
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / n is what `mean` computes, without its per-call overhead
+    n = x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) / n
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xn = xc * inv
     out = xn * gain.data + bias.data
@@ -550,8 +552,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         _accum(bias, g)
         _accum(gain, g * xn)
         gxn = g * gain.data
-        m1 = gxn.mean(axis=-1, keepdims=True)
-        m2 = (gxn * xn).mean(axis=-1, keepdims=True)
+        m1 = gxn.sum(axis=-1, keepdims=True) / n
+        m2 = (gxn * xn).sum(axis=-1, keepdims=True) / n
         _accum(x, (gxn - m1 - xn * m2) * inv)
 
     return _make(out, (x, gain, bias), bwd)
@@ -594,7 +596,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d: kernel {w.shape} does not fit input {x.shape} with pads {pads}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    xp = np.zeros((n, cin, h + pt + pb, wdt + pl + pr), dtype=x.data.dtype)
+    xp[:, :, pt:pt + h, pl:pl + wdt] = x.data
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::sh, ::sw]                       # (n, cin, ho, wo, kh, kw)
     cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, cin * kh * kw)
@@ -636,7 +639,8 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
         raise ShapeError(f"depthwise_conv1d: kernel width must be odd, got {k}")
     t = x.shape[-2]
     pad = k // 2
-    xp = np.pad(x.data, [(0, 0)] * (x.ndim - 2) + [(pad, pad), (0, 0)])
+    xp = np.zeros(x.shape[:-2] + (t + 2 * pad, c), dtype=x.data.dtype)
+    xp[..., pad:pad + t, :] = x.data
     win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-2)  # (..., T, C, k)
     out = (win * w.data.T).sum(axis=-1)
     _audit_macs(x.size * k)

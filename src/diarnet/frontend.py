@@ -31,6 +31,7 @@ WIN_SAMPLES = 200                  # 25 ms analysis window
 HOP_SAMPLES = 80                   # 10 ms mel hop
 N_FFT = 256                        # next power of two above WIN_SAMPLES
 LOG_FLOOR = 1e-10
+LOG_MEL_BLOCK = 512                # frames per block of the log-mel transform
 WINDOW_FRAMES = 15                 # mel frames per CNN window
 WINDOW_HOP = 10                    # mel frames between window starts
 SAMPLES_PER_FRAME = HOP_SAMPLES * WINDOW_HOP
@@ -186,9 +187,15 @@ def log_mel(clip: AudioClip) -> np.ndarray:
         raise InsufficientAudioError(
             f"clip of {len(x)} samples is shorter than one {WIN_SAMPLES}-sample analysis window")
     frames = np.lib.stride_tricks.sliding_window_view(x, WIN_SAMPLES)[::HOP_SAMPLES]
-    windowed = frames.astype(np.float64) * np.hanning(WIN_SAMPLES)
-    spec = np.abs(np.fft.rfft(windowed, n=N_FFT, axis=1)) ** 2
-    energies = spec @ mel_filterbank().T
+    window = np.hanning(WIN_SAMPLES)
+    fb_t = mel_filterbank().T
+    energies = np.empty((len(frames), N_MELS))
+    # in blocks of frames, so the float64 and complex temporaries stay small
+    # and are reused instead of being mapped afresh for a whole recording
+    for i in range(0, len(frames), LOG_MEL_BLOCK):
+        windowed = frames[i:i + LOG_MEL_BLOCK].astype(np.float64) * window
+        spec = np.abs(np.fft.rfft(windowed, n=N_FFT, axis=1)) ** 2
+        energies[i:i + LOG_MEL_BLOCK] = spec @ fb_t
     return np.log(np.maximum(energies, LOG_FLOOR)).astype(np.float32)
 
 

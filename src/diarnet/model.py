@@ -82,13 +82,6 @@ class ForwardResult:
     attractor_biases: Tensor  # (S,)  per-slot biases b_s
     global_bias: Tensor       # scalar b_global
 
-    def sample(self, b: int) -> "ForwardResult":
-        """Sample b of a batched result, as slices of its graph."""
-        return ForwardResult(logits=self.logits[b], frames=self.frames[b],
-                             attractor_dirs=self.attractor_dirs[b],
-                             attractor_biases=self.attractor_biases[b],
-                             global_bias=self.global_bias)
-
 
 # ---------------------------------------------------------------------------
 # parameter initialization

@@ -230,36 +230,25 @@ def _crop_windows(mel: np.ndarray, labels: LabelMatrix, f0: int,
 def _mean_losses(crops: list, params: dict, cfg: TrainConfig) -> dict | None:
     """Mean of each loss component over crops given as (mel, labels, f0, nf).
 
-    Crops of one length form a group, in order of first appearance; a group
-    is one `cnn_encode` over all its windows (exact, since windows never
-    mix) and one `forward` on (B, T, E). PIT alignment and the losses run
-    per sample on slices of the result. With gradients on, each group
-    backpropagates its share of the mean in one `backward()`. Returns None
-    when a value goes non-finite: exploding parameters surface as a
-    NumericError where the first NaN/Inf is made.
+    Each crop's windows are built just before its forward. With gradients
+    on, each crop backpropagates its share of the mean, which frees its
+    graph before the next crop's is built. Returns None when a
+    value goes non-finite: exploding parameters surface as a NumericError
+    where the first NaN/Inf is made.
     """
-    groups: dict[int, list] = {}
-    for crop in crops:
-        groups.setdefault(crop[3], []).append(crop)
     means = dict.fromkeys(LOSS_FIELDS, 0.0)
-    for nf, group in groups.items():
-        cut = [_crop_windows(*crop) for crop in group]
+    for crop in crops:
+        windows, labels = _crop_windows(*crop)
         try:
-            x0 = cnn_encode(np.concatenate([windows for windows, _ in cut]), params,
-                            cfg.model.embed_dim)
-            res = forward(x0.reshape(len(group), nf, cfg.model.embed_dim), params, cfg.model)
-            bundles = [total_loss(res.sample(b), labels, weights=cfg.weights,
-                                  mode=cfg.dpcl_mode) for b, (_, labels) in enumerate(cut)]
+            x0 = cnn_encode(windows, params, cfg.model.embed_dim)
+            res = forward(x0, params, cfg.model)
+            bundle = total_loss(res, labels, weights=cfg.weights, mode=cfg.dpcl_mode)
         except ad.NumericError:
             return None
-        total = bundles[0].total_tensor
-        for bundle in bundles[1:]:
-            total = total + bundle.total_tensor
-        if total.requires_grad:
-            (total * (1.0 / len(crops))).backward()
-        for bundle in bundles:
-            for k in means:
-                means[k] += getattr(bundle, k) / len(crops)
+        if bundle.total_tensor.requires_grad:
+            (bundle.total_tensor * (1.0 / len(crops))).backward()
+        for k in means:
+            means[k] += getattr(bundle, k) / len(crops)
     return means
 
 

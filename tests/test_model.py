@@ -220,6 +220,19 @@ def test_forward_shapes_and_determinism():
     assert np.array_equal(r1.logits.data, r2.logits.data)
 
 
+def test_batched_forward_matches_each_crop():
+    cfg = tiny_cfg()
+    params = make(cfg)
+    crops = [rand_x(cfg, 12, seed=s) for s in (1, 2, 3)]
+    res = forward(ad.stack(crops, axis=0), params, cfg)
+    assert res.logits.shape == (3, 12, cfg.n_attractors)
+    for b, x in enumerate(crops):
+        one = forward(x, params, cfg)
+        for name in ("logits", "frames", "attractor_dirs", "attractor_biases"):
+            got = getattr(res, name).data[b]
+            assert np.allclose(got, getattr(one, name).data, rtol=1e-5, atol=1e-5), name
+
+
 def test_forward_depth_one():
     cfg = tiny_cfg(depth=1)
     params = make(cfg)

@@ -288,7 +288,7 @@ def test_silent_recording_trains_instead_of_diverging(tmp_path):
 
 
 def test_ragged_batch_matches_per_crop_reference():
-    # crops of 30 and 20 frames, interleaved: two groups, one a single crop
+    # crops of 30 and 20 frames, interleaved
     cfg = desk_config(model=ModelConfig(depth=2, embed_dim=32, latte_dim=16, n_latents=2,
                                         n_attractors=3, ff_expansion=2, conv_kernel=3,
                                         heads=2))
@@ -300,7 +300,7 @@ def test_ragged_batch_matches_per_crop_reference():
 
     zero_grads(params)
     means = _mean_losses(crops, params, cfg)
-    batched = {k: p.grad for k, p in params.items()}
+    got = {k: p.grad for k, p in params.items()}
 
     zero_grads(params)
     want = dict.fromkeys(LOSS_FIELDS, 0.0)
@@ -315,4 +315,4 @@ def test_ragged_batch_matches_per_crop_reference():
     for k in LOSS_FIELDS:
         assert means[k] == pytest.approx(want[k], rel=1e-5), k
     for k, p in params.items():
-        assert np.allclose(batched[k], p.grad, rtol=1e-5, atol=1e-12), k
+        assert np.allclose(got[k], p.grad, rtol=1e-5, atol=1e-12), k
