@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .frontend import ConfigError, load_wav, write_wav
@@ -39,22 +40,45 @@ def _load_json(path: Path) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
+_MIXTURE_KEYS = {f.name for f in fields(MixtureSpec)}
+
+
+def _check_keys(d, allowed: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {unknown}")
+
+
+def _non_negative_int(spec: dict, key: str, default: int) -> int:
+    v = spec.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, got {v!r}")
+    return v
+
+
 def cmd_synth_data(args) -> int:
     spec = _load_json(Path(args.spec))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _check_keys(spec, _MIXTURE_KEYS | {"count", "mixtures"}, "synth-data spec")
     if "mixtures" in spec:
         mix_dicts = spec["mixtures"]
+        if not isinstance(mix_dicts, list):
+            raise ConfigError(f"mixtures must be a list, got {mix_dicts!r}")
     else:
-        count = int(spec.get("count", 1))
-        base_seed = _seed_override(int(spec.get("seed", 0)))
-        common = {k: spec[k] for k in ("n_speakers", "duration_s", "overlap_ratio",
-                                       "noise_snr_db") if k in spec}
+        count = _non_negative_int(spec, "count", 1)
+        base_seed = _seed_override(_non_negative_int(spec, "seed", 0))
+        common = {k: v for k, v in spec.items() if k in _MIXTURE_KEYS}
         mix_dicts = [dict(common, seed=base_seed + i) for i in range(count)]
-
-    manifest_lines = ["id,wav,rttm,duration_s,n_speakers"]
     for d in mix_dicts:
-        rec = synth_mixture(MixtureSpec(**d))
+        _check_keys(d, _MIXTURE_KEYS, "mixture")
+    specs = [MixtureSpec(**d) for d in mix_dicts]
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest_lines = ["id,wav,rttm,duration_s,n_speakers"]
+    for mix in specs:
+        rec = synth_mixture(mix)
         wav_path = out / f"{rec.rec_id}.wav"
         rttm_path = out / f"{rec.rec_id}.rttm"
         write_wav(wav_path, rec.clip)

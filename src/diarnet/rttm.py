@@ -47,8 +47,9 @@ def read_rttm(path) -> dict[str, DiarizationHypothesis]:
         if not (math.isfinite(tbeg) and math.isfinite(tdur)):
             raise RttmParseError(f"{path}:{lineno}: non-finite time field "
                                  f"(tbeg {parts[3]}, tdur {parts[4]})")
-        if tdur <= 0:
-            raise RttmParseError(f"{path}:{lineno}: non-positive duration {tdur}")
+        if not tbeg + tdur > tbeg:       # tdur <= 0, or too small to move tbeg
+            raise RttmParseError(f"{path}:{lineno}: segment end does not exceed its onset "
+                                 f"(tbeg {parts[3]}, tdur {parts[4]})")
         grouped.setdefault(parts[1], []).append((tbeg, tbeg + tdur, parts[7]))
     return {fid: DiarizationHypothesis(segments=segs, file_id=fid)
             for fid, segs in grouped.items()}

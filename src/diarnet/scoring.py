@@ -2,15 +2,17 @@
 
 The scorer works on exact timeline algebra rather than a frame grid. The
 boundaries of both files and of the collar zones, rounded to 1 ns, are
-sorted into cuts that split time into cells. Each speaker's merged intervals
-(and the merged collar zones) are sorted and disjoint, so whether a cell's
-midpoint lies inside them is one binary search over the interval starts:
-the activity of all speakers is a (speakers, cells) matrix built in
-O((N + C·S) log N) for N segments, C cells and S speakers. A global speaker
-mapping is chosen by optimal assignment on overlap durations inside the
-scored regions, and missed/false-alarm/confusion time is a dot product of
-per-cell speaker counts with the scored cell durations. Overlapping speech
-is always scored; a collar around every reference boundary is excluded.
+sorted into cuts that split time into cells; since every boundary is itself
+a cut, each segment and each zone covers a contiguous range of cells.
+`cover` turns such ranges into a coverage matrix by counting open
+intervals: +1 where a range starts, -1 where it ends, and a running sum, so
+overlapping, touching and nested ranges need no merging. That gives the
+(speakers, cells) activity of each file and the collar mask in O(N log N +
+S·C) for N segments, C cells and S speakers. A global speaker mapping is
+chosen by optimal assignment on overlap durations inside the scored
+regions, and missed/false-alarm/confusion time is a dot product of per-cell
+speaker counts with the scored cell durations. Overlapping speech is always
+scored; a collar around every reference boundary is excluded.
 """
 
 from __future__ import annotations
@@ -38,28 +40,23 @@ class DiarizationHypothesis:
     def __post_init__(self):
         for start, end, spk in self.segments:
             if not end > start:
-                raise ValueError(f"segment for {spk!r} has no duration: [{start}, {end})")
+                raise ScoringError(f"segment for {spk!r} has no duration: [{start}, {end})")
 
     def speakers(self) -> list[str]:
         return sorted({s for _, _, s in self.segments})
 
-    def by_speaker(self) -> dict[str, list[tuple[float, float]]]:
-        """Per-speaker merged, non-overlapping interval lists."""
-        out: dict[str, list[tuple[float, float]]] = {}
-        for start, end, spk in self.segments:
-            out.setdefault(spk, []).append((start, end))
-        return {spk: merge_intervals(iv) for spk, iv in out.items()}
 
-
-def merge_intervals(intervals) -> list[tuple[float, float]]:
-    ivs = sorted((float(s), float(e)) for s, e in intervals)
-    out: list[tuple[float, float]] = []
-    for s, e in ivs:
-        if out and s <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], e))
-        else:
-            out.append((s, e))
-    return out
+def cover(lo, hi, rows, n_rows: int, n: int) -> np.ndarray:
+    """(n_rows, n) bool: position j of row r is covered when some range k
+    with rows[k] == r has lo[k] <= j < hi[k]. Counts the ranges open at each
+    position (+1 at lo, -1 at hi, running sum), so ranges may overlap, touch
+    or nest and come in any order; a range with hi <= lo covers nothing."""
+    lo = np.asarray(lo, dtype=np.intp)
+    base = np.asarray(rows, dtype=np.intp) * (n + 1)
+    size = n_rows * (n + 1)
+    opened = (np.bincount(base + lo, minlength=size)
+              - np.bincount(base + np.maximum(hi, lo), minlength=size))
+    return np.cumsum(opened.reshape(n_rows, n + 1)[:, :n], axis=1) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -149,36 +146,21 @@ class DerReport:
 _SECONDS = tuple(f.name for f in fields(DerReport))[6:]
 
 
-def _collar_zones(ref: DiarizationHypothesis, collar_s: float) -> list[tuple[float, float]]:
-    if collar_s <= 0:
-        return []
-    zones = []
-    for start, end, _ in ref.segments:
-        zones.append((start - collar_s, start + collar_s))
-        zones.append((end - collar_s, end + collar_s))
-    return merge_intervals(zones)
-
-
-def _activity(intervals: list[tuple[float, float]], mid: np.ndarray) -> np.ndarray:
-    """Cells whose midpoint lies in one of the sorted, disjoint intervals."""
-    if not intervals:
-        return np.zeros(mid.shape, dtype=bool)
-    starts, ends = np.array(intervals).T
-    i = np.searchsorted(starts, mid, side="right") - 1
-    return (i >= 0) & (mid < ends[i])
-
-
-def _speaker_activity(timeline: DiarizationHypothesis, mid: np.ndarray) -> np.ndarray:
-    """(speakers, cells) 0/1 matrix, one row per speaker."""
-    rows = [_activity(ivs, mid) for ivs in timeline.by_speaker().values()]
-    return np.array(rows, dtype=float).reshape(len(rows), len(mid))
+def _columns(timeline: DiarizationHypothesis):
+    """Starts, ends, speaker rows (into the sorted speaker names) and the
+    number of speakers of a timeline's segments."""
+    names = {spk: i for i, spk in enumerate(timeline.speakers())}
+    starts = np.array([s for s, _, _ in timeline.segments], dtype=float)
+    ends = np.array([e for _, e, _ in timeline.segments], dtype=float)
+    rows = np.array([names[spk] for _, _, spk in timeline.segments], dtype=np.intp)
+    return starts, ends, rows, len(names)
 
 
 def _optimal_speaker_map(ref_act: np.ndarray, hyp_act: np.ndarray,
                          weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Global 1-1 speaker map (ref rows, hyp rows) maximizing matched time
     in scored regions; pairs that never co-occur are left unmapped."""
-    overlap = (ref_act * weight) @ hyp_act.T
+    overlap = (ref_act * weight) @ hyp_act.astype(float).T
     rows, cols = linear_sum_assignment(-overlap)
     keep = overlap[rows, cols] > 0
     return rows[keep], cols[keep]
@@ -194,18 +176,24 @@ def der_score(ref: DiarizationHypothesis, hyp: DiarizationHypothesis,
     """
     if not ref.segments:
         raise ScoringError("reference timeline is empty")
-    zones = _collar_zones(ref, collar_s)
-    bounds = [b for segs in (ref.segments, hyp.segments) for s, e, _ in segs for b in (s, e)]
-    bounds += [b for zone in zones for b in zone]
-    cuts = np.unique(np.round(np.array(bounds, dtype=float), _TIME_DECIMALS))
-    mid = 0.5 * (cuts[:-1] + cuts[1:])
-    weight = np.diff(cuts) * ~_activity(zones, mid)   # cell duration, 0 in a collar
-    ref_act = _speaker_activity(ref, mid)
-    hyp_act = _speaker_activity(hyp, mid)
+    r_start, r_end, r_rows, n_ref = _columns(ref)
+    h_start, h_end, h_rows, n_hyp = _columns(hyp)
+    edges = np.concatenate([r_start, r_end]) if collar_s > 0 else np.zeros(0)
+    bounds = np.round(np.concatenate([r_start, r_end, h_start, h_end,
+                                      edges - collar_s, edges + collar_s]), _TIME_DECIMALS)
+    # every boundary is a cut, so its cut's index is the cell it opens or closes
+    cuts, at = np.unique(bounds, return_inverse=True)
+    n = len(cuts) - 1
+    sizes = np.cumsum([len(r_start)] * 2 + [len(h_start)] * 2 + [len(edges)])
+    r_lo, r_hi, h_lo, h_hi, z_lo, z_hi = np.split(at, sizes)
+    ref_act = cover(r_lo, r_hi, r_rows, n_ref, n)
+    hyp_act = cover(h_lo, h_hi, h_rows, n_hyp, n)
+    in_collar = cover(z_lo, z_hi, np.zeros(len(edges)), 1, n)[0]
+    weight = np.diff(cuts) * ~in_collar                 # cell duration, 0 in a collar
     rows, cols = _optimal_speaker_map(ref_act, hyp_act, weight)
 
     nr, nh = ref_act.sum(axis=0), hyp_act.sum(axis=0)
-    n_correct = (ref_act[rows] * hyp_act[cols]).sum(axis=0)
+    n_correct = (ref_act[rows] & hyp_act[cols]).sum(axis=0)
     return DerReport.from_seconds(
         total_scored_s=float(weight.sum()), ref_speaker_s=float(weight @ nr),
         ref_speech_s=float(weight @ (nr > 0)),

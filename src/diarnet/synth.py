@@ -9,13 +9,15 @@ Gaussian noise at a chosen SNR stands in for recorded background audio.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frontend import FRAME_S, SAMPLE_RATE, SAMPLES_PER_FRAME, AudioClip, frame_count
+from .frontend import (FRAME_S, SAMPLE_RATE, SAMPLES_PER_FRAME, AudioClip, ConfigError,
+                       check_number_fields, frame_count)
 from .losses import LabelMatrix
-from .scoring import mask_runs
+from .scoring import cover, mask_runs
 
 # fundamental-frequency bands per speaker index; far apart on the mel axis
 _F0_BANDS = ((100.0, 135.0), (215.0, 265.0), (150.0, 185.0), (320.0, 380.0))
@@ -36,12 +38,18 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_number_fields(self)
         if not 1 <= self.n_speakers <= _MAX_SPEAKERS:
-            raise ValueError(f"n_speakers must be in 1..{_MAX_SPEAKERS}")
+            raise ConfigError(f"n_speakers must be in 1..{_MAX_SPEAKERS}, got {self.n_speakers}")
         if not 0.0 <= self.overlap_ratio <= 1.0:
-            raise ValueError("overlap_ratio must be in [0, 1]")
-        if self.duration_s <= 2.0:
-            raise ValueError("duration_s too short to place utterances")
+            raise ConfigError(f"overlap_ratio must be in [0, 1], got {self.overlap_ratio}")
+        if not 2.0 < self.duration_s < math.inf:
+            raise ConfigError(f"duration_s must be finite and above 2 s to place utterances, "
+                              f"got {self.duration_s}")
+        if not math.isfinite(self.noise_snr_db):
+            raise ConfigError(f"noise_snr_db must be finite, got {self.noise_snr_db}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -179,8 +187,9 @@ def labels_from_segments(segments, n_frames: int) -> tuple[LabelMatrix, list[str
     """
     speakers = sorted({seg[2] for seg in segments})
     index = {name: i for i, name in enumerate(speakers)}
-    act = np.zeros((n_frames, max(len(speakers), 1)), dtype=bool)
     mids = (np.arange(n_frames) + 0.5) * FRAME_S
-    for start, end, name in segments:
-        act[(mids >= start) & (mids < end), index[name]] = True
-    return LabelMatrix.from_activity(act), speakers
+    # frames lo..hi-1 are those with start <= mid < end
+    lo = np.searchsorted(mids, [seg[0] for seg in segments])
+    hi = np.searchsorted(mids, [seg[1] for seg in segments])
+    act = cover(lo, hi, [index[seg[2]] for seg in segments], max(len(speakers), 1), n_frames)
+    return LabelMatrix.from_activity(act.T.copy()), speakers   # (frames, speakers), C order

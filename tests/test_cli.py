@@ -44,6 +44,35 @@ def test_synth_data_outputs(dataset):
         assert read_rttm(dataset / rttm)[rec_id].segments
 
 
+SPEC = {"count": 1, "n_speakers": 2, "duration_s": 4.0, "overlap_ratio": 0.2,
+        "noise_snr_db": 15.0, "seed": 0}
+
+
+@pytest.mark.parametrize("spec,key", [
+    pytest.param(dict(SPEC, count="x"), "count", id="count-str"),
+    pytest.param(dict(SPEC, count=1.5), "count", id="count-float"),
+    pytest.param(dict(SPEC, count=-1), "count", id="count-negative"),
+    pytest.param(dict(SPEC, seed=-1), "seed", id="seed-negative"),
+    pytest.param(dict(SPEC, n_speaker=2), "n_speaker", id="n_speaker"),
+    pytest.param({"mixtures": [dict(SPEC, bogus=1)]}, "bogus", id="mixtures.bogus"),
+    pytest.param({"mixtures": dict(SPEC)}, "mixtures", id="mixtures-object"),
+    pytest.param([SPEC], "spec", id="spec-list"),
+    pytest.param(dict(SPEC, n_speakers=2.5), "n_speakers", id="n_speakers-float"),
+    pytest.param(dict(SPEC, n_speakers=True), "n_speakers", id="n_speakers-bool"),
+    pytest.param(dict(SPEC, duration_s="5"), "duration_s", id="duration_s-str"),
+    pytest.param(dict(SPEC, duration_s=float("inf")), "duration_s", id="duration_s-inf"),
+    pytest.param(dict(SPEC, noise_snr_db=float("nan")), "noise_snr_db", id="noise_snr_db-nan"),
+])
+def test_synth_data_bad_spec_key_is_a_config_error(tmp_path, capsys, spec, key):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    rc = main(["synth-data", "--spec", str(spec_path), "--out", str(tmp_path / "data")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "ConfigError" in captured.err and key in captured.err
+    assert "wrote" not in captured.out
+
+
 def test_score_identical_files_prints_zero(dataset, capsys):
     rttm = next(dataset.glob("*.rttm"))
     assert main(["score", "--ref", str(rttm), "--hyp", str(rttm)]) == 0

@@ -13,9 +13,9 @@ from diarnet.scoring import (
     DiarizationHypothesis,
     ScoringError,
     aggregate_reports,
+    cover,
     der_score,
     mask_runs,
-    merge_intervals,
     posterior_to_segments,
 )
 from diarnet.synth import MixtureSpec, synth_mixture
@@ -89,6 +89,18 @@ def test_reference_segments_match_reference_scan():
         assert _segments_from_labels(rec) == want
 
 
+def merge_intervals(intervals) -> list[tuple[float, float]]:
+    """Sorted, disjoint union of (start, end) intervals; touching ones merge."""
+    ivs = sorted((float(s), float(e)) for s, e in intervals)
+    out: list[tuple[float, float]] = []
+    for s, e in ivs:
+        if out and s <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], e))
+        else:
+            out.append((s, e))
+    return out
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_threshold_monotonicity(seed):
     rng = np.random.default_rng(seed)
@@ -100,6 +112,50 @@ def test_threshold_monotonicity(seed):
         if prev is not None:
             assert total <= prev + 1e-9
         prev = total
+
+
+# ---------------------------------------------------------------------------
+# coverage counting
+# ---------------------------------------------------------------------------
+
+def _cover_reference(lo, hi, rows, n_rows, n) -> np.ndarray:
+    """Position by position: covered when any range of the row holds it."""
+    out = np.zeros((n_rows, n), dtype=bool)
+    for r in range(n_rows):
+        for j in range(n):
+            out[r, j] = any(rows[k] == r and lo[k] <= j < hi[k] for k in range(len(lo)))
+    return out
+
+
+COVER_CASES = {
+    "overlapping": ([0, 2], [4, 6], [0, 0], 1, 8),
+    "touching": ([1, 3], [3, 5], [0, 0], 1, 6),
+    "nested": ([0, 2, 3], [9, 5, 4], [0, 0, 0], 1, 10),
+    "empty_ranges": ([2, 4, 1], [2, 1, 3], [0, 0, 0], 1, 5),
+    "row_without_ranges": ([0, 3], [2, 5], [0, 2], 3, 5),
+    "whole_span": ([0], [7], [1], 2, 7),
+    "no_ranges": ([], [], [], 2, 4),
+    "zero_rows": ([], [], [], 0, 4),
+    "zero_positions": ([0], [0], [0], 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COVER_CASES))
+def test_cover_matches_position_scan(case):
+    lo, hi, rows, n_rows, n = COVER_CASES[case]
+    got = cover(np.array(lo, dtype=int), np.array(hi, dtype=int), rows, n_rows, n)
+    assert got.shape == (n_rows, n) and got.dtype == bool
+    assert np.array_equal(got, _cover_reference(lo, hi, rows, n_rows, n))
+
+
+def test_cover_random_ranges_match_position_scan():
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        n, n_rows, k = int(rng.integers(0, 25)), int(rng.integers(1, 4)), int(rng.integers(0, 12))
+        lo, hi = rng.integers(0, n + 1, size=(2, k))
+        rows = rng.integers(0, n_rows, size=k)
+        assert np.array_equal(cover(lo, hi, rows, n_rows, n),
+                              _cover_reference(lo, hi, rows, n_rows, n))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +241,14 @@ def _covers(intervals, t) -> bool:
     return any(s <= t < e for s, e in intervals)
 
 
+def _by_speaker(timeline) -> dict[str, list[tuple[float, float]]]:
+    """Per-speaker merged, non-overlapping interval lists."""
+    out: dict[str, list[tuple[float, float]]] = {}
+    for start, end, spk in timeline.segments:
+        out.setdefault(spk, []).append((start, end))
+    return {spk: merge_intervals(iv) for spk, iv in out.items()}
+
+
 def _der_reference(ref, h, collar_s) -> DerReport:
     """The cell-by-cell scorer: every speaker's interval list is scanned for
     each cut midpoint, and the mapping and error times are summed per cell."""
@@ -198,7 +262,7 @@ def _der_reference(ref, h, collar_s) -> DerReport:
     bounds = {round(b, 9) for seg in ref.segments + h.segments for b in seg[:2]}
     bounds |= {round(b, 9) for zone in zones for b in zone}
     cuts = sorted(bounds)
-    ref_by, hyp_by = ref.by_speaker(), h.by_speaker()
+    ref_by, hyp_by = _by_speaker(ref), _by_speaker(h)
     cells = []
     for t0, t1 in zip(cuts[:-1], cuts[1:]):
         mid = 0.5 * (t0 + t1)
@@ -347,10 +411,17 @@ def test_rttm_line_format(tmp_path):
 
 def test_rttm_rejects_nonpositive_duration(tmp_path):
     p = tmp_path / "bad.rttm"
-    p.write_text("SPEAKER f1 1 1.000 0.000 <NA> <NA> a <NA> <NA>\n")
-    with pytest.raises(RttmParseError) as e:
-        read_rttm(p)
-    assert ":1:" in str(e.value)
+    # a zero duration, and one too small to move a 1e17 s onset
+    for tbeg, tdur in (("1.000", "0.000"), ("1e17", "0.001")):
+        p.write_text(f"SPEAKER f1 1 {tbeg} {tdur} <NA> <NA> a <NA> <NA>\n")
+        with pytest.raises(RttmParseError) as e:
+            read_rttm(p)
+        assert ":1:" in str(e.value)
+
+
+def test_segment_without_duration_is_a_scoring_error():
+    with pytest.raises(ScoringError, match="no duration"):
+        hyp([(1e17, 1e17 + 0.001, "a")])
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

@@ -119,3 +119,34 @@ def test_labels_from_segments_grid_aligned():
     assert speakers == ["a", "b"]
     assert np.array_equal(lm.y_01[:, 0], [1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
     assert np.array_equal(lm.y_01[:, 1], [0, 0, 0, 1, 1, 1, 1, 1, 1, 0])
+
+
+def _labels_reference(segments, n_frames) -> np.ndarray:
+    """The per-segment midpoint mask that labels_from_segments replaced."""
+    speakers = sorted({seg[2] for seg in segments})
+    act = np.zeros((n_frames, max(len(speakers), 1)), dtype=bool)
+    mids = (np.arange(n_frames) + 0.5) * FRAME_S
+    for start, end, name in segments:
+        act[(mids >= start) & (mids < end), speakers.index(name)] = True
+    return act
+
+
+def test_labels_from_segments_matches_midpoint_masks():
+    rng = np.random.default_rng(12)
+    cases = [([], 7), ([], 0)]
+    for _ in range(40):
+        n_frames, k = int(rng.integers(1, 60)), int(rng.integers(1, 10))
+        # off-grid, overlapping, past either end of the grid, in no order
+        starts = rng.uniform(-1.0, 6.5, size=k)
+        ends = starts + rng.uniform(0.001, 2.5, size=k)
+        names = rng.choice(["a", "b", "c"], size=k)
+        cases.append(([(float(s), float(e), str(n)) for s, e, n in zip(starts, ends, names)],
+                      n_frames))
+    cases.append(([(0.05, 0.15, "b"), (0.15, 0.25, "a"), (0.1, 0.2, "b")], 4))  # on midpoints
+    for segs, n_frames in cases:
+        lm, speakers = labels_from_segments(segs, n_frames)
+        want = _labels_reference(segs, n_frames)
+        assert speakers == sorted({seg[2] for seg in segs})
+        assert np.array_equal(lm.y_pm, np.where(want, 1, -1))
+        assert lm.y_pm.flags["C_CONTIGUOUS"]
+
