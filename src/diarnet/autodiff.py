@@ -25,6 +25,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 
@@ -580,27 +581,78 @@ def bce_logits(z: Tensor, targets) -> Tensor:
 # convolutions
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=32)
+def _conv_index(cin: int, h: int, w: int, kh: int, kw: int, stride, pads):
+    """Gather indices that lower one convolution geometry to a matmul.
+
+    ``idx`` is (ho*wo, cin*kh*kw): for each output position and kernel entry
+    (c, i, j), the flat position of the input element it reads in a
+    (cin*h*w + 1,) row whose last slot is a zero standing for padding. ``inv``
+    is (R, cin*h*w): for each input element, the flat entries of the
+    (ho*wo*cin*kh*kw + 1,) column row that read it, in kernel-tap order
+    (i, j), padded with the row's last slot. Summing ``inv``'s rows in order
+    repeats the order of a tap-by-tap scatter of the column gradient.
+    """
+    (sh, sw), ((pt, pb), (pl, pr)) = stride, pads
+    ho = (h + pt + pb - kh) // sh + 1
+    wo = (w + pl + pr - kw) // sw + 1
+    # input row and column read by each (output position, tap), broadcast to
+    # (ho, wo, cin, kh, kw)
+    r = (np.arange(ho)[:, None] * sh + np.arange(kh) - pt)[:, None, None, :, None]
+    c = (np.arange(wo)[:, None] * sw + np.arange(kw) - pl)[None, :, None, None, :]
+    ch = np.arange(cin)[:, None, None]
+    inside = (r >= 0) & (r < h) & (c >= 0) & (c < w)
+    n_in = cin * h * w
+    idx = np.where(inside, (ch * h + r) * w + c, n_in).reshape(ho * wo, cin * kh * kw)
+
+    src = idx.ravel()
+    entry = np.flatnonzero(src < n_in)
+    order = np.lexsort((entry % (kh * kw), src[entry]))   # by input element, then tap
+    entry, elem = entry[order], src[entry[order]]
+    rank = np.arange(elem.size) - np.searchsorted(elem, elem)   # position among its readers
+    inv = np.full((rank.max(initial=0) + 1, n_in), src.size)
+    inv[rank, elem] = entry
+    idx.flags.writeable = False
+    inv.flags.writeable = False
+    return idx, inv
+
+
+def _zero_slot(a: np.ndarray) -> np.ndarray:
+    """(n, m) -> (n, m + 1) with a zero last column."""
+    out = np.empty((a.shape[0], a.shape[1] + 1), dtype=a.dtype)
+    out[:, :-1] = a
+    out[:, -1] = 0
+    return out
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride=(1, 1), pads=((0, 0), (0, 0))) -> Tensor:
-    """2-d convolution, NCHW input, OIHW kernel, explicit per-edge padding."""
+    """2-d convolution, NCHW input, OIHW kernel, explicit per-edge padding.
+
+    Lowered to one gather (im2col through a cached index, `_conv_index`) and
+    one matmul; the input gradient is the transposed matmul summed back
+    through the index's inverse.
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d operands, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ShapeError(f"conv2d: channel mismatch, input {x.shape} kernel {w.shape}")
+    stride, pads = tuple(stride), tuple(map(tuple, pads))   # hashable cache keys
+    if min(stride) < 1:
+        raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
+    if min(min(edge) for edge in pads) < 0:
+        raise ShapeError(f"conv2d: pads must be >= 0, got {pads}")
     n, cin, h, wdt = x.shape
     cout, _, kh, kw = w.shape
-    sh, sw = stride
-    (pt, pb), (pl, pr) = pads
+    (sh, sw), ((pt, pb), (pl, pr)) = stride, pads
     ho = (h + pt + pb - kh) // sh + 1
     wo = (wdt + pl + pr - kw) // sw + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d: kernel {w.shape} does not fit input {x.shape} with pads {pads}")
 
-    xp = np.zeros((n, cin, h + pt + pb, wdt + pl + pr), dtype=x.data.dtype)
-    xp[:, :, pt:pt + h, pl:pl + wdt] = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw]                       # (n, cin, ho, wo, kh, kw)
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, cin * kh * kw)
+    idx, inv = _conv_index(cin, h, wdt, kh, kw, stride, pads)
+    xe = _zero_slot(x.data.reshape(n, cin * h * wdt))
+    cols = np.take(xe, idx.ravel(), axis=1).reshape(n * ho * wo, cin * kh * kw)
     wmat = w.data.reshape(cout, -1)
     out = (cols @ wmat.T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
     if b is not None:
@@ -613,12 +665,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         _accum(w, (gmat.T @ cols).reshape(w.shape))
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
-        gwin = (gmat @ wmat).reshape(n, ho, wo, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += gwin[:, :, :, :, i, j]
-        _accum(x, gxp[:, :, pt:pt + h, pl:pl + wdt])
+        if x.requires_grad:
+            gce = _zero_slot((gmat @ wmat).reshape(n, -1))
+            gx = np.take(gce, inv[0], axis=1)
+            for slot in inv[1:]:
+                gx += np.take(gce, slot, axis=1)
+            _accum(x, gx.reshape(x.shape))
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out, parents, bwd)

@@ -22,13 +22,14 @@ from .synth import MixtureSpec, labels_from_segments, synth_mixture
 from .training import TrainConfig, load_checkpoint, train
 
 
-def _seed_override(seed: int) -> int:
+def _seed_override(seed: int, offset: int = 0) -> int:
+    """`seed`, or DIARNET_SEED + `offset` when that variable is set."""
     env = os.environ.get("DIARNET_SEED")
     if not env:
         return seed
     if not env.isdecimal():
         raise ConfigError(f"DIARNET_SEED must be a non-negative integer, got {env!r}")
-    return int(env)
+    return int(env) + offset
 
 
 def _load_json(path: Path) -> dict:
@@ -67,12 +68,14 @@ def cmd_synth_data(args) -> int:
             raise ConfigError(f"mixtures must be a list, got {mix_dicts!r}")
     else:
         count = _non_negative_int(spec, "count", 1)
-        base_seed = _seed_override(_non_negative_int(spec, "seed", 0))
+        base_seed = _non_negative_int(spec, "seed", 0)
         common = {k: v for k, v in spec.items() if k in _MIXTURE_KEYS}
         mix_dicts = [dict(common, seed=base_seed + i) for i in range(count)]
     for d in mix_dicts:
         _check_keys(d, _MIXTURE_KEYS, "mixture")
-    specs = [MixtureSpec(**d) for d in mix_dicts]
+    # in either form, DIARNET_SEED gives mixture i the seed DIARNET_SEED + i
+    specs = [MixtureSpec(**dict(d, seed=_seed_override(d.get("seed", MixtureSpec.seed), i)))
+             for i, d in enumerate(mix_dicts)]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

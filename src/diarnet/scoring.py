@@ -17,6 +17,7 @@ scored; a collar around every reference boundary is excluded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -67,8 +68,6 @@ def _median_binary(mask: np.ndarray, width: int) -> np.ndarray:
     """Binary median filter: majority vote in a zero-padded window."""
     if width <= 1:
         return mask
-    if width % 2 == 0:
-        raise ValueError(f"median width must be odd, got {width}")
     pad = width // 2
     padded = np.pad(mask.astype(np.int32), pad)
     csum = np.concatenate([[0], np.cumsum(padded)])
@@ -86,7 +85,14 @@ def mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
 def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
                           median_w: int = 11, file_id: str = "rec",
                           speaker_names: list | None = None) -> DiarizationHypothesis:
-    """Threshold per slot, median-filter, merge runs on the frame grid."""
+    """Threshold per slot, median-filter, merge runs on the frame grid.
+
+    `threshold` lies in [0, 1]; `median_w` is odd, or at most 1 for no filter.
+    """
+    if not 0.0 <= threshold <= 1.0:
+        raise ScoringError(f"threshold must lie in [0, 1], got {threshold}")
+    if median_w > 1 and median_w % 2 == 0:
+        raise ScoringError(f"median width must be odd, got {median_w}")
     probs = np.asarray(probs)
     if probs.ndim != 2:
         raise ValueError(f"expected (T, S) posteriors, got {probs.shape}")
@@ -172,8 +178,11 @@ def der_score(ref: DiarizationHypothesis, hyp: DiarizationHypothesis,
 
     Percentages are relative to total reference speaker time in the scored
     regions (SAD rates: total reference speech time). Raises ScoringError
-    when the scored reference is empty.
+    when the scored reference is empty or the collar is negative or not
+    finite.
     """
+    if not 0.0 <= collar_s < math.inf:
+        raise ScoringError(f"collar must be finite and >= 0 s, got {collar_s}")
     if not ref.segments:
         raise ScoringError("reference timeline is empty")
     r_start, r_end, r_rows, n_ref = _columns(ref)

@@ -250,6 +250,101 @@ def test_grad_conv2d(case):
     assert rep.passed, str(rep)
 
 
+def test_grad_conv2d_asymmetric_pads_stride_2():
+    # CNN layers 2-4: same padding on an even size puts the one pad row/column
+    # after the map
+    rng = np.random.default_rng(17)
+    x = rand(rng, 2, 3, 4, 6)
+    k = rand(rng, 4, 3, 3, 3)
+    b = rand(rng, 4)
+    rep = grad_check(lambda u, v, c: mean(conv2d(u, v, c, stride=(2, 2),
+                                                 pads=((0, 1), (0, 1))) ** 2.0),
+                     [x, k, b], tol=1e-5, name="conv2d")
+    assert rep.passed, str(rep)
+
+
+def _conv2d_reference(x, w, b, g, stride, pads):
+    """The strided conv2d that the gather-index version replaced: a padded
+    copy, a sliding-window im2col and a tap-by-tap scatter of the column
+    gradient. Returns the output and the x, w and b gradients for seed g."""
+    n, cin, h, wdt = x.shape
+    cout, _, kh, kw = w.shape
+    (sh, sw), ((pt, pb), (pl, pr)) = stride, pads
+    ho = (h + pt + pb - kh) // sh + 1
+    wo = (wdt + pl + pr - kw) // sw + 1
+    xp = np.zeros((n, cin, h + pt + pb, wdt + pl + pr), dtype=x.dtype)
+    xp[:, :, pt:pt + h, pl:pl + wdt] = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::sh, ::sw]
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(n * ho * wo, -1)
+    wmat = w.reshape(cout, -1)
+    out = (cols @ wmat.T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    out = np.ascontiguousarray(out + b.reshape(1, cout, 1, 1))
+    gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
+    gw = (gmat.T @ cols).reshape(w.shape)
+    gb = g.sum(axis=(0, 2, 3))
+    gwin = (gmat @ wmat).reshape(n, ho, wo, cin, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += gwin[:, :, :, :, i, j]
+    return out, gxp[:, :, pt:pt + h, pl:pl + wdt], gw, gb
+
+
+def _cnn_layer_cases(embed_dim):
+    """(cin, cout, (h, w), (kh, kw), stride, pads) of the five cnn_encode layers."""
+    from diarnet.frontend import N_MELS, WINDOW_FRAMES, cnn_channel_plan
+
+    chans = (1,) + cnn_channel_plan(embed_dim)
+    hw = [(WINDOW_FRAMES, N_MELS), (8, 12), (4, 6), (2, 3), (1, 2)]
+    pads = [((1, 1), (1, 1)), ((0, 1), (0, 1)), ((0, 1), (0, 1)), ((0, 1), (1, 1))]
+    cases = [(chans[i], chans[i + 1], hw[i], (3, 3), (2, 2), pads[i]) for i in range(4)]
+    return cases + [(chans[4], chans[5], hw[4], (1, 2), (1, 1), ((0, 0), (0, 0)))]
+
+
+CONV_CASES = (_cnn_layer_cases(64) + _cnn_layer_cases(256)
+              + [(3, 4, (5, 6), (3, 3), (2, 2), ((1, 1), (1, 1))),
+                 (3, 4, (4, 4), (3, 3), (1, 1), ((1, 1), (1, 1))),
+                 (3, 4, (3, 4), (1, 2), (1, 1), ((0, 0), (0, 0)))])
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv2d_matches_strided_reference(case):
+    cin, cout, (h, w), (kh, kw), stride, pads = case
+    rng = np.random.default_rng(cin * 1000 + h * 10 + kw)
+    xd = rng.standard_normal((6, cin, h, w)).astype(np.float32)
+    wd = rng.standard_normal((cout, cin, kh, kw)).astype(np.float32)
+    bd = rng.standard_normal(cout).astype(np.float32)
+    x, k, b = (tensor(a, requires_grad=True) for a in (xd, wd, bd))
+    out = conv2d(x, k, b, stride=stride, pads=pads)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    g[g < -0.5] = 0.0               # zeros, as a relu's backward makes them
+    out.backward(g)
+    ref = _conv2d_reference(xd, wd, bd, g, stride, pads)
+    for got, want in zip((out.data, x.grad, k.grad, b.grad), ref):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    # an input without a gradient gets none; the kernel and bias gradients
+    # do not depend on it
+    x2, k2, b2 = tensor(xd), tensor(wd, requires_grad=True), tensor(bd, requires_grad=True)
+    conv2d(x2, k2, b2, stride=stride, pads=pads).backward(g)
+    assert x2.grad is None
+    assert np.array_equal(k2.grad, k.grad) and np.array_equal(b2.grad, b.grad)
+
+
+@pytest.mark.parametrize("stride,pads,what", [
+    ((0, 1), ((0, 0), (0, 0)), "stride"),
+    ((1, -2), ((0, 0), (0, 0)), "stride"),
+    ((1, 1), ((-1, 0), (0, 0)), "pads"),
+    ((1, 1), ((0, 0), (0, -1)), "pads"),
+])
+def test_conv2d_bad_stride_or_pad_is_a_shape_error(stride, pads, what):
+    x = tensor(np.ones((1, 1, 4, 4)))
+    k = tensor(np.ones((1, 1, 2, 2)))
+    with pytest.raises(ShapeError, match=f"^conv2d: {what} must be >= "):
+        conv2d(x, k, stride=stride, pads=pads)
+
+
 @pytest.mark.parametrize("tc", [(6, 3), (5, 4), (9, 2)])
 def test_grad_depthwise_conv1d(tc):
     t, c = tc

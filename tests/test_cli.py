@@ -86,6 +86,18 @@ def test_score_missing_file_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("collar", ["-1", "nan", "inf"])
+def test_score_bad_collar_exits_1(tmp_path, capsys, collar):
+    ref, hyp = tmp_path / "ref.rttm", tmp_path / "hyp.rttm"
+    ref.write_text("SPEAKER f1 1 0.000 2.000 <NA> <NA> a <NA> <NA>\n")
+    hyp.write_text("SPEAKER f1 1 0.500 1.000 <NA> <NA> x <NA> <NA>\n")
+    rc = main(["score", "--ref", str(ref), "--hyp", str(hyp), "--collar", collar])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "ScoringError" in captured.err and "collar" in captured.err
+    assert "DER" not in captured.out
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["score", "--bogus", "x"])
@@ -182,6 +194,18 @@ def test_infer_writes_rttm(dataset, tmp_path):
     assert out_rttm.exists()
 
 
+def test_infer_nan_threshold_exits_1(dataset, tmp_path, capsys):
+    cfg = ModelConfig(**DESK_MODEL)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, init_model_params(cfg, np.random.default_rng(0)), cfg)
+    out_rttm = tmp_path / "hyp.rttm"
+    rc = main(["infer", "--ckpt", str(ckpt), "--wav", str(next(dataset.glob("*.wav"))),
+               "--rttm", str(out_rttm), "--threshold", "nan"])
+    assert rc == 1
+    assert "ScoringError" in capsys.readouterr().err
+    assert not out_rttm.exists()
+
+
 def test_infer_corrupt_checkpoint_exits_1(dataset, tmp_path, capsys):
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_bytes(b"{truncated json\n" + b"\x00" * 32)
@@ -204,6 +228,21 @@ def test_seed_env_override_changes_data(tmp_path, monkeypatch):
     wav_a = next(out_a.glob("*.wav")).read_bytes()
     wav_b = next(out_b.glob("*.wav")).read_bytes()
     assert wav_a != wav_b
+
+
+def test_seed_env_override_applies_to_mixtures_list(tmp_path, monkeypatch):
+    mix = {"n_speakers": 2, "duration_s": 4.0, "seed": 3}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"mixtures": [mix, dict(mix, seed=5)]}))
+    monkeypatch.setenv("DIARNET_SEED", "9")
+    assert main(["synth-data", "--spec", str(spec_path), "--out", str(tmp_path / "a")]) == 0
+    spec_path.write_text(json.dumps({"count": 2, **mix}))
+    assert main(["synth-data", "--spec", str(spec_path), "--out", str(tmp_path / "b")]) == 0
+    names = sorted(p.name for p in (tmp_path / "a").glob("*.wav"))
+    assert names == ["mix000009.wav", "mix000010.wav"]
+    assert names == sorted(p.name for p in (tmp_path / "b").glob("*.wav"))
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def _write_float_wav(path, samples) -> None:

@@ -55,6 +55,17 @@ def test_median_window_one_keeps_spike():
     assert out.segments == [(0.7, 0.8, "0")]
 
 
+@pytest.mark.parametrize("kw,match", [
+    ({"threshold": float("nan")}, "threshold"),
+    ({"threshold": -0.1}, "threshold"),
+    ({"threshold": 1.5}, "threshold"),
+    ({"median_w": 4}, "median width"),
+])
+def test_bad_threshold_or_median_width_is_a_scoring_error(kw, match):
+    with pytest.raises(ScoringError, match=match):
+        posterior_to_segments(np.full((20, 2), 0.6), **kw)
+
+
 def _runs_reference(mask) -> list:
     """The frame-by-frame run scan that mask_runs replaced."""
     out, start = [], None
@@ -195,6 +206,13 @@ def test_relabeling_invariance():
     renamed = [(s, e, "Z" + spk) for s, e, spk in hyp_segs]
     again = der_score(hyp([*ref_segs]), hyp(renamed))
     assert again.der == pytest.approx(base.der, abs=1e-9)
+
+
+@pytest.mark.parametrize("collar", [-1.0, float("nan"), float("inf")])
+def test_negative_or_non_finite_collar_is_a_scoring_error(collar):
+    ref = hyp([(0.0, 2.0, "a")])
+    with pytest.raises(ScoringError, match="collar"):
+        der_score(ref, hyp([(0.5, 1.5, "x")]), collar_s=collar)
 
 
 def test_empty_reference_is_an_error():
