@@ -11,10 +11,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import replace
 from pathlib import Path
 
-from .frontend import ConfigError, load_wav, write_wav
+from .frontend import ConfigError, from_json, load_wav, write_wav
 from .model import predict_probs
 from .rttm import read_rttm, write_rttm
 from .scoring import DiarizationHypothesis, aggregate_reports, der_score, posterior_to_segments
@@ -32,50 +32,41 @@ def _seed_override(seed: int, offset: int = 0) -> int:
     return int(env) + offset
 
 
-def _load_json(path: Path) -> dict:
+def _load_json(path: Path, where: str) -> dict:
     with open(path) as f:
-        return json.load(f)
+        d = json.load(f)
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
+    return d
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-_MIXTURE_KEYS = {f.name for f in fields(MixtureSpec)}
-
-
-def _check_keys(d, allowed: set, where: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
-    unknown = sorted(set(d) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {unknown}")
-
-
 def _non_negative_int(spec: dict, key: str, default: int) -> int:
-    v = spec.get(key, default)
+    """Pop `key`, a setting that no config class holds, from `spec`."""
+    v = spec.pop(key, default)
     if isinstance(v, bool) or not isinstance(v, int) or v < 0:
         raise ConfigError(f"{key} must be a non-negative integer, got {v!r}")
     return v
 
 
 def cmd_synth_data(args) -> int:
-    spec = _load_json(Path(args.spec))
-    _check_keys(spec, _MIXTURE_KEYS | {"count", "mixtures"}, "synth-data spec")
+    spec = _load_json(Path(args.spec), "synth-data spec")
     if "mixtures" in spec:
-        mix_dicts = spec["mixtures"]
-        if not isinstance(mix_dicts, list):
-            raise ConfigError(f"mixtures must be a list, got {mix_dicts!r}")
+        mixes = spec.pop("mixtures")
+        if not isinstance(mixes, list):
+            raise ConfigError(f"mixtures must be a list, got {mixes!r}")
+        if spec:
+            raise ConfigError(f"a spec with mixtures takes no other keys, got {sorted(spec)}")
+        mixes = [from_json(MixtureSpec, d, "mixture") for d in mixes]
     else:
         count = _non_negative_int(spec, "count", 1)
-        base_seed = _non_negative_int(spec, "seed", 0)
-        common = {k: v for k, v in spec.items() if k in _MIXTURE_KEYS}
-        mix_dicts = [dict(common, seed=base_seed + i) for i in range(count)]
-    for d in mix_dicts:
-        _check_keys(d, _MIXTURE_KEYS, "mixture")
+        first = from_json(MixtureSpec, spec, "synth-data spec")
+        mixes = [replace(first, seed=first.seed + i) for i in range(count)]
     # in either form, DIARNET_SEED gives mixture i the seed DIARNET_SEED + i
-    specs = [MixtureSpec(**dict(d, seed=_seed_override(d.get("seed", MixtureSpec.seed), i)))
-             for i, d in enumerate(mix_dicts)]
+    specs = [replace(m, seed=_seed_override(m.seed, i)) for i, m in enumerate(mixes)]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -102,12 +93,10 @@ def _segments_from_labels(rec) -> list:
 
 
 def cmd_train(args) -> int:
-    cfg_dict = _load_json(Path(args.config))
+    cfg_dict = _load_json(Path(args.config), "train config")
     if args.epochs is not None:
         cfg_dict["epochs"] = args.epochs
-    val_count = cfg_dict.pop("val_count", 0)
-    if isinstance(val_count, bool) or not isinstance(val_count, int) or val_count < 0:
-        raise ConfigError(f"val_count must be a non-negative integer, got {val_count!r}")
+    val_count = _non_negative_int(cfg_dict, "val_count", 0)
     cfg = TrainConfig.from_dict(cfg_dict)
     cfg.seed = _seed_override(cfg.seed)
 
@@ -117,7 +106,9 @@ def cmd_train(args) -> int:
         raise FileNotFoundError(f"{manifest} not found; run synth-data first")
     rows = manifest.read_text().strip().splitlines()[1:]
     specs = []
-    for row in rows:
+    for line, row in enumerate(rows, start=2):
+        if row.count(",") < 2:
+            raise ValueError(f"{manifest}:{line}: expected id,wav,rttm fields, got {row!r}")
         rec_id, wav_name, rttm_name = row.split(",")[:3]
         specs.append((rec_id, data_dir / wav_name, data_dir / rttm_name))
     if not specs:

@@ -57,16 +57,33 @@ class ConfigError(ValueError):
 _NUMBER_FIELDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 
 
-def check_number_fields(cfg, prefix: str = "") -> None:
-    """Raise ConfigError naming the first ``int`` or ``float`` field of the
-    dataclass ``cfg`` that holds something else: a bool or a string is not a
-    number, and a float is not an int."""
+def check_number_fields(cfg, prefix: str = "", minimum: dict | None = None) -> None:
+    """Raise ConfigError naming ``prefix + field`` for the first ``int`` or
+    ``float`` field of the dataclass ``cfg`` that breaks a rule: a bool or a
+    string is not a number, a float is not an int, a float is finite, and a
+    field named in ``minimum`` is at least its entry."""
     for f in fields(cfg):
         if f.type in _NUMBER_FIELDS:
             kind, what = _NUMBER_FIELDS[f.type]
             v = getattr(cfg, f.name)
             if isinstance(v, bool) or not isinstance(v, kind):
                 raise ConfigError(f"{prefix}{f.name} must be {what}, got {v!r}")
+            if f.type == "float" and not math.isfinite(v):
+                raise ConfigError(f"{prefix}{f.name} must be finite, got {v!r}")
+            if minimum and f.name in minimum and v < minimum[f.name]:
+                raise ConfigError(f"{prefix}{f.name} must be at least {minimum[f.name]}, "
+                                  f"got {v!r}")
+
+
+def from_json(cls, d, where: str):
+    """``cls(**d)`` for a JSON object ``d`` whose keys all name fields of the
+    dataclass ``cls``; anything else is a ConfigError naming ``where``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {unknown}")
+    return cls(**d)
 
 
 @dataclass

@@ -25,13 +25,14 @@ of crop b alone, up to float rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frontend import ConfigError, check_number_fields, encode_clip, init_frontend_params
+from .frontend import (ConfigError, check_number_fields, encode_clip, from_json,
+                       init_frontend_params)
 
 
 @dataclass
@@ -46,10 +47,7 @@ class ModelConfig:
     heads: int = 4
 
     def __post_init__(self):
-        check_number_fields(self, "model.")
-        small = [k for k, v in self.to_dict().items() if v < 1]
-        if small:
-            raise ConfigError(f"model sizes must be positive: {small}")
+        check_number_fields(self, "model.", dict.fromkeys(self.to_dict(), 1))
         if self.embed_dim % self.heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.latte_dim % self.heads != 0:
@@ -64,12 +62,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        if not isinstance(d, dict):
-            raise ConfigError(f"model must be an object of integers, got {d!r}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {unknown}")
-        return cls(**d)
+        return from_json(cls, d, "model")
 
 
 @dataclass

@@ -87,17 +87,17 @@ def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
                           speaker_names: list | None = None) -> DiarizationHypothesis:
     """Threshold per slot, median-filter, merge runs on the frame grid.
 
-    `threshold` lies in [0, 1]; `median_w` is odd, or at most 1 for no filter.
+    `threshold` and the posteriors lie in [0, 1]; `median_w` is odd, 1 for no filter.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ScoringError(f"threshold must lie in [0, 1], got {threshold}")
-    if median_w > 1 and median_w % 2 == 0:
-        raise ScoringError(f"median width must be odd, got {median_w}")
+    if not (median_w >= 1 and median_w % 2 == 1):
+        raise ScoringError(f"median width must be a positive odd integer, got {median_w}")
     probs = np.asarray(probs)
     if probs.ndim != 2:
         raise ValueError(f"expected (T, S) posteriors, got {probs.shape}")
-    if np.any(probs < 0) or np.any(probs > 1):
-        raise ValueError("posteriors must lie in [0, 1]")
+    if not np.all((probs >= 0) & (probs <= 1)):
+        raise ScoringError("posteriors must lie in [0, 1] and not be NaN")
     s = probs.shape[1]
     names = speaker_names or [str(i) for i in range(s)]
     segments = []

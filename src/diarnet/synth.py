@@ -9,7 +9,6 @@ Gaussian noise at a chosen SNR stands in for recorded background audio.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,18 +37,14 @@ class MixtureSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_number_fields(self)
-        if not 1 <= self.n_speakers <= _MAX_SPEAKERS:
+        check_number_fields(self, minimum=dict(n_speakers=1, overlap_ratio=0, seed=0))
+        if self.n_speakers > _MAX_SPEAKERS:
             raise ConfigError(f"n_speakers must be in 1..{_MAX_SPEAKERS}, got {self.n_speakers}")
-        if not 0.0 <= self.overlap_ratio <= 1.0:
+        if self.overlap_ratio > 1:
             raise ConfigError(f"overlap_ratio must be in [0, 1], got {self.overlap_ratio}")
-        if not 2.0 < self.duration_s < math.inf:
-            raise ConfigError(f"duration_s must be finite and above 2 s to place utterances, "
+        if self.duration_s <= 2:
+            raise ConfigError(f"duration_s must be above 2 s to place utterances, "
                               f"got {self.duration_s}")
-        if not math.isfinite(self.noise_snr_db):
-            raise ConfigError(f"noise_snr_db must be finite, got {self.noise_snr_db}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -12,7 +12,7 @@ import math
 import time
 import warnings
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .frontend import (FRAME_S, WINDOW_FRAMES, WINDOW_HOP, ConfigError, check_number_fields,
-                       cnn_encode, log_mel, window_stack)
+                       cnn_encode, from_json, log_mel, window_stack)
 from .losses import DPCL_MODES, LabelMatrix, LossWeights, total_loss
 from .model import ModelConfig, forward, init_model_params, zero_grads
 from .serialize import SerializationError, load_bundle, save_bundle
@@ -57,40 +57,33 @@ class TrainConfig:
     val_every: int = 10
 
     def __post_init__(self):
-        check_number_fields(self)
-        check_number_fields(self.weights, "weights.")
+        for name, kind in (("weights", LossWeights), ("model", ModelConfig)):
+            v = getattr(self, name)
+            if not isinstance(v, kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {v!r}")
+        check_number_fields(self, minimum=dict(batch_size=1, val_every=1, epochs=0, seed=0,
+                                               weight_decay=0))
+        check_number_fields(self.weights, "weights.", dict.fromkeys(asdict(self.weights), 0))
         if self.dpcl_mode not in DPCL_MODES:
             raise ConfigError(f"dpcl_mode must be one of {DPCL_MODES}, got {self.dpcl_mode!r}")
-        for name in ("batch_size", "val_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not (math.isfinite(self.max_lr) and self.max_lr > 0):
-            raise ConfigError(f"max_lr must be finite and positive, got {self.max_lr}")
-        if not (math.isfinite(self.crop_s) and round(self.crop_s / FRAME_S) >= 1):
+        if self.max_lr <= 0:
+            raise ConfigError(f"max_lr must be positive, got {self.max_lr}")
+        if round(self.crop_s / FRAME_S) < 1:
             raise ConfigError(f"crop_s must cover at least one {FRAME_S} s frame, "
                               f"got {self.crop_s}")
-        for name, v in [("weight_decay", self.weight_decay),
-                        *((f"weights.{k}", w) for k, w in asdict(self.weights).items())]:
-            if not (math.isfinite(v) and v >= 0):
-                raise ConfigError(f"{name} must be finite and non-negative, got {v}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {unknown}")
-        if "weights" in d:
-            if not (isinstance(d["weights"], list) and len(d["weights"]) == 4):
-                raise ConfigError("weights must be a list of 4 numbers (bce, dpcl, ortho, "
-                                  f"suppress), got {d['weights']!r}")
-            d["weights"] = LossWeights(*d["weights"])
-        if "model" in d:
-            d["model"] = ModelConfig.from_dict(d["model"])
-        return cls(**d)
+        if isinstance(d, dict):
+            d = dict(d)
+            if "weights" in d:
+                if not (isinstance(d["weights"], list) and len(d["weights"]) == 4):
+                    raise ConfigError("weights must be a list of 4 numbers (bce, dpcl, ortho, "
+                                      f"suppress), got {d['weights']!r}")
+                d["weights"] = LossWeights(*d["weights"])
+            if "model" in d:
+                d["model"] = ModelConfig.from_dict(d["model"])
+        return from_json(cls, d, "train config")
 
 
 # ---------------------------------------------------------------------------

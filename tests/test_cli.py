@@ -1,9 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diarnet
 from diarnet.cli import main
 from diarnet.frontend import load_wav
 from diarnet.model import ModelConfig, init_model_params
@@ -46,6 +51,7 @@ def test_synth_data_outputs(dataset):
 
 SPEC = {"count": 1, "n_speakers": 2, "duration_s": 4.0, "overlap_ratio": 0.2,
         "noise_snr_db": 15.0, "seed": 0}
+MIXTURE = {k: v for k, v in SPEC.items() if k != "count"}
 
 
 @pytest.mark.parametrize("spec,key", [
@@ -62,6 +68,19 @@ SPEC = {"count": 1, "n_speakers": 2, "duration_s": 4.0, "overlap_ratio": 0.2,
     pytest.param(dict(SPEC, duration_s="5"), "duration_s", id="duration_s-str"),
     pytest.param(dict(SPEC, duration_s=float("inf")), "duration_s", id="duration_s-inf"),
     pytest.param(dict(SPEC, noise_snr_db=float("nan")), "noise_snr_db", id="noise_snr_db-nan"),
+    pytest.param(dict(SPEC, noise_snr_db=float("inf")), "noise_snr_db", id="noise_snr_db-inf"),
+    pytest.param(dict(SPEC, noise_snr_db=float("-inf")), "noise_snr_db",
+                 id="noise_snr_db--inf"),
+    pytest.param(dict(SPEC, duration_s=float("nan")), "duration_s", id="duration_s-nan"),
+    pytest.param(dict(SPEC, duration_s=float("-inf")), "duration_s", id="duration_s--inf"),
+    pytest.param(dict(SPEC, overlap_ratio=float("nan")), "overlap_ratio",
+                 id="overlap_ratio-nan"),
+    pytest.param(dict(SPEC, overlap_ratio=float("inf")), "overlap_ratio",
+                 id="overlap_ratio-inf"),
+    pytest.param(dict(SPEC, overlap_ratio=float("-inf")), "overlap_ratio",
+                 id="overlap_ratio--inf"),
+    pytest.param({"mixtures": [MIXTURE], "duration_s": 30, "count": 5}, "duration_s",
+                 id="mixtures-with-top-level-keys"),
 ])
 def test_synth_data_bad_spec_key_is_a_config_error(tmp_path, capsys, spec, key):
     spec_path = tmp_path / "spec.json"
@@ -168,6 +187,31 @@ def test_train_bad_config_key_is_a_config_error(dataset, tmp_path, capsys, overr
     assert "train done" not in captured.out
 
 
+def test_train_config_not_an_object_is_a_config_error(dataset, tmp_path, capsys):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text("[1, 2]")
+    rc = main(["train", "--config", str(cfg_path), "--data", str(dataset),
+               "--out", str(tmp_path / "run"), "--epochs", "1"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "ConfigError" in captured.err and "train config" in captured.err
+    assert "train done" not in captured.out
+
+
+def test_train_short_manifest_row_names_the_line(dataset, tmp_path, capsys):
+    manifest = dataset / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([*lines[:2], "mix_broken,only-two", *lines[2:]]) + "\n")
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(desk_train_config()))
+    rc = main(["train", "--config", str(cfg_path), "--data", str(dataset),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert f"{manifest}:3:" in captured.err and "mix_broken" in captured.err
+    assert "train done" not in captured.out
+
+
 def test_train_zero_epochs_writes_checkpoint(dataset, tmp_path):
     cfg_path = tmp_path / "train.json"
     cfg = desk_train_config(val_count=1)
@@ -203,6 +247,20 @@ def test_infer_nan_threshold_exits_1(dataset, tmp_path, capsys):
                "--rttm", str(out_rttm), "--threshold", "nan"])
     assert rc == 1
     assert "ScoringError" in capsys.readouterr().err
+    assert not out_rttm.exists()
+
+
+@pytest.mark.parametrize("width", ["0", "-4"])
+def test_infer_median_below_one_exits_1(dataset, tmp_path, capsys, width):
+    cfg = ModelConfig(**DESK_MODEL)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, init_model_params(cfg, np.random.default_rng(0)), cfg)
+    out_rttm = tmp_path / "hyp.rttm"
+    rc = main(["infer", "--ckpt", str(ckpt), "--wav", str(next(dataset.glob("*.wav"))),
+               "--rttm", str(out_rttm), "--median", width])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "ScoringError" in err and "median" in err
     assert not out_rttm.exists()
 
 
@@ -283,3 +341,12 @@ def test_bad_seed_env_is_a_config_error(dataset, tmp_path, capsys, monkeypatch, 
     assert main([command, *argv]) == 1
     err = capsys.readouterr().err
     assert "ConfigError" in err and "DIARNET_SEED" in err
+
+
+def test_module_entry_point_prints_help():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(diarnet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-m", "diarnet", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0
+    assert "synth-data" in res.stdout and "train" in res.stdout

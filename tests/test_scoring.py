@@ -60,10 +60,21 @@ def test_median_window_one_keeps_spike():
     ({"threshold": -0.1}, "threshold"),
     ({"threshold": 1.5}, "threshold"),
     ({"median_w": 4}, "median width"),
+    ({"median_w": 0}, "median width"),
+    ({"median_w": -4}, "median width"),
 ])
 def test_bad_threshold_or_median_width_is_a_scoring_error(kw, match):
     with pytest.raises(ScoringError, match=match):
         posterior_to_segments(np.full((20, 2), 0.6), **kw)
+
+
+def test_nan_posteriors_are_a_scoring_error():
+    probs = np.zeros((40, 2))
+    probs[5, 1] = np.nan
+    with pytest.raises(ScoringError, match="posteriors"):
+        posterior_to_segments(probs)
+    with pytest.raises(ScoringError, match="posteriors"):
+        posterior_to_segments(np.full((40, 1), np.nan), median_w=1)
 
 
 def _runs_reference(mask) -> list:

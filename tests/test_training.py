@@ -136,6 +136,15 @@ def test_clip_grad_norm():
     pytest.param("weights", LossWeights(-1.0, 0.5, 0.1, 0.1), id="weights-negative"),
     pytest.param("weights", LossWeights(1.0, float("nan"), 0.1, 0.1), id="weights-nan"),
     pytest.param("weights", LossWeights(1.0, 0.5, True, 0.1), id="weights-bool"),
+    # every float field is finite
+    ("max_lr", float("inf")), ("max_lr", float("-inf")), ("crop_s", float("inf")),
+    ("crop_s", float("-inf")), ("weight_decay", float("inf")),
+    ("weight_decay", float("-inf")),
+    pytest.param("weights", LossWeights(1.0, 0.5, float("inf"), 0.1), id="weights-inf"),
+    pytest.param("weights", LossWeights(1.0, 0.5, 0.1, float("-inf")), id="weights--inf"),
+    # a nested config is an object, not its JSON form
+    pytest.param("weights", [1.0, 0.5, 0.1, 0.1], id="weights-list"),
+    pytest.param("model", {"depth": 1}, id="model-dict"),
 ])
 def test_config_rejects_values_that_fail_mid_run(field, value):
     with pytest.raises(ConfigError, match=field):
