@@ -18,6 +18,7 @@ scored; a collar around every reference boundary is excluded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -87,11 +88,11 @@ def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
                           speaker_names: list | None = None) -> DiarizationHypothesis:
     """Threshold per slot, median-filter, merge runs on the frame grid.
 
-    `threshold` and the posteriors lie in [0, 1]; `median_w` is odd, 1 for no filter.
+    `threshold` and the posteriors lie in [0, 1]; `median_w` is an odd int >= 1 (1: no filter).
     """
     if not 0.0 <= threshold <= 1.0:
         raise ScoringError(f"threshold must lie in [0, 1], got {threshold}")
-    if not (median_w >= 1 and median_w % 2 == 1):
+    if not (isinstance(median_w, numbers.Integral) and median_w >= 1 and median_w % 2 == 1):
         raise ScoringError(f"median width must be a positive odd integer, got {median_w}")
     probs = np.asarray(probs)
     if probs.ndim != 2:

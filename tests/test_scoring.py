@@ -62,6 +62,7 @@ def test_median_window_one_keeps_spike():
     ({"median_w": 4}, "median width"),
     ({"median_w": 0}, "median width"),
     ({"median_w": -4}, "median width"),
+    ({"median_w": 3.0}, "median width"),
 ])
 def test_bad_threshold_or_median_width_is_a_scoring_error(kw, match):
     with pytest.raises(ScoringError, match=match):
