@@ -76,8 +76,7 @@ def cmd_synth_data(args) -> int:
         wav_path = out / f"{rec.rec_id}.wav"
         rttm_path = out / f"{rec.rec_id}.rttm"
         write_wav(wav_path, rec.clip)
-        segments = _segments_from_labels(rec)
-        write_rttm(rttm_path, DiarizationHypothesis(segments=segments, file_id=rec.rec_id))
+        write_rttm(rttm_path, _reference(rec))
         manifest_lines.append(f"{rec.rec_id},{wav_path.name},{rttm_path.name},"
                               f"{rec.clip.duration_s:.3f},{rec.labels.n_speakers}")
         print(f"wrote {wav_path.name} ({rec.clip.duration_s:.1f}s)")
@@ -85,11 +84,16 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
-def _segments_from_labels(rec) -> list:
-    """Reference segments of a labeled recording, speakers named spk<i>."""
+def _reference(rec) -> DiarizationHypothesis:
+    """Reference timeline of a labeled recording, speakers named spk<i>."""
     y = rec.labels.y_01
     names = [f"spk{i}" for i in range(y.shape[1])]
-    return posterior_to_segments(y, median_w=1, speaker_names=names).segments
+    return posterior_to_segments(y, median_w=1, file_id=rec.rec_id, speaker_names=names)
+
+
+def _segments_from_labels(rec) -> list:
+    """The (start_s, end_s, speaker) triples of `_reference(rec)`."""
+    return _reference(rec).segments
 
 
 def cmd_train(args) -> int:
@@ -136,12 +140,12 @@ def _load_recording(rec_id: str, wav_path: Path, rttm_path: Path):
     clip = load_wav(wav_path)
     hyps = read_rttm(rttm_path)
     if rec_id in hyps:
-        segs = hyps[rec_id].segments
+        timeline = hyps[rec_id]
     elif len(hyps) == 1:
-        segs = next(iter(hyps.values())).segments
+        timeline = next(iter(hyps.values()))
     else:
         raise ValueError(f"{rttm_path}: no segments for id {rec_id}")
-    labels, _ = labels_from_segments(segs, frame_count(len(clip.samples)))
+    labels, _ = labels_from_segments(timeline, frame_count(len(clip.samples)))
     return LabeledRecording(clip=clip, labels=labels, rec_id=rec_id)
 
 
@@ -153,8 +157,7 @@ def cmd_infer(args) -> int:
                                 median_w=args.median,
                                 file_id=Path(args.wav).stem)
     write_rttm(Path(args.rttm), hyp)
-    print(f"wrote {args.rttm}: {len(hyp.segments)} segments, "
-          f"{len(hyp.speakers())} speakers")
+    print(f"wrote {args.rttm}: {len(hyp)} segments, {len(hyp.names)} speakers")
     return 0
 
 
@@ -165,7 +168,7 @@ def cmd_score(args) -> int:
         raise ValueError(f"{args.ref}: no reference segments")
     reports = []
     for file_id, ref in sorted(refs.items()):
-        hyp = hyps.get(file_id, DiarizationHypothesis(segments=[], file_id=file_id))
+        hyp = hyps.get(file_id, DiarizationHypothesis(file_id=file_id))
         reports.append(der_score(ref, hyp, collar_s=args.collar))
     combined = aggregate_reports(reports)
     print(str(combined))

@@ -13,13 +13,19 @@ chosen by optimal assignment on overlap durations inside the scored
 regions, and missed/false-alarm/confusion time is a dot product of per-cell
 speaker counts with the scored cell durations. Overlapping speech is always
 scored; a collar around every reference boundary is excluded.
+
+A timeline (`DiarizationHypothesis`) is stored as columns: float64 `starts`
+and `ends` in seconds, an intp speaker code per segment and the tuple of
+sorted speaker `names` the codes index. The scorer, the RTTM reader and
+writer and the label rasterizer work on those arrays; `.segments` builds
+the (start_s, end_s, speaker) triples only for callers that ask for them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -33,19 +39,54 @@ class ScoringError(ValueError):
     pass
 
 
-@dataclass
 class DiarizationHypothesis:
-    """Speaker-labeled segments: (start_s, end_s, speaker)."""
-    segments: list[tuple[float, float, str]] = field(default_factory=list)
-    file_id: str = "rec"
+    """Speaker-labeled segments of one file, as read-only columns: float64
+    `starts` and `ends` (seconds), intp `codes` into `names`, the sorted
+    speaker names. Built from (start_s, end_s, speaker) triples, or from the
+    columns with `from_columns`; every segment must end after it starts."""
 
-    def __post_init__(self):
-        for start, end, spk in self.segments:
-            if not end > start:
-                raise ScoringError(f"segment for {spk!r} has no duration: [{start}, {end})")
+    def __init__(self, segments=(), file_id: str = "rec"):
+        segments = list(segments)
+        starts, ends, speakers = zip(*segments) if segments else ((), (), ())
+        self._fill(starts, ends, list(speakers), file_id)
+
+    @classmethod
+    def from_columns(cls, starts, ends, speakers: list, file_id: str = "rec"):
+        """A timeline from start and end arrays and a speaker name per segment."""
+        self = cls.__new__(cls)
+        self._fill(starts, ends, speakers, file_id)
+        return self
+
+    def _fill(self, starts, ends, speakers: list, file_id: str) -> None:
+        self.file_id = file_id
+        self.names = tuple(sorted(set(speakers)))
+        index = {name: i for i, name in enumerate(self.names)}
+        self.codes = np.fromiter(map(index.__getitem__, speakers), np.intp, len(speakers))
+        self.starts = np.array(starts, dtype=np.float64)
+        self.ends = np.array(ends, dtype=np.float64)
+        for col in (self.starts, self.ends, self.codes):
+            col.flags.writeable = False
+        bad = ~(self.ends > self.starts)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ScoringError(f"segment for {speakers[i]!r} has no duration: "
+                               f"[{self.starts[i]}, {self.ends[i]})")
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __repr__(self) -> str:
+        return f"DiarizationHypothesis({len(self)} segments, file_id={self.file_id!r})"
+
+    @property
+    def segments(self) -> list[tuple[float, float, str]]:
+        """The (start_s, end_s, speaker) triples, in input order."""
+        names = self.names
+        return [(s, e, names[c]) for s, e, c in
+                zip(self.starts.tolist(), self.ends.tolist(), self.codes.tolist())]
 
     def speakers(self) -> list[str]:
-        return sorted({s for _, _, s in self.segments})
+        return list(self.names)
 
 
 def cover(lo, hi, rows, n_rows: int, n: int) -> np.ndarray:
@@ -76,11 +117,18 @@ def _median_binary(mask: np.ndarray, width: int) -> np.ndarray:
     return counts > width // 2
 
 
-def mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Contiguous [start, end) index runs of a boolean vector."""
+def run_edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end indices of the contiguous [start, end) runs of a
+    boolean vector."""
     padded = np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0]))
     edges = np.flatnonzero(np.diff(padded))
-    return [(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
+    return edges[::2], edges[1::2]
+
+
+def mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Contiguous [start, end) index runs of a boolean vector."""
+    lo, hi = run_edges(mask)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
@@ -101,12 +149,16 @@ def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
         raise ScoringError("posteriors must lie in [0, 1] and not be NaN")
     s = probs.shape[1]
     names = speaker_names or [str(i) for i in range(s)]
-    segments = []
+    starts, ends, speakers = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], []
     for slot in range(s):
-        mask = _median_binary(probs[:, slot] >= threshold, median_w)
-        segments += [(round(a * FRAME_S, 3), round(b * FRAME_S, 3), names[slot])
-                     for a, b in mask_runs(mask)]
-    return DiarizationHypothesis(segments=segments, file_id=file_id)
+        lo, hi = run_edges(_median_binary(probs[:, slot] >= threshold, median_w))
+        starts.append(lo)
+        ends.append(hi)
+        speakers += [names[slot]] * len(lo)
+    # frame edges in seconds, rounded to 1 ms exactly as Python's round() would
+    return DiarizationHypothesis.from_columns(np.round(np.concatenate(starts) * FRAME_S, 3),
+                                              np.round(np.concatenate(ends) * FRAME_S, 3),
+                                              speakers, file_id)
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +205,6 @@ class DerReport:
 _SECONDS = tuple(f.name for f in fields(DerReport))[6:]
 
 
-def _columns(timeline: DiarizationHypothesis):
-    """Starts, ends, speaker rows (into the sorted speaker names) and the
-    number of speakers of a timeline's segments."""
-    names = {spk: i for i, spk in enumerate(timeline.speakers())}
-    starts = np.array([s for s, _, _ in timeline.segments], dtype=float)
-    ends = np.array([e for _, e, _ in timeline.segments], dtype=float)
-    rows = np.array([names[spk] for _, _, spk in timeline.segments], dtype=np.intp)
-    return starts, ends, rows, len(names)
-
-
 def _optimal_speaker_map(ref_act: np.ndarray, hyp_act: np.ndarray,
                          weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Global 1-1 speaker map (ref rows, hyp rows) maximizing matched time
@@ -184,20 +226,18 @@ def der_score(ref: DiarizationHypothesis, hyp: DiarizationHypothesis,
     """
     if not 0.0 <= collar_s < math.inf:
         raise ScoringError(f"collar must be finite and >= 0 s, got {collar_s}")
-    if not ref.segments:
+    if not len(ref):
         raise ScoringError("reference timeline is empty")
-    r_start, r_end, r_rows, n_ref = _columns(ref)
-    h_start, h_end, h_rows, n_hyp = _columns(hyp)
-    edges = np.concatenate([r_start, r_end]) if collar_s > 0 else np.zeros(0)
-    bounds = np.round(np.concatenate([r_start, r_end, h_start, h_end,
+    edges = np.concatenate([ref.starts, ref.ends]) if collar_s > 0 else np.zeros(0)
+    bounds = np.round(np.concatenate([ref.starts, ref.ends, hyp.starts, hyp.ends,
                                       edges - collar_s, edges + collar_s]), _TIME_DECIMALS)
     # every boundary is a cut, so its cut's index is the cell it opens or closes
     cuts, at = np.unique(bounds, return_inverse=True)
     n = len(cuts) - 1
-    sizes = np.cumsum([len(r_start)] * 2 + [len(h_start)] * 2 + [len(edges)])
+    sizes = np.cumsum([len(ref)] * 2 + [len(hyp)] * 2 + [len(edges)])
     r_lo, r_hi, h_lo, h_hi, z_lo, z_hi = np.split(at, sizes)
-    ref_act = cover(r_lo, r_hi, r_rows, n_ref, n)
-    hyp_act = cover(h_lo, h_hi, h_rows, n_hyp, n)
+    ref_act = cover(r_lo, r_hi, ref.codes, len(ref.names), n)
+    hyp_act = cover(h_lo, h_hi, hyp.codes, len(hyp.names), n)
     in_collar = cover(z_lo, z_hi, np.zeros(len(edges)), 1, n)[0]
     weight = np.diff(cuts) * ~in_collar                 # cell duration, 0 in a collar
     rows, cols = _optimal_speaker_map(ref_act, hyp_act, weight)

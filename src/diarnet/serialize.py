@@ -5,12 +5,16 @@ arrays in manifest order, each laid out as
 
     uint32 rank | uint32 dims[rank] | float32 data[prod(dims)]
 
-all little-endian.
+all little-endian. Each array's rank and dims are checked against its
+manifest entry, and its payload against the bytes left in the file, before
+the payload is read.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -31,7 +35,10 @@ def write_array(f, arr: np.ndarray) -> None:
     f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def read_array(f) -> np.ndarray:
+def read_array(f, expect: tuple | None = None) -> np.ndarray:
+    """Read one array; its rank and dims must equal `expect` when given, and
+    its payload must fit in the bytes left in `f`. Both are checked before
+    the payload is read."""
     head = f.read(4)
     if len(head) != 4:
         raise SerializationError("truncated tensor header")
@@ -42,11 +49,16 @@ def read_array(f) -> np.ndarray:
     if len(dims_raw) != 4 * rank:
         raise SerializationError("truncated shape")
     shape = struct.unpack(f"<{rank}I", dims_raw)
-    count = int(np.prod(shape)) if rank else 1
-    payload = f.read(4 * count)
-    if len(payload) != 4 * count:
-        raise SerializationError("truncated tensor payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
+    if expect is not None and shape != tuple(expect):
+        raise SerializationError(f"payload shape {shape} != manifest {list(expect)}")
+    nbytes = 4 * math.prod(shape)
+    here = f.tell()
+    left = f.seek(0, io.SEEK_END) - here
+    f.seek(here)
+    if nbytes > left:
+        raise SerializationError(f"truncated tensor payload: {nbytes} bytes for shape "
+                                 f"{shape}, {left} left")
+    return np.frombuffer(f.read(nbytes), dtype="<f4").reshape(shape).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +103,7 @@ def load_bundle(path) -> tuple[dict, dict]:
         named = {}
         for name, shape in entries:
             try:
-                arr = read_array(f)
+                named[name] = read_array(f, shape)
             except SerializationError as e:
                 raise SerializationError(f"{path}: {e} for {name}") from e
-            if arr.shape != shape:
-                raise SerializationError(
-                    f"{path}: payload shape {arr.shape} != manifest {list(shape)} for {name}")
-            named[name] = arr
     return named, extra

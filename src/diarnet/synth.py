@@ -16,7 +16,7 @@ import numpy as np
 from .frontend import (FRAME_S, SAMPLE_RATE, SAMPLES_PER_FRAME, AudioClip, ConfigError,
                        check_number_fields, frame_count)
 from .losses import LabelMatrix
-from .scoring import cover, mask_runs
+from .scoring import DiarizationHypothesis, cover, mask_runs
 
 # fundamental-frequency bands per speaker index; far apart on the mel axis
 _F0_BANDS = ((100.0, 135.0), (215.0, 265.0), (150.0, 185.0), (320.0, 380.0))
@@ -173,18 +173,20 @@ def synth_mixture(spec: MixtureSpec) -> LabeledRecording:
                             rec_id=f"mix{spec.seed:06d}")
 
 
-def labels_from_segments(segments, n_frames: int) -> tuple[LabelMatrix, list[str]]:
-    """Rasterize (start_s, end_s, speaker) triples onto the label grid.
+def labels_from_segments(timeline, n_frames: int) -> tuple[LabelMatrix, list[str]]:
+    """Rasterize a timeline (a DiarizationHypothesis, or (start_s, end_s,
+    speaker) triples) onto the label grid.
 
     A frame is active when a segment covers its midpoint, which is exact for
     segments aligned to the grid. Returns the matrix plus the sorted speaker
     names backing its columns.
     """
-    speakers = sorted({seg[2] for seg in segments})
-    index = {name: i for i, name in enumerate(speakers)}
+    if not isinstance(timeline, DiarizationHypothesis):
+        timeline = DiarizationHypothesis(timeline)
     mids = (np.arange(n_frames) + 0.5) * FRAME_S
     # frames lo..hi-1 are those with start <= mid < end
-    lo = np.searchsorted(mids, [seg[0] for seg in segments])
-    hi = np.searchsorted(mids, [seg[1] for seg in segments])
-    act = cover(lo, hi, [index[seg[2]] for seg in segments], max(len(speakers), 1), n_frames)
-    return LabelMatrix.from_activity(act.T.copy()), speakers   # (frames, speakers), C order
+    lo = np.searchsorted(mids, timeline.starts)
+    hi = np.searchsorted(mids, timeline.ends)
+    act = cover(lo, hi, timeline.codes, max(len(timeline.names), 1), n_frames)
+    # (frames, speakers), C order
+    return LabelMatrix.from_activity(act.T.copy()), list(timeline.names)

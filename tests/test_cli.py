@@ -350,3 +350,15 @@ def test_module_entry_point_prints_help():
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0
     assert "synth-data" in res.stdout and "train" in res.stdout
+
+
+def test_score_non_utf8_rttm_exits_1(tmp_path, capsys):
+    ref, bad = tmp_path / "ref.rttm", tmp_path / "hyp.rttm"
+    ref.write_text("SPEAKER f1 1 0.000 2.000 <NA> <NA> a <NA> <NA>\n")
+    bad.write_bytes(b"SPEAKER f1 1 0.000 1.000 <NA> <NA> a <NA> <NA>\n"
+                    b"SPEAKER f1 1 1.000 1.000 <NA> <NA> \xe9 <NA> <NA>\n")
+    assert main(["score", "--ref", str(ref), "--hyp", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "RttmParseError" in captured.err and f"{bad}:2:" in captured.err
+    assert captured.out == ""

@@ -1,5 +1,6 @@
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -98,3 +99,35 @@ def test_bundle_payload_must_match_manifest(tmp_path, cut):
     with pytest.raises(SerializationError) as e:
         load_bundle(p)
     assert str(p) in str(e.value) and "head.w" in str(e.value)
+
+
+class _NoOverread(io.BytesIO):
+    """A stream that fails the test on a read past its end: a real file
+    would first allocate the bytes asked for."""
+
+    def read(self, n=-1):
+        assert n <= len(self.getbuffer()) - self.tell(), f"read of {n} bytes past the end"
+        return super().read(n)
+
+
+def test_payload_larger_than_file_is_refused_before_reading():
+    raw = struct.pack("<II", 1, 2 ** 30) + b"\x00" * 16
+    with pytest.raises(SerializationError, match="truncated tensor payload"):
+        read_array(_NoOverread(raw))
+
+
+def test_payload_dims_are_checked_against_manifest_before_reading():
+    raw = struct.pack("<II", 1, 2 ** 30) + b"\x00" * 12
+    with pytest.raises(SerializationError, match=r"\(1073741824,\) != manifest \[3\]"):
+        read_array(_NoOverread(raw), (3,))
+
+
+def test_dims_whose_product_overflows_int64_are_a_serialization_error(tmp_path):
+    dims = [2 ** 32 - 1] * 2
+    header = {"format": "tensor-bundle-v1", "tensors": [{"name": "w", "shape": dims}]}
+    p = tmp_path / "huge.ckpt"
+    p.write_bytes(json.dumps(header).encode() + b"\n" + struct.pack("<3I", 2, *dims)
+                  + b"\x00" * 64)
+    with pytest.raises(SerializationError, match="truncated tensor payload") as e:
+        load_bundle(p)
+    assert str(p) in str(e.value) and "for w" in str(e.value)
