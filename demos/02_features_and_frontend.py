@@ -11,15 +11,17 @@ import numpy as np
 
 from diarnet import (
     MixtureSpec,
+    ModelConfig,
     cnn_encode,
     frame_count,
+    init_model_params,
     load_wav,
     log_mel,
     synth_mixture,
     window_stack,
     write_wav,
 )
-from diarnet.frontend import init_frontend_params
+from diarnet.model import param_specs
 
 # ## A synthetic two-speaker mixture as input
 
@@ -49,7 +51,15 @@ assert np.array_equal(windows[1][:5], windows[0][10:])
 # 1x2 kernel collapses that to a single 256-channel vector per window:
 # 15x23 -> 8x12 -> 4x6 -> 2x3 -> 1x2 -> 1x1.
 
-params = init_frontend_params(256, np.random.default_rng(0))
+# The encoder's tensors are the `frontend.*` rows of the model's parameter
+# table, with their init rules; the model draws them first.
+
+cfg = ModelConfig(depth=1)
+for name, shape, init in param_specs(cfg):
+    if name.startswith("frontend."):
+        print(f"  {name:20s} {str(shape):18s} {init}")
+params = {k: p for k, p in init_model_params(cfg, np.random.default_rng(0)).items()
+          if k.startswith("frontend.")}
 emb = cnn_encode(windows, params, 256)
 print("embeddings:", emb.shape)
 rms = np.sqrt((emb.data ** 2).mean(axis=1))

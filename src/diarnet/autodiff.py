@@ -766,12 +766,6 @@ def take(a: Tensor, idx) -> Tensor:
     return _make(np.array(out, copy=True), (a,), bwd)
 
 
-def index_rows(a: Tensor, idx) -> Tensor:
-    """Gather rows by integer index along axis 0."""
-    idx = np.asarray(idx, dtype=np.intp)
-    return take(a, idx)
-
-
 def stack(tensors: list, axis: int = 0) -> Tensor:
     tensors = list(tensors)  # snapshot: the caller may mutate its list
     out = np.stack([t.data for t in tensors], axis=axis)

@@ -250,28 +250,6 @@ def _same_pads(size: int, k: int, s: int) -> tuple[int, int]:
     return total // 2, total - total // 2
 
 
-def init_frontend_params(embed_dim: int, rng: np.random.Generator) -> dict:
-    """Parameters for the 5-layer encoder; layers 1-4 are stride-2 3x3 with
-    same padding, layer 5 is a valid 1x2 kernel collapsing the residual map."""
-    chans = cnn_channel_plan(embed_dim)
-    params: dict[str, Tensor] = {}
-    cin = 1
-    for i, cout in enumerate(chans, start=1):
-        kh, kw = (3, 3) if i < 5 else (1, 2)
-        fan_in = cin * kh * kw
-        fan_out = cout * kh * kw
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        params[f"frontend.conv{i}.w"] = Tensor(
-            rng.uniform(-limit, limit, size=(cout, cin, kh, kw)).astype(np.float32),
-            requires_grad=True)
-        params[f"frontend.conv{i}.b"] = Tensor(np.zeros(cout, dtype=np.float32),
-                                               requires_grad=True)
-        cin = cout
-    params["frontend.norm_gain"] = Tensor(np.ones(embed_dim, dtype=np.float32),
-                                          requires_grad=True)
-    return params
-
-
 def cnn_encode(windows, params: dict, embed_dim: int) -> Tensor:
     """Encode stacked windows (N, 15, 23) into RMS-normalized (N, E) embeddings.
 

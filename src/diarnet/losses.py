@@ -166,10 +166,10 @@ def bce_with_suppression(logits: Tensor, labels: LabelMatrix, align: Alignment,
     rest = sorted(set(range(s)) - set(align.slots))
     if rest:
         idx = np.asarray(rest, dtype=np.intp)
-        z_rest = ad.index_rows(biases, idx) + global_bias
+        z_rest = biases[idx] + global_bias
         per_frame = ad.bce_logits(z_rest, np.zeros(len(rest), dtype=np.float32))
         total = total + float(t) * ad.sum_(per_frame)
-        suppress = ad.mse(ad.index_rows(dirs, idx),
+        suppress = ad.mse(dirs[idx],
                           np.zeros((len(rest), dirs.shape[1]), dtype=np.float32))
     else:
         suppress = tensor(np.zeros((), dtype=np.float32))
@@ -234,7 +234,7 @@ def ortho_loss(dirs: Tensor, align: Alignment) -> Tensor:
     k = len(act)
     if k < 2:
         return tensor(np.zeros((), dtype=np.float32))
-    ahat = ad.l2_normalize(ad.index_rows(dirs, np.asarray(act, dtype=np.intp)))
+    ahat = ad.l2_normalize(dirs[np.asarray(act, dtype=np.intp)])
     gram = ad.matmul(ahat, ahat.transpose(1, 0))
     mask = 1.0 - np.eye(k, dtype=np.float32)
     off = gram * tensor(mask)

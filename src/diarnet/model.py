@@ -31,8 +31,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frontend import (ConfigError, check_number_fields, encode_clip, from_json,
-                       init_frontend_params)
+from .frontend import (ConfigError, check_number_fields, cnn_channel_plan, encode_clip,
+                       from_json)
 
 
 @dataclass
@@ -77,91 +77,80 @@ class ForwardResult:
 
 
 # ---------------------------------------------------------------------------
-# parameter initialization
+# parameters
 # ---------------------------------------------------------------------------
 
-def _glorot(rng, n_in: int, n_out: int) -> np.ndarray:
-    limit = math.sqrt(6.0 / (n_in + n_out))
-    return rng.uniform(-limit, limit, size=(n_in, n_out)).astype(np.float32)
+def param_specs(cfg: ModelConfig):
+    """Yield (name, shape, init) for every learnable tensor, front end first,
+    in the order `init_model_params` stores and draws them. `init` is "zeros",
+    "ones", "glorot" (uniform, Glorot and Bengio's limit from the shape), or a
+    float d: a standard-normal draw divided by d.
 
+    Rows come lazily, so a checkpoint whose header names a deep model is
+    refused at its first missing tensor without listing the rest.
+    """
+    e, l, k = cfg.embed_dim, cfg.latte_dim, cfg.conv_kernel
+    hidden = e * cfg.ff_expansion
 
-def _linear(params: dict, rng, name: str, n_in: int, n_out: int) -> None:
-    params[name + ".w"] = Tensor(_glorot(rng, n_in, n_out), requires_grad=True)
-    params[name + ".b"] = Tensor(np.zeros(n_out, dtype=np.float32), requires_grad=True)
+    def linear(name, n_in, n_out):
+        return [(name + ".w", (n_in, n_out), "glorot"), (name + ".b", (n_out,), "zeros")]
 
+    def norm(name):
+        return [(name + ".g", (e,), "ones"), (name + ".b", (e,), "zeros")]
 
-def _norm(params: dict, name: str, dim: int) -> None:
-    params[name + ".g"] = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
-    params[name + ".b"] = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
+    def ff(name):
+        return (norm(name + ".ln") + linear(name + ".w1", e, hidden)
+                + linear(name + ".w2", hidden, e))
 
+    def attention(name):
+        return norm(name + ".ln") + [row for p in "qkvo" for row in linear(f"{name}.{p}", e, e)]
 
-def _attention(params: dict, rng, name: str, q_dim: int, kv_dim: int, inner: int,
-               out_dim: int) -> None:
-    _linear(params, rng, name + ".q", q_dim, inner)
-    _linear(params, rng, name + ".k", kv_dim, inner)
-    _linear(params, rng, name + ".v", kv_dim, inner)
-    _linear(params, rng, name + ".o", inner, out_dim)
+    def conv(name):
+        return (norm(name + ".ln") + linear(name + ".pw1", e, 2 * e)
+                + [(name + ".dw", (k, e), math.sqrt(k)), (name + ".norm_g", (e,), "ones")]
+                + linear(name + ".pw2", e, e))
 
-
-def _ff(params: dict, rng, name: str, dim: int, expansion: int) -> None:
-    _norm(params, name + ".ln", dim)
-    _linear(params, rng, name + ".w1", dim, dim * expansion)
-    _linear(params, rng, name + ".w2", dim * expansion, dim)
-
-
-def _conv_module(params: dict, rng, name: str, dim: int, kernel: int) -> None:
-    _norm(params, name + ".ln", dim)
-    _linear(params, rng, name + ".pw1", dim, 2 * dim)
-    params[name + ".dw"] = Tensor(
-        (rng.standard_normal((kernel, dim)) / math.sqrt(kernel)).astype(np.float32),
-        requires_grad=True)
-    params[name + ".norm_g"] = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
-    _linear(params, rng, name + ".pw2", dim, dim)
+    # layers 1-4 are stride-2 3x3 with same padding; layer 5 is a valid 1x2
+    # kernel collapsing the residual 1x2 map
+    cin = 1
+    for i, cout in enumerate(cnn_channel_plan(e), start=1):
+        yield f"frontend.conv{i}.w", (cout, cin) + ((3, 3) if i < 5 else (1, 2)), "glorot"
+        yield f"frontend.conv{i}.b", (cout,), "zeros"
+        cin = cout
+    yield "frontend.norm_gain", (e,), "ones"
+    for d in range(1, cfg.depth + 1):
+        blk, dec = f"block{d}", f"adec{d}"
+        yield from ff(f"{blk}.ff1") + norm(f"{blk}.latte.ln")
+        yield f"{blk}.latte.latents", (cfg.n_latents, l), math.sqrt(l)
+        for p, n_in, n_out in (("k1", e, l), ("v1", e, l), ("q2", e, l), ("k2", l, l),
+                               ("v2", l, l), ("o", l, e)):
+            yield from linear(f"{blk}.latte.{p}", n_in, n_out)
+        yield from (conv(f"{blk}.conv1") + attention(f"{blk}.xattn") + conv(f"{blk}.conv2")
+                    + ff(f"{blk}.ff2") + norm(f"{blk}.out_ln"))
+        yield from (attention(f"{dec}.self") + ff(f"{dec}.ff1") + attention(f"{dec}.cross")
+                    + ff(f"{dec}.ff2"))
+        if d >= 2:
+            sap_hidden = max(e // 4, 8)
+            yield from linear(f"sap{d}.w1", e, sap_hidden) + linear(f"sap{d}.w2", sap_hidden, 1)
+    yield "attractors.init", (cfg.n_attractors, e), math.sqrt(e)
+    yield from norm("head.ln") + linear("head.split", e, e + 1)
+    yield "head.b_global", (), "zeros"
 
 
 def init_model_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
-    """All learnable tensors, flat-named; includes the front-end."""
-    e, l = cfg.embed_dim, cfg.latte_dim
-    params = init_frontend_params(e, rng)
-    for d in range(1, cfg.depth + 1):
-        blk = f"block{d}"
-        _ff(params, rng, f"{blk}.ff1", e, cfg.ff_expansion)
-        _norm(params, f"{blk}.latte.ln", e)
-        params[f"{blk}.latte.latents"] = Tensor(
-            (rng.standard_normal((cfg.n_latents, l)) / math.sqrt(l)).astype(np.float32),
-            requires_grad=True)
-        _linear(params, rng, f"{blk}.latte.k1", e, l)
-        _linear(params, rng, f"{blk}.latte.v1", e, l)
-        _linear(params, rng, f"{blk}.latte.q2", e, l)
-        _linear(params, rng, f"{blk}.latte.k2", l, l)
-        _linear(params, rng, f"{blk}.latte.v2", l, l)
-        _linear(params, rng, f"{blk}.latte.o", l, e)
-        _conv_module(params, rng, f"{blk}.conv1", e, cfg.conv_kernel)
-        _norm(params, f"{blk}.xattn.ln", e)
-        _attention(params, rng, f"{blk}.xattn", e, e, e, e)
-        _conv_module(params, rng, f"{blk}.conv2", e, cfg.conv_kernel)
-        _ff(params, rng, f"{blk}.ff2", e, cfg.ff_expansion)
-        _norm(params, f"{blk}.out_ln", e)
-
-        dec = f"adec{d}"
-        _norm(params, f"{dec}.self.ln", e)
-        _attention(params, rng, f"{dec}.self", e, e, e, e)
-        _ff(params, rng, f"{dec}.ff1", e, cfg.ff_expansion)
-        _norm(params, f"{dec}.cross.ln", e)
-        _attention(params, rng, f"{dec}.cross", e, e, e, e)
-        _ff(params, rng, f"{dec}.ff2", e, cfg.ff_expansion)
-
-        if d >= 2:
-            sap_hidden = max(e // 4, 8)
-            _linear(params, rng, f"sap{d}.w1", e, sap_hidden)
-            _linear(params, rng, f"sap{d}.w2", sap_hidden, 1)
-
-    params["attractors.init"] = Tensor(
-        (rng.standard_normal((cfg.n_attractors, e)) / math.sqrt(e)).astype(np.float32),
-        requires_grad=True)
-    _norm(params, "head.ln", e)
-    _linear(params, rng, "head.split", e, e + 1)
-    params["head.b_global"] = Tensor(np.zeros((), dtype=np.float32), requires_grad=True)
+    """All learnable tensors of `param_specs`, flat-named; includes the front end."""
+    params = {}
+    for name, shape, init in param_specs(cfg):
+        if init == "zeros":
+            data = np.zeros(shape, dtype=np.float32)
+        elif init == "ones":
+            data = np.ones(shape, dtype=np.float32)
+        elif init == "glorot":
+            limit = math.sqrt(6.0 / ((shape[0] + shape[1]) * math.prod(shape[2:])))
+            data = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+        else:
+            data = (rng.standard_normal(shape) / init).astype(np.float32)
+        params[name] = Tensor(data, requires_grad=True)
     return params
 
 

@@ -43,7 +43,8 @@ class DiarizationHypothesis:
     """Speaker-labeled segments of one file, as read-only columns: float64
     `starts` and `ends` (seconds), intp `codes` into `names`, the sorted
     speaker names. Built from (start_s, end_s, speaker) triples, or from the
-    columns with `from_columns`; every segment must end after it starts."""
+    columns with `from_columns`; times must be finite and every segment must
+    end after it starts."""
 
     def __init__(self, segments=(), file_id: str = "rec"):
         segments = list(segments)
@@ -66,11 +67,12 @@ class DiarizationHypothesis:
         self.ends = np.array(ends, dtype=np.float64)
         for col in (self.starts, self.ends, self.codes):
             col.flags.writeable = False
-        bad = ~(self.ends > self.starts)
-        if bad.any():
-            i = int(bad.argmax())
-            raise ScoringError(f"segment for {speakers[i]!r} has no duration: "
-                               f"[{self.starts[i]}, {self.ends[i]})")
+        for ok, fault in ((np.isfinite(self.starts) & np.isfinite(self.ends), "a non-finite time"),
+                          (self.ends > self.starts, "no duration")):
+            if not ok.all():
+                i = int(ok.argmin())
+                raise ScoringError(f"segment for {speakers[i]!r} has {fault}: "
+                                   f"[{self.starts[i]}, {self.ends[i]})")
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -123,12 +125,6 @@ def run_edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     padded = np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0]))
     edges = np.flatnonzero(np.diff(padded))
     return edges[::2], edges[1::2]
-
-
-def mask_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Contiguous [start, end) index runs of a boolean vector."""
-    lo, hi = run_edges(mask)
-    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
@@ -221,16 +217,20 @@ def der_score(ref: DiarizationHypothesis, hyp: DiarizationHypothesis,
 
     Percentages are relative to total reference speaker time in the scored
     regions (SAD rates: total reference speech time). Raises ScoringError
-    when the scored reference is empty or the collar is negative or not
-    finite.
+    when the scored reference is empty, the collar is negative or not
+    finite, or a time is too large to round to 1 ns (|t| above about 1.8e299 s).
     """
     if not 0.0 <= collar_s < math.inf:
         raise ScoringError(f"collar must be finite and >= 0 s, got {collar_s}")
     if not len(ref):
         raise ScoringError("reference timeline is empty")
     edges = np.concatenate([ref.starts, ref.ends]) if collar_s > 0 else np.zeros(0)
-    bounds = np.round(np.concatenate([ref.starts, ref.ends, hyp.starts, hyp.ends,
-                                      edges - collar_s, edges + collar_s]), _TIME_DECIMALS)
+    with np.errstate(over="ignore"):
+        bounds = np.round(np.concatenate([ref.starts, ref.ends, hyp.starts, hyp.ends,
+                                          edges - collar_s, edges + collar_s]), _TIME_DECIMALS)
+    if not np.isfinite(bounds).all():
+        raise ScoringError("a segment or collar time is too large to round to 1 ns "
+                           "(|t| above about 1.8e299 s)")
     # every boundary is a cut, so its cut's index is the cell it opens or closes
     cuts, at = np.unique(bounds, return_inverse=True)
     n = len(cuts) - 1

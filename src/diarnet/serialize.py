@@ -82,7 +82,7 @@ def _read_header(f, path) -> tuple[list, dict]:
     """Parse the JSON manifest line: ([(name, shape tuple), ...], extra)."""
     try:
         manifest = json.loads(f.readline().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # undecodable bytes, bad JSON, or an int past the digit limit
         raise SerializationError(f"bad bundle header in {path}: {e}") from e
     if not isinstance(manifest, dict) or manifest.get("format") != "tensor-bundle-v1":
         raise SerializationError(f"{path} is not a tensor bundle")
@@ -90,6 +90,8 @@ def _read_header(f, path) -> tuple[list, dict]:
         entries = [(t["name"], tuple(t["shape"])) for t in manifest["tensors"]]
     except (KeyError, TypeError) as e:
         raise SerializationError(f"{path}: malformed tensor list in header: {e!r}") from e
+    if not all(isinstance(name, str) for name, _ in entries):
+        raise SerializationError(f"{path}: a tensor name in the header is not a string")
     extra = manifest.get("extra", {})
     if not isinstance(extra, dict):
         raise SerializationError(f"{path}: header extra is not an object")

@@ -16,7 +16,7 @@ import numpy as np
 from .frontend import (FRAME_S, SAMPLE_RATE, SAMPLES_PER_FRAME, AudioClip, ConfigError,
                        check_number_fields, frame_count)
 from .losses import LabelMatrix
-from .scoring import DiarizationHypothesis, cover, mask_runs
+from .scoring import DiarizationHypothesis, cover, run_edges
 
 # fundamental-frequency bands per speaker index; far apart on the mel axis
 _F0_BANDS = ((100.0, 135.0), (215.0, 265.0), (150.0, 185.0), (320.0, 380.0))
@@ -109,7 +109,8 @@ def _render_speaker(rng: np.random.Generator, sig: np.ndarray, mask: np.ndarray,
     n_harm = max(1, int(3600.0 // f0))
     amps = np.arange(1, n_harm + 1, dtype=np.float64) ** (-tilt)
     amps /= np.linalg.norm(amps)
-    for f_start, f_end in mask_runs(mask):
+    starts, ends = run_edges(mask)
+    for f_start, f_end in zip(starts.tolist(), ends.tolist()):
         s0, s1 = f_start * SAMPLES_PER_FRAME, f_end * SAMPLES_PER_FRAME
         s1 = min(s1, len(sig))
         n = s1 - s0

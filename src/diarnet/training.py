@@ -22,7 +22,7 @@ from .autodiff import Tensor
 from .frontend import (FRAME_S, WINDOW_FRAMES, WINDOW_HOP, ConfigError, check_number_fields,
                        cnn_encode, from_json, log_mel, window_stack)
 from .losses import DPCL_MODES, LabelMatrix, LossWeights, total_loss
-from .model import ModelConfig, forward, init_model_params, zero_grads
+from .model import ModelConfig, forward, init_model_params, param_specs, zero_grads
 from .serialize import SerializationError, load_bundle, save_bundle
 from .synth import LabeledRecording, synth_mixture
 
@@ -168,6 +168,8 @@ def save_checkpoint(path, params: dict, model_cfg: ModelConfig,
 
 
 def load_checkpoint(path) -> tuple[dict, ModelConfig]:
+    """Parameters and model config of a checkpoint; tensor names and shapes
+    must be exactly those `param_specs` lists for its config."""
     named, extra = load_bundle(path)
     if not isinstance(extra.get("model"), dict):
         raise SerializationError(f"{path}: checkpoint carries no model config")
@@ -175,19 +177,19 @@ def load_checkpoint(path) -> tuple[dict, ModelConfig]:
         cfg = ModelConfig.from_dict(extra["model"])
     except (TypeError, ValueError) as e:
         raise SerializationError(f"{path}: bad model config: {e}") from e
-    reference = init_model_params(cfg, np.random.default_rng(0))
-    if set(reference) != set(named):
-        missing = sorted(set(reference) ^ set(named))
-        raise SerializationError(f"{path}: parameter names do not match config: {missing[:4]}")
     params = {}
-    for k, ref in reference.items():
-        if named[k].shape != ref.shape:
-            raise SerializationError(
-                f"{path}: {k} has shape {named[k].shape}, expected {ref.shape}")
+    for k, shape, _ in param_specs(cfg):
+        if k not in named:
+            raise SerializationError(f"{path}: checkpoint lacks tensor {k} of its config")
+        if named[k].shape != shape:
+            raise SerializationError(f"{path}: {k} has shape {named[k].shape}, expected {shape}")
         try:
             params[k] = Tensor(named[k], requires_grad=True)
         except ad.NumericError as e:
             raise SerializationError(f"{path}: non-finite value in tensor {k}") from e
+    if len(params) != len(named):
+        unnamed = [k for k in named if k not in params]
+        raise SerializationError(f"{path}: tensors its config does not name: {unnamed[:4]}")
     return params, cfg
 
 

@@ -9,7 +9,6 @@ from diarnet.autodiff import (
     bce_logits,
     conv2d,
     depthwise_conv1d,
-    index_rows,
     l2_normalize,
     layer_norm,
     matmul,
@@ -20,6 +19,7 @@ from diarnet.autodiff import (
     sigmoid,
     softmax,
     stack,
+    take,
     tensor,
 )
 
@@ -422,7 +422,8 @@ def test_grad_shape_ops(dims):
         ("transpose", lambda u, v: mean(u.transpose(1, 0) ** 2.0) + mean(v), [a, b]),
         ("take", lambda u, v: mean(u[1:, :2] ** 2.0), [a, b]),
         ("take_int", lambda u, v: mean(u[1] ** 2.0) + mean(v[..., 0, 1:] * 3.0), [a, b]),
-        ("index_rows", lambda u, v: mean(index_rows(u, [0, dims[0] - 1, 0]) ** 2.0) + mean(v), [a, b]),
+        ("take_rows", lambda u, v: mean(take(u, np.array([0, dims[0] - 1, 0])) ** 2.0) + mean(v),
+         [a, b]),
         ("cast", lambda u, v: mean(dt.cast(dt.cast(u, np.longdouble) * 2.0, np.float64) * u)
          + mean(v), [a, b]),
         ("stack", lambda u, v: mean(stack([u, u], axis=0) * 3.0), [a, b]),
@@ -432,9 +433,9 @@ def test_grad_shape_ops(dims):
         assert rep.passed, str(rep)
 
 
-def test_index_rows_repeated_index_accumulates():
+def test_take_repeated_index_accumulates():
     x = tensor(np.ones((3, 2)), requires_grad=True, dtype=np.float64)
-    out = dt.sum_(index_rows(x, [1, 1, 1]))
+    out = dt.sum_(take(x, np.array([1, 1, 1])))
     out.backward()
     assert np.allclose(x.grad, [[0, 0], [3, 3], [0, 0]])
 

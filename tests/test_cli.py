@@ -133,6 +133,17 @@ def test_score_non_finite_rttm_exits_1(tmp_path, capsys):
     assert "DER" not in captured.out
 
 
+def test_score_time_too_large_to_round_exits_1(tmp_path, capsys):
+    ref, far = tmp_path / "ref.rttm", tmp_path / "hyp.rttm"
+    ref.write_text("SPEAKER f1 1 0.000 2.000 <NA> <NA> a <NA> <NA>\n")
+    far.write_text("SPEAKER f1 1 1e300 1e295 <NA> <NA> a <NA> <NA>\n")
+    assert main(["score", "--ref", str(ref), "--hyp", str(far)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "ScoringError" in captured.err and "1 ns" in captured.err
+    assert captured.out == ""
+
+
 def test_train_bad_dpcl_mode_is_a_config_error(dataset, tmp_path, capsys):
     cfg_path = tmp_path / "train.json"
     cfg_path.write_text(json.dumps(desk_train_config(dpcl_mode="bogus")))

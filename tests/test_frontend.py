@@ -10,13 +10,13 @@ from diarnet.frontend import (
     WavParseError,
     cnn_encode,
     frame_count,
-    init_frontend_params,
     load_wav,
     log_mel,
     mel_filterbank,
     window_stack,
     write_wav,
 )
+from diarnet.model import ModelConfig, init_model_params
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +179,16 @@ def test_window_stack_rejects_short_input():
 # CNN encoder
 # ---------------------------------------------------------------------------
 
+def _frontend_params(embed_dim: int, rng) -> dict:
+    """The front-end entries of a one-block model's parameters."""
+    cfg = ModelConfig(depth=1, embed_dim=embed_dim, latte_dim=16, n_latents=2, n_attractors=2,
+                      ff_expansion=1, conv_kernel=3, heads=2)
+    return {k: p for k, p in init_model_params(cfg, rng).items() if k.startswith("frontend.")}
+
+
 def test_cnn_shape_trace_and_output():
     rng = np.random.default_rng(0)
-    params = init_frontend_params(256, rng)
+    params = _frontend_params(256, rng)
     # kernel geometry: 4 stride-2 same-padded 3x3 layers then a valid 1x2
     assert params["frontend.conv1.w"].shape == (16, 1, 3, 3)
     assert params["frontend.conv4.w"].shape == (128, 64, 3, 3)
@@ -195,14 +202,14 @@ def test_cnn_shape_trace_and_output():
 
 
 def test_cnn_zero_input_gives_zero_embeddings():
-    params = init_frontend_params(64, np.random.default_rng(1))
+    params = _frontend_params(64, np.random.default_rng(1))
     out = cnn_encode(np.zeros((3, 15, 23), dtype=np.float32), params, 64)
     assert np.all(out.data == 0.0)
 
 
 def test_cnn_windows_do_not_mix():
     rng = np.random.default_rng(2)
-    params = init_frontend_params(64, rng)
+    params = _frontend_params(64, rng)
     windows = rng.standard_normal((6, 15, 23)).astype(np.float32)
     base = cnn_encode(windows, params, 64).data
     perm = np.array([3, 0, 5, 1, 4, 2])
@@ -212,7 +219,7 @@ def test_cnn_windows_do_not_mix():
 
 def test_cnn_batching_matches_unbatched():
     rng = np.random.default_rng(3)
-    params = init_frontend_params(64, rng)
+    params = _frontend_params(64, rng)
     rec_a = rng.standard_normal((4, 15, 23)).astype(np.float32)
     rec_b = rng.standard_normal((5, 15, 23)).astype(np.float32)
     stacked = cnn_encode(np.concatenate([rec_a, rec_b]), params, 64).data
@@ -240,7 +247,7 @@ def test_one_output_frame_per_frame_s_of_audio():
 
 def test_param_shape_mismatch_raises_config_error():
     rng = np.random.default_rng(4)
-    params = init_frontend_params(64, rng)
+    params = _frontend_params(64, rng)
     bad = dict(params)
     bad["frontend.conv2.w"] = params["frontend.conv1.w"]
     with pytest.raises(ConfigError):
@@ -249,6 +256,6 @@ def test_param_shape_mismatch_raises_config_error():
 
 @pytest.mark.parametrize("shape", [(2, 16, 23), (2, 15, 22), (15, 23), (1, 2, 15, 23)])
 def test_cnn_rejects_windows_of_another_geometry(shape):
-    params = init_frontend_params(64, np.random.default_rng(5))
+    params = _frontend_params(64, np.random.default_rng(5))
     with pytest.raises(ConfigError, match="15, 23"):
         cnn_encode(np.zeros(shape, dtype=np.float32), params, 64)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from diarnet.model import (
     forward,
     init_model_params,
     latte_attention,
+    param_specs,
     sap_pool,
     split_attractors,
     zero_grads,
@@ -312,3 +315,28 @@ def test_config_validation():
 def test_config_round_trip():
     cfg = tiny_cfg(depth=3)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_init_follows_param_specs_and_is_pinned():
+    cfg = tiny_cfg()
+    params = make(cfg)
+    specs = list(param_specs(cfg))
+    assert [(k, p.shape) for k, p in params.items()] == [(k, s) for k, s, _ in specs]
+    for name, shape, init in specs:
+        data = params[name].data
+        assert data.dtype == np.float32 and params[name].requires_grad
+        if init in ("zeros", "ones"):
+            assert np.all(data == float(init == "ones")), name
+        elif init == "glorot":
+            # a linear (n_in, n_out) and a conv (cout, cin, kh, kw) weight
+            # share the limit sqrt(6 / ((shape[0] + shape[1]) * kh * kw))
+            limit = np.sqrt(6.0 / ((shape[0] + shape[1]) * np.prod(shape[2:])))
+            assert np.abs(data).max() <= limit, name
+    # sha256 over (name, shape, bytes) in store order: a change to any name,
+    # shape, init rule or draw order shows here
+    h = hashlib.sha256()
+    for k, p in params.items():
+        h.update(k.encode())
+        h.update(repr(p.shape).encode())
+        h.update(p.data.tobytes())
+    assert h.hexdigest() == "a34861b8d1f7212bdf2841c0db227d3e6578567604df6f9f88a929941a8581b8"

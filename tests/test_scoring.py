@@ -15,8 +15,8 @@ from diarnet.scoring import (
     aggregate_reports,
     cover,
     der_score,
-    mask_runs,
     posterior_to_segments,
+    run_edges,
 )
 from diarnet.synth import MixtureSpec, synth_mixture
 
@@ -79,7 +79,7 @@ def test_nan_posteriors_are_a_scoring_error():
 
 
 def _runs_reference(mask) -> list:
-    """The frame-by-frame run scan that mask_runs replaced."""
+    """The frame-by-frame run scan that run_edges replaced."""
     out, start = [], None
     for i in range(len(mask) + 1):
         active = i < len(mask) and mask[i]
@@ -97,9 +97,8 @@ def test_mask_runs_matches_reference_scan():
              np.array([False, True, True, False, True])]
     cases += [rng.random(int(rng.integers(1, 60))) < p for p in (0.2, 0.5, 0.8) * 10]
     for mask in cases:
-        got = mask_runs(mask)
-        assert got == _runs_reference(mask)
-        assert all(type(v) is int for run in got for v in run)
+        lo, hi = run_edges(mask)
+        assert list(zip(lo.tolist(), hi.tolist())) == _runs_reference(mask)
 
 
 def test_reference_segments_match_reference_scan():
@@ -452,6 +451,21 @@ def test_rttm_rejects_nonpositive_duration(tmp_path):
 def test_segment_without_duration_is_a_scoring_error():
     with pytest.raises(ScoringError, match="no duration"):
         hyp([(1e17, 1e17 + 0.001, "a")])
+
+
+@pytest.mark.parametrize("seg", [(-np.inf, 5.0), (0.0, np.inf), (np.inf, np.inf),
+                                 (np.nan, 1.0)])
+def test_non_finite_segment_time_is_a_scoring_error(seg):
+    with pytest.raises(ScoringError, match="'b' has a non-finite time"):
+        hyp([(0.0, 1.0, "a"), (*seg, "b")])
+
+
+def test_time_too_large_to_round_is_a_scoring_error():
+    # finite, but 1e300 s overflows when rounded to 1 ns
+    ref, far = hyp([(0.0, 5.0, "a")]), hyp([(1e300, 1e300 + 1e295, "a")])
+    for a, b in ((ref, far), (far, ref)):
+        with pytest.raises(ScoringError, match="too large to round to 1 ns"):
+            der_score(a, b)
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

@@ -79,6 +79,9 @@ def test_bundle_rejects_foreign_file(tmp_path):
     b'{"format": "tensor-bundle-v1", "tensors": [{"shape": [2]}]}\n',
     b"[1, 2, 3]\n",
     b'{"format": "tensor-bundle-v1", "tensors": [], "extra": [1]}\n',
+    b'{"format": "tensor-bundle-v1", "tensors": [{"name": ["a"], "shape": []}]}\n',
+    pytest.param(b'{"format": "tensor-bundle-v1", "tensors": [], "extra": ' + b"9" * 5000
+                 + b"}\n", id="int past the digit limit"),
 ])
 def test_corrupt_bundle_header_raises_serialization_error(tmp_path, header):
     p = tmp_path / "bad.ckpt"

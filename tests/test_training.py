@@ -1,10 +1,12 @@
 
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from diarnet import training
 from diarnet.autodiff import Tensor
 from diarnet.frontend import ConfigError, cnn_encode
 from diarnet.losses import LabelMatrix, LossWeights, total_loss
@@ -155,11 +157,16 @@ def test_config_rejects_values_that_fail_mid_run(field, value):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def test_checkpoint_round_trip(tmp_path):
+def _no_model(*args):
+    raise AssertionError("load_checkpoint built a model")
+
+
+def test_checkpoint_round_trip(tmp_path, monkeypatch):
     cfg = desk_model()
     params = init_model_params(cfg, np.random.default_rng(7))
     p = tmp_path / "m.ckpt"
     save_checkpoint(p, params, cfg, meta={"step": 5})
+    monkeypatch.setattr(training, "init_model_params", _no_model)
     back, cfg2 = load_checkpoint(p)
     assert cfg2 == cfg
     assert set(back) == set(params)
@@ -207,6 +214,62 @@ def test_corrupt_checkpoint_raises_serialization_error(tmp_path, case):
     with pytest.raises(SerializationError) as e:
         load_checkpoint(p)
     assert str(p) in str(e.value) and tensor_name in str(e.value)
+
+
+def _desk_checkpoint(tmp_path) -> tuple[bytes, bytes]:
+    """The JSON header line and the rest of a saved desk-model checkpoint."""
+    cfg = desk_model()
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, init_model_params(cfg, np.random.default_rng(7)), cfg)
+    head, rest = p.read_bytes().split(b"\n", 1)
+    return head + b"\n", rest
+
+
+@pytest.mark.parametrize("field,value", [("embed_dim", 512), ("depth", 10 ** 9)])
+def test_header_naming_a_larger_model_is_refused_cheaply(tmp_path, monkeypatch, field, value):
+    head, rest = _desk_checkpoint(tmp_path)
+    old = f'"{field}": {getattr(desk_model(), field)}'.encode()
+    assert head.count(old) == 1
+    p = tmp_path / "big.ckpt"
+    p.write_bytes(head.replace(old, f'"{field}": {value}'.encode()) + rest)
+    # were a model of the header's size built to check against, this fails
+    # before allocating it
+    monkeypatch.setattr(training, "init_model_params", _no_model)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SerializationError, match="frontend.conv1.w|block2"):
+            load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_checkpoint_byte_mutants_load_or_raise_serialization_error(tmp_path):
+    head, rest = _desk_checkpoint(tmp_path)
+    raw = head + rest
+    rng = np.random.default_rng(2024)
+    junk = np.frombuffer(b'0123456789.-+e,:"[]{} \n\x00\xff', np.uint8)
+    p = tmp_path / "mutant.ckpt"
+    outcomes = {"loaded": 0, "refused": 0}
+    for i in range(320):
+        # even mutants change the JSON header, odd ones the tensor records
+        lo, hi = (0, len(head)) if i % 2 == 0 else (len(head), len(raw))
+        at = int(rng.integers(lo, hi))
+        n = int(rng.integers(1, 9))
+        kind = ("truncate", "overwrite", "insert", "delete")[i // 2 % 4]
+        new = rng.choice(junk, n).tobytes()
+        p.write_bytes({"truncate": raw[:at], "overwrite": raw[:at] + new + raw[at + n:],
+                       "insert": raw[:at] + new + raw[at:],
+                       "delete": raw[:at] + raw[at + n:]}[kind])
+        try:
+            load_checkpoint(p)
+            outcomes["loaded"] += 1
+        except SerializationError:
+            outcomes["refused"] += 1
+        except Exception as e:  # any other exception type is the fault looked for
+            pytest.fail(f"mutant {i} ({kind} {new!r} at byte {at}) raised {e!r}")
+    assert outcomes["loaded"] and outcomes["refused"], outcomes
 
 
 # ---------------------------------------------------------------------------
