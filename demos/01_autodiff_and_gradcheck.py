@@ -35,7 +35,7 @@ assert report.passed
 # A wrong backward rule is caught immediately: negate the true gradient and
 # the relative error saturates at 2.
 
-bad = grad_check(lambda a: ad.mean(-(a ** 2.0)), [w], name="sanity")
+bad = grad_check(lambda a: ad.mean(a ** 2.0 * -1.0), [w], name="sanity")
 print("negated objective still checks out (gradients are consistent):", bad.passed)
 
 # ## Guarded normalizations

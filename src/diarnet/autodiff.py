@@ -185,25 +185,10 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, _coerce(other, self))
 
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
     def __mul__(self, other):
         return mul(self, _coerce(other, self))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other, self), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __pow__(self, p):
         return power(self, p)
@@ -212,20 +197,13 @@ class Tensor:
         return take(self, idx)
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         return reshape(self, shape)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         return transpose(self, axes or None)
 
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
 
 
 def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
@@ -272,8 +250,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
-    if g.shape == shape:
-        return g
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     axes = tuple(i for i, (gs, ss) in enumerate(zip(g.shape, shape)) if ss == 1 and gs != 1)
@@ -308,21 +284,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, g * a.data)
 
     return _make(a.data * b.data, (a, b), bwd)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * a.data / (b.data * b.data))
-
-    return _make(a.data / b.data, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        _accum(a, -g)
-
-    return _make(-a.data, (a,), bwd)
 
 
 def power(a: Tensor, p: float) -> Tensor:

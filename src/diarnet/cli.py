@@ -17,7 +17,8 @@ from pathlib import Path
 from .frontend import ConfigError, from_json, load_wav, write_wav
 from .model import predict_probs
 from .rttm import read_rttm, write_rttm
-from .scoring import DiarizationHypothesis, aggregate_reports, der_score, posterior_to_segments
+from .scoring import (DiarizationHypothesis, ScoringError, aggregate_reports, der_score,
+                      posterior_to_segments)
 from .synth import MixtureSpec, labels_from_segments, synth_mixture
 from .training import TrainConfig, load_checkpoint, train
 
@@ -165,7 +166,7 @@ def cmd_score(args) -> int:
     refs = read_rttm(Path(args.ref))
     hyps = read_rttm(Path(args.hyp))
     if not refs:
-        raise ValueError(f"{args.ref}: no reference segments")
+        raise ScoringError(f"{args.ref}: no reference segments")
     reports = []
     for file_id, ref in sorted(refs.items()):
         hyp = hyps.get(file_id, DiarizationHypothesis(file_id=file_id))

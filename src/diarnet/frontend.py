@@ -108,7 +108,7 @@ class AudioClip:
 # ---------------------------------------------------------------------------
 
 def load_wav(path) -> AudioClip:
-    """Read a PCM16 or float32 WAV, downmix to mono, resample to 8 kHz."""
+    """Read a PCM16 or float32 WAV, downmix to mono, resample down to 8 kHz."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise WavParseError(f"{path}: not a RIFF/WAVE file")
@@ -135,6 +135,8 @@ def load_wav(path) -> AudioClip:
         raise WavParseError(f"{path}: zero channels")
     if rate < 1:
         raise WavParseError(f"{path}: zero sample rate")
+    if rate < SAMPLE_RATE:
+        raise WavFormatError(f"{path}: sample rate {rate} Hz is below {SAMPLE_RATE} Hz")
     if audio_format == 1 and bits == 16:
         x = np.frombuffer(data[:len(data) - len(data) % 2], dtype="<i2").astype(np.float32) / 32768.0
     elif audio_format == 3 and bits == 32:
@@ -237,17 +239,22 @@ def window_stack(mel: np.ndarray) -> np.ndarray:
 # CNN window encoder
 # ---------------------------------------------------------------------------
 
+# (kernel, stride, pads) of each CNN layer: stride-2 3x3 layers with same padding
+# take a 15x23 window to 8x12, 4x6, 2x3 and 1x2; a valid 1x2 layer ends at 1x1
+CNN_LAYERS = (
+    ((3, 3), (2, 2), ((1, 1), (1, 1))),
+    ((3, 3), (2, 2), ((0, 1), (0, 1))),
+    ((3, 3), (2, 2), ((0, 1), (0, 1))),
+    ((3, 3), (2, 2), ((0, 1), (1, 1))),
+    ((1, 2), (1, 1), ((0, 0), (0, 0))),
+)
+
+
 def cnn_channel_plan(embed_dim: int) -> tuple[int, ...]:
     """Per-layer output channels; (16, 32, 64, 128, 256) at embed_dim 256."""
     if embed_dim % 16 != 0:
         raise ConfigError(f"embed_dim must be divisible by 16, got {embed_dim}")
     return (embed_dim // 16, embed_dim // 8, embed_dim // 4, embed_dim // 2, embed_dim)
-
-
-def _same_pads(size: int, k: int, s: int) -> tuple[int, int]:
-    out = math.ceil(size / s)
-    total = max((out - 1) * s + k - size, 0)
-    return total // 2, total - total // 2
 
 
 def cnn_encode(windows, params: dict, embed_dim: int) -> Tensor:
@@ -260,25 +267,16 @@ def cnn_encode(windows, params: dict, embed_dim: int) -> Tensor:
     if arr.ndim != 3 or arr.shape[1:] != (WINDOW_FRAMES, N_MELS):
         raise ConfigError(f"expected (N, {WINDOW_FRAMES}, {N_MELS}) windows, "
                           f"got shape {arr.shape}")
-    chans = cnn_channel_plan(embed_dim)
     x = Tensor(arr[:, None, :, :])
-    h, w = WINDOW_FRAMES, N_MELS
-    for i, cout in enumerate(chans, start=1):
+    layers = zip(cnn_channel_plan(embed_dim), CNN_LAYERS)
+    for i, (cout, (kernel, stride, pads)) in enumerate(layers, start=1):
         wk = params[f"frontend.conv{i}.w"]
-        bk = params[f"frontend.conv{i}.b"]
-        if wk.shape[0] != cout:
-            raise ConfigError(f"frontend.conv{i}.w has {wk.shape[0]} filters, expected {cout}")
-        if i < 5:
-            pads = (_same_pads(h, 3, 2), _same_pads(w, 3, 2))
-            x = ad.relu(ad.conv2d(x, wk, bk, stride=(2, 2), pads=pads))
-            h, w = math.ceil(h / 2), math.ceil(w / 2)
-        else:
-            # final layer: valid 1x2 kernel collapses the map, no activation
-            # so the embedding keeps both signs ahead of the RMSNorm
-            x = ad.conv2d(x, wk, bk, stride=(1, 1), pads=((0, 0), (0, 0)))
-            h, w = h - wk.shape[2] + 1, w - wk.shape[3] + 1
-    if (h, w) != (1, 1):
-        raise ConfigError(f"encoder output is {h}x{w}, expected 1x1")
+        if wk.shape[0] != cout or wk.shape[2:] != kernel:
+            raise ConfigError(f"frontend.conv{i}.w has shape {wk.shape}, expected "
+                              f"{cout} filters of {kernel[0]}x{kernel[1]}")
+        x = ad.conv2d(x, wk, params[f"frontend.conv{i}.b"], stride=stride, pads=pads)
+        if i < len(CNN_LAYERS):     # the last layer keeps both signs for the RMSNorm
+            x = ad.relu(x)
     x = x.reshape(arr.shape[0], embed_dim)
     return ad.rms_norm(x, params["frontend.norm_gain"])
 

@@ -96,14 +96,18 @@ class Alignment:
 # permutation-invariant alignment
 # ---------------------------------------------------------------------------
 
-def bce_cost_matrix(logits: np.ndarray, labels: LabelMatrix) -> np.ndarray:
-    """cost[k, s]: mean frame BCE of slot s's logits against speaker k."""
-    z = np.asarray(logits, dtype=np.float64)
+def bce_cost_matrix(logits, labels: LabelMatrix) -> np.ndarray:
+    """cost[k, s]: mean frame BCE of slot s's logits (a Tensor or an array)
+    against speaker k; more speakers than slots is a CapacityError."""
+    z = np.asarray(logits.data if isinstance(logits, Tensor) else logits, dtype=np.float64)
+    cols = labels.active_columns
+    if len(cols) > z.shape[1]:
+        raise CapacityError(f"{len(cols)} speakers exceed {z.shape[1]} slots")
     if not np.all(np.isfinite(z)):
         raise ad.NumericError("pit_align: non-finite logits")
     t = z.shape[0]
     base = (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))).mean(axis=0)  # (S,)
-    y = labels.y_01[:, list(labels.active_columns)].astype(np.float64)       # (T, K)
+    y = labels.y_01[:, list(cols)].astype(np.float64)                        # (T, K)
     cross = y.T @ z / t                                                      # (K, S)
     return base[None, :] - cross
 
@@ -113,32 +117,25 @@ def pit_align(logits, labels: LabelMatrix) -> Alignment:
 
     A crop with no active speaker gets the empty alignment.
     """
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    cols = labels.active_columns
-    if len(cols) > z.shape[1]:
-        raise CapacityError(f"{len(cols)} speakers exceed {z.shape[1]} slots")
-    cost = bce_cost_matrix(z, labels)
+    cost = bce_cost_matrix(logits, labels)
     rows, slot_idx = linear_sum_assignment(cost)
     order = np.argsort(rows)
     slots = tuple(int(s) for s in slot_idx[order])
     total = float(cost[rows, slot_idx].sum())
-    return Alignment(active_cols=cols, slots=slots, cost=total)
+    return Alignment(active_cols=labels.active_columns, slots=slots, cost=total)
 
 
 def pit_align_bruteforce(logits, labels: LabelMatrix) -> Alignment:
     """Exhaustive S!/(S-K)! search; the oracle the fast path is tested against."""
-    z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    cols = labels.active_columns
-    if len(cols) > z.shape[1]:
-        raise CapacityError(f"{len(cols)} speakers exceed {z.shape[1]} slots")
-    cost = bce_cost_matrix(z, labels)
-    k = len(cols)
+    cost = bce_cost_matrix(logits, labels)
+    k, s = cost.shape
     best_slots, best_cost = None, np.inf
-    for perm in itertools.permutations(range(z.shape[1]), k):
+    for perm in itertools.permutations(range(s), k):
         c = float(cost[np.arange(k), list(perm)].sum())
         if c < best_cost:
             best_cost, best_slots = c, perm
-    return Alignment(active_cols=cols, slots=tuple(best_slots), cost=best_cost)
+    return Alignment(active_cols=labels.active_columns, slots=tuple(best_slots),
+                     cost=best_cost)
 
 
 # ---------------------------------------------------------------------------

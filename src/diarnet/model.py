@@ -31,8 +31,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frontend import (ConfigError, check_number_fields, cnn_channel_plan, encode_clip,
-                       from_json)
+from .frontend import (CNN_LAYERS, ConfigError, check_number_fields, cnn_channel_plan,
+                       encode_clip, from_json)
 
 
 @dataclass
@@ -110,11 +110,9 @@ def param_specs(cfg: ModelConfig):
                 + [(name + ".dw", (k, e), math.sqrt(k)), (name + ".norm_g", (e,), "ones")]
                 + linear(name + ".pw2", e, e))
 
-    # layers 1-4 are stride-2 3x3 with same padding; layer 5 is a valid 1x2
-    # kernel collapsing the residual 1x2 map
     cin = 1
-    for i, cout in enumerate(cnn_channel_plan(e), start=1):
-        yield f"frontend.conv{i}.w", (cout, cin) + ((3, 3) if i < 5 else (1, 2)), "glorot"
+    for i, (cout, (kernel, _, _)) in enumerate(zip(cnn_channel_plan(e), CNN_LAYERS), start=1):
+        yield f"frontend.conv{i}.w", (cout, cin) + kernel, "glorot"
         yield f"frontend.conv{i}.b", (cout,), "zeros"
         cin = cout
     yield "frontend.norm_gain", (e,), "ones"

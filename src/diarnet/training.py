@@ -68,9 +68,9 @@ class TrainConfig:
             raise ConfigError(f"dpcl_mode must be one of {DPCL_MODES}, got {self.dpcl_mode!r}")
         if self.max_lr <= 0:
             raise ConfigError(f"max_lr must be positive, got {self.max_lr}")
-        if round(self.crop_s / FRAME_S) < 1:
-            raise ConfigError(f"crop_s must cover at least one {FRAME_S} s frame, "
-                              f"got {self.crop_s}")
+        if not 0.5 < self.crop_s / FRAME_S < math.inf:     # rounds to 1 or more frames
+            raise ConfigError(f"crop_s must cover at least one {FRAME_S} s frame and "
+                              f"finitely many, got {self.crop_s}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

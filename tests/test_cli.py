@@ -117,6 +117,18 @@ def test_score_bad_collar_exits_1(tmp_path, capsys, collar):
     assert "DER" not in captured.out
 
 
+@pytest.mark.parametrize("text", ["", "; comments only\n\n"])
+def test_score_empty_reference_exits_1(tmp_path, capsys, text):
+    ref, hyp = tmp_path / "ref.rttm", tmp_path / "hyp.rttm"
+    ref.write_text(text)
+    hyp.write_text("SPEAKER f1 1 0.500 1.000 <NA> <NA> x <NA> <NA>\n")
+    assert main(["score", "--ref", str(ref), "--hyp", str(hyp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "ScoringError" in captured.err and "no reference segments" in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as e:
         main(["score", "--bogus", "x"])

@@ -91,6 +91,27 @@ def test_zero_sample_rate_rejected(tmp_path):
         load_wav(p)
 
 
+def test_low_sample_rate_rejected_without_upsampling(tmp_path):
+    # a header claiming 1 Hz once made the resampler allocate about 8000
+    # samples per byte of PCM (2.4 GB peak for this 32 KB file)
+    import struct
+    import tracemalloc
+    payload = np.zeros(16000, dtype="<i2").tobytes()
+    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, 1, 2, 2, 16)
+    header += b"data" + struct.pack("<I", len(payload))
+    p = tmp_path / "rate1.wav"
+    p.write_bytes(header + payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(WavFormatError, match="sample rate 1 Hz"):
+            load_wav(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 def test_wav_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     x = (rng.random(4000).astype(np.float32) - 0.5)

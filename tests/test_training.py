@@ -141,6 +141,8 @@ def test_clip_grad_norm():
     # every float field is finite
     ("max_lr", float("inf")), ("max_lr", float("-inf")), ("crop_s", float("inf")),
     ("crop_s", float("-inf")), ("weight_decay", float("inf")),
+    # finite, but its frame count is not
+    ("crop_s", 1e308), ("crop_s", -1e308),
     ("weight_decay", float("-inf")),
     pytest.param("weights", LossWeights(1.0, 0.5, float("inf"), 0.1), id="weights-inf"),
     pytest.param("weights", LossWeights(1.0, 0.5, 0.1, float("-inf")), id="weights--inf"),
