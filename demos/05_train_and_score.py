@@ -21,7 +21,7 @@ from diarnet import (
     synth_mixture,
     train,
 )
-from diarnet.cli import _segments_from_labels
+from diarnet.cli import _reference
 
 # ## Data: 10 train + 2 validation recordings, 60 s, 20% overlapped speech
 
@@ -52,9 +52,7 @@ for spec in val_specs:
     probs = predict_probs(rec.clip, result.params, cfg.model)
     hyp = posterior_to_segments(probs, threshold=0.5, median_w=11,
                                 file_id=rec.rec_id)
-    ref = DiarizationHypothesis(segments=_segments_from_labels(rec),
-                                file_id=rec.rec_id)
-    reports.append(der_score(ref, hyp, collar_s=0.25))
+    reports.append(der_score(_reference(rec), hyp, collar_s=0.25))
 
 combined = aggregate_reports(reports)
 print("validation:", combined)
@@ -63,7 +61,6 @@ print("validation:", combined)
 # speech (DER 100), and one-speaker-everywhere false-alarms the silences and
 # misses all overlap.
 silence = aggregate_reports([
-    der_score(DiarizationHypothesis(segments=_segments_from_labels(r), file_id=r.rec_id),
-              DiarizationHypothesis(segments=[], file_id=r.rec_id))
+    der_score(_reference(r), DiarizationHypothesis(segments=[], file_id=r.rec_id))
     for r in map(synth_mixture, val_specs)])
 print(f"silence baseline DER {silence.der:.1f}%  vs model {combined.der:.2f}%")

@@ -23,6 +23,10 @@ from .synth import MixtureSpec, labels_from_segments, synth_mixture
 from .training import TrainConfig, load_checkpoint, train
 
 
+class ManifestError(ValueError):
+    """A dataset manifest, or an RTTM it names, that does not list its recordings."""
+
+
 def _seed_override(seed: int, offset: int = 0) -> int:
     """`seed`, or DIARNET_SEED + `offset` when that variable is set."""
     env = os.environ.get("DIARNET_SEED")
@@ -93,8 +97,32 @@ def _reference(rec) -> DiarizationHypothesis:
 
 
 def _segments_from_labels(rec) -> list:
-    """The (start_s, end_s, speaker) triples of `_reference(rec)`."""
+    """The (start_s, end_s, speaker) triples of `_reference(rec)`; the
+    acceptance suite scores against them."""
     return _reference(rec).segments
+
+
+def read_manifest(data_dir: Path) -> list[tuple[str, Path, Path]]:
+    """The (id, wav path, rttm path) rows of `data_dir`/manifest.csv, whose
+    first line is a header. A malformed manifest is a ManifestError."""
+    manifest = data_dir / "manifest.csv"
+    if not manifest.exists():
+        raise FileNotFoundError(f"{manifest} not found; run synth-data first")
+    try:
+        text = manifest.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"{manifest}: not UTF-8 text: {e}") from e
+    specs = []
+    for line, row in enumerate(text.strip().splitlines()[1:], start=2):
+        fields = row.split(",")[:3]
+        # an empty file name names the directory; no path holds a NUL byte
+        if len(fields) < 3 or not all(fields[1:]) or "\0" in "".join(fields):
+            raise ManifestError(f"{manifest}:{line}: expected id,wav,rttm fields, got {row!r}")
+        rec_id, wav_name, rttm_name = fields
+        specs.append((rec_id, data_dir / wav_name, data_dir / rttm_name))
+    if not specs:
+        raise ManifestError(f"{manifest} lists no recordings")
+    return specs
 
 
 def cmd_train(args) -> int:
@@ -105,19 +133,7 @@ def cmd_train(args) -> int:
     cfg = TrainConfig.from_dict(cfg_dict)
     cfg.seed = _seed_override(cfg.seed)
 
-    data_dir = Path(args.data)
-    manifest = data_dir / "manifest.csv"
-    if not manifest.exists():
-        raise FileNotFoundError(f"{manifest} not found; run synth-data first")
-    rows = manifest.read_text().strip().splitlines()[1:]
-    specs = []
-    for line, row in enumerate(rows, start=2):
-        if row.count(",") < 2:
-            raise ValueError(f"{manifest}:{line}: expected id,wav,rttm fields, got {row!r}")
-        rec_id, wav_name, rttm_name = row.split(",")[:3]
-        specs.append((rec_id, data_dir / wav_name, data_dir / rttm_name))
-    if not specs:
-        raise ValueError(f"{manifest} lists no recordings")
+    specs = read_manifest(Path(args.data))
     n_train = len(specs) - val_count
     if n_train < 1:
         raise ConfigError(f"val_count {val_count} leaves none of the {len(specs)} "
@@ -145,7 +161,7 @@ def _load_recording(rec_id: str, wav_path: Path, rttm_path: Path):
     elif len(hyps) == 1:
         timeline = next(iter(hyps.values()))
     else:
-        raise ValueError(f"{rttm_path}: no segments for id {rec_id}")
+        raise ManifestError(f"{rttm_path}: no segments for id {rec_id}")
     labels, _ = labels_from_segments(timeline, frame_count(len(clip.samples)))
     return LabeledRecording(clip=clip, labels=labels, rec_id=rec_id)
 

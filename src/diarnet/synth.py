@@ -5,6 +5,13 @@ tilt, amplitude-modulated at a syllabic rate. Utterances are placed on the
 100 ms label grid, so ground truth is exact by construction; a feedback rule
 steers the overlapped fraction of speech toward the requested ratio.
 Gaussian noise at a chosen SNR stands in for recorded background audio.
+
+A speaker's harmonic sum is rendered as the imaginary part of a polynomial
+in the phasor e^{i 2π f0 t}, evaluated by Horner's rule: one complex
+multiply-add per harmonic instead of one sine. It equals the sum of sines
+to float64 rounding, so a float32 sample of the clip moves by at most one
+unit in the last place (6e-8); the PCM16 samples `write_wav` stores were
+identical in every mixture compared.
 """
 
 from __future__ import annotations
@@ -73,6 +80,10 @@ def overlap_fraction(activity: np.ndarray) -> float:
 def _place_utterances(rng: np.random.Generator, n_frames: int, n_speakers: int,
                       target_overlap: float) -> np.ndarray:
     activity = np.zeros((n_frames, n_speakers), dtype=bool)
+    # running per-frame speaker counts and the speech / overlap frame totals,
+    # so each utterance costs its own length instead of a rescan
+    talkers = np.zeros(n_frames, dtype=np.int8)
+    speech = overl = 0
     spk = int(rng.integers(0, n_speakers))
     prev_end = 0
     first = True
@@ -81,15 +92,17 @@ def _place_utterances(rng: np.random.Generator, n_frames: int, n_speakers: int,
         if first:
             start = int(rng.integers(0, 6))
             first = False
+        elif n_speakers >= 2 and speech > 0 and overl < target_overlap * speech:
+            start = max(0, prev_end - int(rng.integers(3, 14)))
         else:
-            speech = activity.any(axis=1).sum()
-            overl = (activity.sum(axis=1) >= 2).sum()
-            if n_speakers >= 2 and speech > 0 and overl < target_overlap * speech:
-                start = max(0, prev_end - int(rng.integers(3, 14)))
-            else:
-                start = prev_end + int(rng.integers(2, 9))
+            start = prev_end + int(rng.integers(2, 9))
         end = min(start + length, n_frames)
         if end - start >= 4:
+            new = ~activity[start:end, spk]      # frames this speaker holds count once
+            before = talkers[start:end][new]
+            speech += int((before == 0).sum())
+            overl += int((before == 1).sum())
+            talkers[start:end] += new
             activity[start:end, spk] = True
         prev_end = max(prev_end, end)
         if n_speakers > 1:
@@ -117,9 +130,15 @@ def _render_speaker(rng: np.random.Generator, sig: np.ndarray, mask: np.ndarray,
         if n <= 0:
             continue
         t = np.arange(s0, s1) / SAMPLE_RATE
-        wave = np.zeros(n)
-        for k in range(1, n_harm + 1):
-            wave += amps[k - 1] * np.sin(2 * np.pi * k * f0 * t + rng.uniform(0, 2 * np.pi))
+        # sum_k a_k sin(k w t + p_k) = Im sum_k c_k z^k, c_k = a_k e^{i p_k}, z = e^{i w t}
+        coef = amps * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n_harm))
+        z = np.exp(1j * (2 * np.pi * f0) * t)
+        acc = np.full(n, coef[-1])
+        for c in coef[-2::-1]:
+            acc *= z
+            acc += c
+        acc *= z
+        wave = acc.imag
         f_mod = rng.uniform(2.5, 4.5)
         wave *= 0.55 + 0.45 * np.sin(2 * np.pi * f_mod * t + rng.uniform(0, 2 * np.pi))
         ramp = min(200, n // 4)          # 25 ms fade at the run edges

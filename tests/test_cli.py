@@ -232,6 +232,44 @@ def test_train_short_manifest_row_names_the_line(dataset, tmp_path, capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert f"{manifest}:3:" in captured.err and "mix_broken" in captured.err
+    assert "ManifestError" in captured.err
+    assert "train done" not in captured.out
+
+
+def _header_only(dataset):
+    manifest = dataset / "manifest.csv"
+    manifest.write_text(manifest.read_text().splitlines()[0] + "\n")
+    return "lists no recordings"
+
+
+def _rttm_of_other_recordings(dataset):
+    # two file ids, neither of them the first row's, so no fallback applies
+    rows = [r.split(",") for r in (dataset / "manifest.csv").read_text().splitlines()[1:]]
+    (dataset / rows[0][2]).write_text("".join((dataset / r[2]).read_text() for r in rows[1:]))
+    return f"no segments for id {rows[0][0]}"
+
+
+def _one_row(row):
+    def corrupt(dataset):
+        manifest = dataset / "manifest.csv"
+        manifest.write_text(manifest.read_text().splitlines()[0] + "\n" + row + "\n")
+        return f"{manifest}:2: expected id,wav,rttm fields"
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _header_only, _rttm_of_other_recordings, _one_row("mix000040,,mix000040.rttm"),
+    _one_row("mix000040,mix000040.wav,mix\0.rttm")],
+    ids=["no-rows", "rttm-without-id", "empty-wav-name", "nul-in-rttm-name"])
+def test_train_malformed_manifest_is_a_manifest_error(dataset, tmp_path, capsys, corrupt):
+    message = corrupt(dataset)
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(desk_train_config()))
+    rc = main(["train", "--config", str(cfg_path), "--data", str(dataset),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ManifestError: ") and message in captured.err
     assert "train done" not in captured.out
 
 

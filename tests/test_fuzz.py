@@ -1,4 +1,5 @@
-"""Seeded byte-mutation fuzzing of the WAV, config-JSON and CLI boundaries.
+"""Seeded byte-mutation fuzzing of the WAV, config-JSON, manifest and CLI
+boundaries.
 
 Each mutant truncates, overwrites, inserts or deletes a few bytes of a valid
 file at a fixed-seed position (the AFL/libFuzzer recipe of the checkpoint
@@ -14,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from diarnet.cli import main
+from diarnet.cli import ManifestError, main, read_manifest
 from diarnet.frontend import (AudioClip, ConfigError, InsufficientAudioError, WavFormatError,
                               WavParseError, from_json, load_wav, log_mel, write_wav)
 from diarnet.model import ModelConfig, init_model_params
@@ -93,6 +94,27 @@ def test_config_mutants_decode_or_raise_config_error(base, decode):
             decode(d)
             outcomes["decoded"] += 1
         except ConfigError:
+            outcomes["refused"] += 1
+        except Exception as e:  # any other exception type is the fault looked for
+            pytest.fail(f"{what} of {raw!r} raised {e!r}")
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+MANIFEST = ("id,wav,rttm,duration_s,n_speakers\n"
+            "mix000040,mix000040.wav,mix000040.rttm,8.000,2\n"
+            "mix000041,mix000041.wav,mix000041.rttm,8.000,2\n")
+MANIFEST_JUNK = np.frombuffer(b"mix0123456789.,wavrttm_\n\r \x00\xff", np.uint8)
+
+
+def test_manifest_mutants_read_or_raise_manifest_error(tmp_path):
+    p = tmp_path / "manifest.csv"
+    outcomes = {"read": 0, "refused": 0}
+    for what, raw in _mutants(MANIFEST.encode(), 300, 2029, MANIFEST_JUNK):
+        p.write_bytes(raw)
+        try:
+            read_manifest(tmp_path)
+            outcomes["read"] += 1
+        except ManifestError:
             outcomes["refused"] += 1
         except Exception as e:  # any other exception type is the fault looked for
             pytest.fail(f"{what} of {raw!r} raised {e!r}")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import synth_reference
 
-from diarnet.frontend import FRAME_S, frame_count, log_mel, window_stack
+from diarnet import synth
+from diarnet.frontend import FRAME_S, frame_count, log_mel, window_stack, write_wav
 from diarnet.model import ModelConfig
 from diarnet.synth import (
     GenerationError,
@@ -62,6 +64,44 @@ def test_single_speaker_with_overlap_is_infeasible():
 def test_impossible_overlap_raises_after_retries():
     with pytest.raises(GenerationError):
         synth_mixture(MixtureSpec(n_speakers=2, duration_s=6, overlap_ratio=0.97, seed=0))
+
+
+# ---------------------------------------------------------------------------
+# the phasor renderer and the linear placer against the loops they replaced
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", [
+    MixtureSpec(n_speakers=1, duration_s=20, overlap_ratio=0.0, seed=3),
+    MixtureSpec(n_speakers=2, duration_s=60, overlap_ratio=0.2, seed=1000),
+    MixtureSpec(n_speakers=2, duration_s=17.3, overlap_ratio=0.2, seed=7),   # partial frame
+    MixtureSpec(n_speakers=3, duration_s=40, overlap_ratio=0.15, seed=9),
+    MixtureSpec(n_speakers=4, duration_s=20, overlap_ratio=0.3, noise_snr_db=5.0, seed=13),
+    MixtureSpec(n_speakers=4, duration_s=30, overlap_ratio=0.0, seed=2),
+], ids=lambda spec: f"{spec.n_speakers}spk-{spec.duration_s}s-seed{spec.seed}")
+def test_renderer_matches_per_harmonic_sines(spec, tmp_path, monkeypatch):
+    got = synth_mixture(spec)
+    monkeypatch.setattr(synth, "_render_speaker", synth_reference.render_speaker)
+    want = synth_mixture(spec)
+    assert np.array_equal(got.labels.y_pm, want.labels.y_pm)
+    # the Horner sum rounds differently from the sines: float64 error, far
+    # below the float32 step of the clip and the 2^-15 step of PCM16
+    np.testing.assert_allclose(got.clip.samples, want.clip.samples, rtol=0, atol=1e-6)
+    write_wav(tmp_path / "got.wav", got.clip)
+    write_wav(tmp_path / "want.wav", want.clip)
+    assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+
+
+def test_placement_matches_rescanning_reference():
+    cases = np.random.default_rng(14)
+    for seed in range(300):
+        n_frames = int(cases.integers(20, 1500))
+        n_speakers = int(cases.integers(1, 5))
+        target = float(cases.uniform(0.0, 1.0))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = synth._place_utterances(got_rng, n_frames, n_speakers, target)
+        want = synth_reference.place_utterances(want_rng, n_frames, n_speakers, target)
+        assert np.array_equal(got, want), (seed, n_frames, n_speakers, target)
+        assert got_rng.integers(2**62) == want_rng.integers(2**62)   # the same draws
 
 
 # ---------------------------------------------------------------------------
