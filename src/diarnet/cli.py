@@ -156,12 +156,12 @@ def _load_recording(rec_id: str, wav_path: Path, rttm_path: Path):
 
     clip = load_wav(wav_path)
     hyps = read_rttm(rttm_path)
-    if rec_id in hyps:
-        timeline = hyps[rec_id]
-    elif len(hyps) == 1:
-        timeline = next(iter(hyps.values()))
-    else:
-        raise ManifestError(f"{rttm_path}: no segments for id {rec_id}")
+    # an RTTM of one file may name it by the WAV's stem, as `infer` writes it
+    timeline = hyps.get(rec_id, hyps.get(wav_path.stem) if len(hyps) == 1 else None)
+    if timeline is None:
+        found = f"its only file id is {next(iter(hyps))}" if len(hyps) == 1 else (
+            f"it holds {len(hyps)} file ids")
+        raise ManifestError(f"{rttm_path}: no segments for id {rec_id} ({found})")
     labels, _ = labels_from_segments(timeline, frame_count(len(clip.samples)))
     return LabeledRecording(clip=clip, labels=labels, rec_id=rec_id)
 

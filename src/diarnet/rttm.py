@@ -9,8 +9,10 @@ than 8 of them; only the tag, file id, onset, duration and speaker are
 read. A line that is blank or whose first non-blank character is `;` is a
 comment (a `;` later in a line is text). The file must be UTF-8. Anything
 else (undecodable bytes, a record that is not a `SPEAKER` line of at least
-8 fields, a time that is not a finite number, a duration that does not
-move the onset) is an `RttmParseError` naming `path:line`.
+8 fields, a time or an end that is not a finite number, a duration that
+does not move the onset) is an `RttmParseError` naming `path:line`. In a
+file of one id whose lines all start `SPEAKER <id> `, as `write_rttm` writes
+them, the tags and ids are not parsed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .scoring import DiarizationHypothesis
+from .scoring import DiarizationHypothesis, ScoringError
 
 
 class RttmParseError(ValueError):
@@ -29,13 +31,15 @@ class RttmParseError(ValueError):
 
 
 # the tag, file id, onset, duration and speaker of each record
-_FIELDS = np.dtype([("tag", object), ("file", object), ("tbeg", np.float64),
-                    ("tdur", np.float64), ("speaker", object)])
+_FIELDS = [("tag", object), ("file", object), ("tbeg", float), ("tdur", float),
+           ("speaker", object)]
 
 
-def _parse(lines: list[str]) -> np.ndarray:
-    """All records of `lines` (no comments) in one call; blank lines are skipped."""
-    return np.loadtxt(lines, dtype=_FIELDS, usecols=(0, 1, 3, 4, 7), comments=None, ndmin=1)
+def _parse(lines: list[str], skip: int = 0) -> np.ndarray:
+    """All records of `lines` (no comments) in one call, less their first
+    `skip` fields; blank lines are skipped."""
+    return np.loadtxt(lines, dtype=_FIELDS[skip:], usecols=(0, 1, 3, 4, 7)[skip:],
+                      comments=None, ndmin=1)
 
 
 def write_rttm(path, hyps) -> None:
@@ -71,8 +75,8 @@ def _raise_first_bad_line(path, lines: list[str]) -> NoReturn:
         except ValueError as e:
             raise RttmParseError(f"{path}:{lineno}: bad time field {times}") from e
         tbeg, tdur = float(record["tbeg"]), float(record["tdur"])
-        if not (math.isfinite(tbeg) and math.isfinite(tdur)):
-            raise RttmParseError(f"{path}:{lineno}: non-finite time field {times}")
+        if not math.isfinite(tbeg + tdur):   # a time, or the end they add up to
+            raise RttmParseError(f"{path}:{lineno}: non-finite time field or end {times}")
         if not tbeg + tdur > tbeg:       # tdur <= 0, or too small to move tbeg
             raise RttmParseError(f"{path}:{lineno}: segment end does not exceed its onset "
                                  f"{times}")
@@ -93,24 +97,33 @@ def read_rttm(path) -> dict[str, DiarizationHypothesis]:
     # no line can be one
     lines = ([ln for ln in all_lines if not ln.lstrip().startswith(";")]
              if ";" in text else all_lines)
-    if not "".join(lines).strip():      # loadtxt warns on input without records
+    if not any(map(str.strip, lines)):   # loadtxt warns on input without records
         return {}
+    # the usual file: one id, every line starting "SPEAKER <id> ", so no tag or id to parse
+    head = lines[0].split(None, 2)
+    prefix = f"SPEAKER {head[1]} " if len(head) == 3 and head[0] == "SPEAKER" else None
+    one_file = prefix and lines is all_lines and (
+        text.startswith(prefix) + text.count("\n" + prefix) == len(lines))
     try:
-        records = _parse(lines)
+        records = _parse(lines, skip=2 if one_file else 0)
     except ValueError:                   # too few fields, or a time that is not a number
         _raise_first_bad_line(path, all_lines)
-    tbeg, tdur = records["tbeg"], records["tdur"]
-    tend = tbeg + tdur
-    # a non-finite time fails, as does an end that does not exceed its onset
-    # (tdur <= 0, or too small to move tbeg)
-    if not np.all((records["tag"] == "SPEAKER") & np.isfinite(tbeg) & np.isfinite(tdur)
-                  & (tend > tbeg)):
+    tbeg, speakers = records["tbeg"], records["speaker"]
+    with np.errstate(over="ignore"):     # an end past the largest float is inf: an error
+        tend = tbeg + records["tdur"]
+    if one_file:
+        groups = {head[1]: slice(None)}
+    elif not (records["tag"] == "SPEAKER").all():
         _raise_first_bad_line(path, all_lines)
-    # one hypothesis per file id, rows kept in file order
-    files = records["file"].tolist()
-    index = {file_id: i for i, file_id in enumerate(dict.fromkeys(files))}
-    code = np.fromiter(map(index.__getitem__, files), np.intp, len(files))
-    groups = np.split(np.argsort(code, kind="stable"), np.cumsum(np.bincount(code))[:-1])
-    return {file_id: DiarizationHypothesis.from_columns(
-                tbeg[rows], tend[rows], records["speaker"][rows].tolist(), file_id)
-            for file_id, rows in zip(index, groups)}
+    else:                                # one hypothesis per file id, rows kept in file order
+        files = records["file"].tolist()
+        index = {file_id: i for i, file_id in enumerate(dict.fromkeys(files))}
+        code = np.fromiter(map(index.__getitem__, files), np.intp, len(files))
+        order = np.argsort(code, kind="stable")
+        groups = dict(zip(index, np.split(order, np.cumsum(np.bincount(code))[:-1])))
+    try:                                 # a non-finite time, or an end not past its onset, fails
+        return {file_id: DiarizationHypothesis.from_columns(
+                    tbeg[rows], tend[rows], speakers[rows].tolist(), file_id)
+                for file_id, rows in groups.items()}
+    except ScoringError:
+        _raise_first_bad_line(path, all_lines)

@@ -2,17 +2,17 @@
 
 The scorer works on exact timeline algebra rather than a frame grid. The
 boundaries of both files and of the collar zones, rounded to 1 ns, are
-sorted into cuts that split time into cells; since every boundary is itself
-a cut, each segment and each zone covers a contiguous range of cells.
-`cover` turns such ranges into a coverage matrix by counting open
-intervals: +1 where a range starts, -1 where it ends, and a running sum, so
-overlapping, touching and nested ranges need no merging. That gives the
-(speakers, cells) activity of each file and the collar mask in O(N log N +
-S·C) for N segments, C cells and S speakers. A global speaker mapping is
-chosen by optimal assignment on overlap durations inside the scored
-regions, and missed/false-alarm/confusion time is a dot product of per-cell
-speaker counts with the scored cell durations. Overlapping speech is always
-scored; a collar around every reference boundary is excluded.
+sorted once into the cuts that split time into cells; a boundary's rank
+among them is the cell it opens or closes. `cover` turns the cell ranges of
+segments and zones into one bool (rows, cells) matrix, the speakers of both
+files plus the collar, by merging sorted starts and sorted ends into
+disjoint runs that toggle a running XOR. A global speaker mapping is chosen
+by optimal assignment on overlap durations inside the scored regions, and
+missed/false-alarm/confusion time is a dot product of per-cell speaker
+counts with the scored cell durations. Overlapping speech is always scored;
+a collar around every reference boundary is excluded. Cost: O(N log N) for
+N segments plus O(S·C) for S speakers and C cells; the two float (S, C)
+matrices of the speaker map are the largest temporaries.
 
 A timeline (`DiarizationHypothesis`) is stored as columns: float64 `starts`
 and `ends` in seconds, an intp speaker code per segment and the tuple of
@@ -93,15 +93,19 @@ class DiarizationHypothesis:
 
 def cover(lo, hi, rows, n_rows: int, n: int) -> np.ndarray:
     """(n_rows, n) bool: position j of row r is covered when some range k
-    with rows[k] == r has lo[k] <= j < hi[k]. Counts the ranges open at each
-    position (+1 at lo, -1 at hi, running sum), so ranges may overlap, touch
-    or nest and come in any order; a range with hi <= lo covers nothing."""
-    lo = np.asarray(lo, dtype=np.intp)
-    base = np.asarray(rows, dtype=np.intp) * (n + 1)
-    size = n_rows * (n + 1)
-    opened = (np.bincount(base + lo, minlength=size)
-              - np.bincount(base + np.maximum(hi, lo), minlength=size))
-    return np.cumsum(opened.reshape(n_rows, n + 1)[:, :n], axis=1) > 0
+    with rows[k] == r has lo[k] <= j < hi[k] (0 <= lo, hi <= n); ranges may
+    overlap, touch or nest, and hi <= lo covers nothing. Paired in sorted
+    order, starts and ends cover the same flat positions (those with more
+    starts than ends at or before them) and merge where a start passes an end."""
+    base = np.asarray(rows, dtype=np.intp) * n
+    lo, hi = base + np.asarray(lo, dtype=np.intp), base + np.asarray(hi, dtype=np.intp)
+    lo, hi = np.sort(lo[hi > lo]), np.sort(hi[hi > lo])
+    gap = np.ones(len(lo) + 1, dtype=bool)         # gap[i]: span i - 1 ends a run, i starts one
+    np.greater(lo[1:], hi[:-1], out=gap[1:-1])
+    covered = np.zeros(n_rows * n + 1, dtype=bool)
+    covered[lo[gap[:-1]]] = covered[hi[gap[1:]]] = True      # toggle a running XOR
+    np.logical_xor.accumulate(covered, out=covered)
+    return covered[:-1].reshape(n_rows, n)
 
 
 # ---------------------------------------------------------------------------
@@ -224,34 +228,42 @@ def der_score(ref: DiarizationHypothesis, hyp: DiarizationHypothesis,
         raise ScoringError(f"collar must be finite and >= 0 s, got {collar_s}")
     if not len(ref):
         raise ScoringError("reference timeline is empty")
+    # the row that owns each range: one per ref speaker, one per hyp speaker, the collar
     edges = np.concatenate([ref.starts, ref.ends]) if collar_s > 0 else np.zeros(0)
+    n_ref, n_hyp = len(ref.names), len(hyp.names)
+    owner = np.concatenate([ref.codes, hyp.codes + n_ref, np.full(len(edges), n_ref + n_hyp)])
+    bounds = np.concatenate([ref.starts, hyp.starts, edges - collar_s,
+                             ref.ends, hyp.ends, edges + collar_s])
     with np.errstate(over="ignore"):
-        bounds = np.round(np.concatenate([ref.starts, ref.ends, hyp.starts, hyp.ends,
-                                          edges - collar_s, edges + collar_s]), _TIME_DECIMALS)
+        np.round(bounds, _TIME_DECIMALS, out=bounds)
     if not np.isfinite(bounds).all():
         raise ScoringError("a segment or collar time is too large to round to 1 ns "
                            "(|t| above about 1.8e299 s)")
-    # every boundary is a cut, so its cut's index is the cell it opens or closes
-    cuts, at = np.unique(bounds, return_inverse=True)
-    n = len(cuts) - 1
-    sizes = np.cumsum([len(ref)] * 2 + [len(hyp)] * 2 + [len(edges)])
-    r_lo, r_hi, h_lo, h_hi, z_lo, z_hi = np.split(at, sizes)
-    ref_act = cover(r_lo, r_hi, ref.codes, len(ref.names), n)
-    hyp_act = cover(h_lo, h_hi, hyp.codes, len(hyp.names), n)
-    in_collar = cover(z_lo, z_hi, np.zeros(len(edges)), 1, n)[0]
-    weight = np.diff(cuts) * ~in_collar                 # cell duration, 0 in a collar
+    # one sort: the distinct bounds are the cuts, and since every bound is a
+    # cut, its rank among them is the cell it opens or closes
+    order = np.argsort(bounds)
+    bounds = bounds[order]
+    new = np.concatenate(([True], bounds[1:] != bounds[:-1]))
+    at = np.empty_like(order)
+    at[order] = np.cumsum(new) - 1
+    weight = np.diff(bounds[new])                       # cell duration, 0 in a collar
+    act = cover(at[:len(owner)], at[len(owner):], owner, n_ref + n_hyp + 1, len(weight))
+    weight[act[-1]] = 0.0
+    del edges, owner, bounds, order, new, at            # before the map's float matrices
+    ref_act, hyp_act = act[:n_ref], act[n_ref:-1]
     rows, cols = _optimal_speaker_map(ref_act, hyp_act, weight)
-
-    nr, nh = ref_act.sum(axis=0), hyp_act.sum(axis=0)
-    n_correct = (ref_act[rows] & hyp_act[cols]).sum(axis=0)
+    # float speaker counts: the same values as integer ones, with no casts in the dot products
+    nr, nh = ref_act.sum(axis=0, dtype=float), hyp_act.sum(axis=0, dtype=float)
+    n_correct = (ref_act[rows] & hyp_act[cols]).sum(axis=0, dtype=float)
+    speech, hyp_speech = nr > 0, nh > 0
     return DerReport.from_seconds(
         total_scored_s=float(weight.sum()), ref_speaker_s=float(weight @ nr),
-        ref_speech_s=float(weight @ (nr > 0)),
+        ref_speech_s=float(weight @ speech),
         miss_s=float(weight @ np.maximum(nr - nh, 0)),
         fa_s=float(weight @ np.maximum(nh - nr, 0)),
         conf_s=float(weight @ (np.minimum(nr, nh) - n_correct)),
-        sad_miss_s=float(weight @ ((nr > 0) & (nh == 0))),
-        sad_fa_s=float(weight @ ((nh > 0) & (nr == 0))))
+        sad_miss_s=float(weight @ (speech > hyp_speech)),
+        sad_fa_s=float(weight @ (hyp_speech > speech)))
 
 
 def aggregate_reports(reports: list[DerReport]) -> DerReport:

@@ -273,6 +273,32 @@ def test_train_malformed_manifest_is_a_manifest_error(dataset, tmp_path, capsys,
     assert "train done" not in captured.out
 
 
+def _train_on(dataset, tmp_path, **cfg) -> int:
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(desk_train_config(**cfg)))
+    return main(["train", "--config", str(cfg_path), "--data", str(dataset),
+                 "--out", str(tmp_path / "run"), "--epochs", "0"])
+
+
+def test_train_rttm_of_another_recording_is_a_manifest_error(dataset, tmp_path, capsys):
+    # mix000041's labels under mix000040's name: one file id, but not this row's
+    (dataset / "mix000040.rttm").write_text((dataset / "mix000041.rttm").read_text())
+    assert _train_on(dataset, tmp_path) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ManifestError: ")
+    assert "id mix000040" in captured.err and "file id is mix000041" in captured.err
+    assert "train done" not in captured.out
+
+
+def test_train_accepts_an_rttm_named_by_the_wav_stem(dataset, tmp_path, capsys):
+    # as `infer` writes it: the RTTM's only file id is the WAV's stem, not the row id
+    manifest = dataset / "manifest.csv"
+    header, *rows = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([header, *("take" + r[len("mix"):] for r in rows)]) + "\n")
+    assert _train_on(dataset, tmp_path) == 0
+    assert "train done" in capsys.readouterr().out
+
+
 def test_train_zero_epochs_writes_checkpoint(dataset, tmp_path):
     cfg_path = tmp_path / "train.json"
     cfg = desk_train_config(val_count=1)
@@ -423,3 +449,18 @@ def test_score_non_utf8_rttm_exits_1(tmp_path, capsys):
     assert captured.err.count("\n") == 1
     assert "RttmParseError" in captured.err and f"{bad}:2:" in captured.err
     assert captured.out == ""
+
+
+def test_score_end_too_large_for_a_float_prints_one_line(tmp_path):
+    # both times are finite, but the end 1e308 + 1e308 is not
+    ref, far = tmp_path / "ref.rttm", tmp_path / "hyp.rttm"
+    ref.write_text("SPEAKER f 1 0 1 <NA> <NA> s <NA> <NA>\n")
+    far.write_text("SPEAKER f 1 1e308 1e308 <NA> <NA> s <NA> <NA>\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(diarnet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    res = subprocess.run([sys.executable, "-m", "diarnet", "score", "--ref", str(ref),
+                          "--hyp", str(far)], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert res.stderr.startswith(f"error: RttmParseError: {far}:1: non-finite time field or end")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rttm_reference
+from diarnet import rttm
 from diarnet.rttm import RttmParseError, read_rttm, write_rttm
 from diarnet.scoring import DiarizationHypothesis
 
@@ -155,6 +156,38 @@ def test_mutated_files_read_like_reference(tmp_path):
         assert got == want or (want == 0 and isinstance(got, int)), raw
         outcomes["error" if isinstance(got, int) else "same"] += 1
     assert min(outcomes["same"], outcomes["error"]) >= 50, outcomes
+
+
+# one file id, no comments, every line starting "SPEAKER rec ": the form the
+# reader takes a shortcut for, reading neither the tags nor the ids
+ONE_FILE = (
+    "SPEAKER rec 1 0.000 1.500 <NA> <NA> spk0 <NA> <NA>\n"
+    "SPEAKER rec 1 0.250 0.750 <NA> <NA> a-b <NA>\n"
+    "SPEAKER rec 1\t1.234\t3.333\t<NA>\t<NA>\tspk1\n"
+    "SPEAKER rec 1 12.5 1e-3 <NA> <NA> spk0 <NA> <NA>\r\n"
+    "SPEAKER rec 1 3 4 <NA> <NA> c <NA> <NA>  \n"
+)
+
+
+def test_one_file_mutants_read_like_reference(tmp_path, monkeypatch):
+    parse, shortcuts = rttm._parse, []
+    monkeypatch.setattr(rttm, "_parse", lambda lines, skip=0: (
+        shortcuts.append(skip > 0), parse(lines, skip))[1])
+    rng = np.random.default_rng(2026)
+    p = tmp_path / "one.rttm"
+    outcomes = {"same": 0, "error": 0, "float_only": 0}
+    for _ in range(400):
+        raw = _mutant(rng, ONE_FILE.encode())
+        p.write_bytes(raw)
+        want, got = _reference(p), _bulk(p)
+        if isinstance(got, int) and want != 0 and _float_only(raw.decode()):
+            outcomes["float_only"] += 1
+            continue
+        assert got == want or (want == 0 and isinstance(got, int)), raw
+        outcomes["error" if isinstance(got, int) else "same"] += 1
+    assert min(outcomes["same"], outcomes["error"]) >= 50, outcomes
+    # the shortcut read most files, and the full parse the rest
+    assert 100 <= sum(shortcuts) <= len(shortcuts) - 50, (sum(shortcuts), len(shortcuts))
 
 
 @pytest.mark.parametrize("segments", [

@@ -1,10 +1,15 @@
 import dataclasses
+import re
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import scoring_reference
 from der_oracle import corrupt_timeline, frame_der, random_timeline
 from diarnet.cli import _segments_from_labels
 from diarnet.rttm import RttmParseError, read_rttm, write_rttm
@@ -178,6 +183,17 @@ def test_cover_random_ranges_match_position_scan():
         rows = rng.integers(0, n_rows, size=k)
         assert np.array_equal(cover(lo, hi, rows, n_rows, n),
                               _cover_reference(lo, hi, rows, n_rows, n))
+
+
+def test_cover_matches_counting_reference():
+    # many ranges per row, so same-row ranges overlap, touch and nest
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        n, n_rows, k = int(rng.integers(0, 60)), int(rng.integers(1, 6)), int(rng.integers(0, 40))
+        lo, hi = rng.integers(0, n + 1, size=(2, k))
+        rows = rng.integers(0, n_rows, size=k)
+        assert np.array_equal(cover(lo, hi, rows, n_rows, n),
+                              scoring_reference.cover(lo, hi, rows, n_rows, n))
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +402,94 @@ def test_scorer_edge_cases_match_reference_scan(case, collar):
     _assert_matches_reference(*EDGE_CASES[case], collar)
 
 
+# ---------------------------------------------------------------------------
+# the sort-once scorer against the np.unique scorer it replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def _random_speaker(rng, name, span_s=30.0) -> list:
+    """Segments of one speaker that may overlap, touch or nest, on the 10 ms
+    grid or off it."""
+    segs, grid = [], rng.random() < 0.5
+    for _ in range(int(rng.integers(1, 9))):
+        if segs and rng.random() < 0.4:
+            start, end, _ = segs[int(rng.integers(0, len(segs)))]
+            if rng.random() < 0.5:      # touching
+                start, end = end, end + float(rng.uniform(0.05, 3.0))
+            else:                       # nested, or overlapping past the end
+                start = start + float(rng.uniform(0.0, 0.5)) * (end - start)
+                end = start + float(rng.uniform(0.01, 2.0)) * (end - start)
+        else:
+            start = float(rng.uniform(0.0, span_s))
+            end = start + float(rng.uniform(0.05, 8.0))
+        if grid:
+            start, end = round(start, 2), max(round(end, 2), round(start, 2) + 0.01)
+        segs.append((start, end, name))
+    return segs
+
+
+def _random_pair(rng) -> tuple[list, list]:
+    """1-6 reference and 0-6 hypothesis speakers, some hypothesis names
+    unmatched; now and then an empty hypothesis or one near the reference."""
+    ref = [seg for i in range(int(rng.integers(1, 7))) for seg in _random_speaker(rng, f"s{i}")]
+    if rng.random() < 0.3:
+        hyp = corrupt_timeline(rng, ref, span_s=40.0)
+    else:
+        n_hyp = int(rng.integers(0, 7))
+        names = [f"s{i}" if rng.random() < 0.5 else f"x{i}" for i in range(n_hyp)]
+        hyp = [seg for name in names for seg in _random_speaker(rng, name)]
+    return ref, hyp
+
+
+def _assert_same_report(ref, h, collar_s):
+    try:
+        want = scoring_reference.der_score(ref, h, collar_s)
+    except ScoringError:
+        with pytest.raises(ScoringError):
+            der_score(ref, h, collar_s)
+        return
+    assert dataclasses.asdict(der_score(ref, h, collar_s)) == dataclasses.asdict(want)
+
+
+def test_scorer_is_bit_identical_to_unique_scorer_on_random_pairs():
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        ref_segs, hyp_segs = _random_pair(rng)
+        for collar in (0.0, 0.25):
+            _assert_same_report(hyp(ref_segs), hyp(hyp_segs), collar)
+
+
+def _score_dense_pair(tmp_path, seed):
+    """The two timelines of the benchmark's score_dense workload (4 speakers,
+    about 2000 segments a side), read back from its RTTMs."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        from workloads import Score
+    finally:
+        sys.path.pop(0)
+    work = Score()
+    work.setup(tmp_path, seed)
+    return read_rttm(work.ref_path)["dense"], read_rttm(work.hyp_path)["dense"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_scorer_is_bit_identical_on_score_dense_inputs(tmp_path, seed):
+    ref, h = _score_dense_pair(tmp_path, seed)
+    for collar in (0.0, 0.25):
+        _assert_same_report(ref, h, collar)
+
+
+def test_scorer_peak_memory_is_at_most_the_unique_scorers(tmp_path):
+    ref, h = _score_dense_pair(tmp_path, 1)
+    peaks = []
+    for score in (scoring_reference.der_score, der_score):
+        score(ref, h)
+        tracemalloc.start()
+        score(ref, h)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0], peaks
+
+
 def test_scorer_at_ten_thousand_segments_matches_frame_oracle():
     rng = np.random.default_rng(77)
     ref_segs = []
@@ -478,6 +582,18 @@ def test_rttm_rejects_non_finite_times(tmp_path, field, value):
     with pytest.raises(RttmParseError) as e:
         read_rttm(p)
     assert ":2:" in str(e.value)
+
+
+def test_rttm_end_too_large_for_a_float_is_a_parse_error(tmp_path):
+    # both times are finite, but the end 1e308 + 1e308 is not
+    p = tmp_path / "far.rttm"
+    p.write_text("SPEAKER f 1 0 1 <NA> <NA> s <NA> <NA>\n"
+                 "SPEAKER f 1 1e308 1e308 <NA> <NA> s <NA> <NA>\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RttmParseError,
+                           match=f"{re.escape(str(p))}:2: non-finite time field or end"):
+            read_rttm(p)
 
 
 def test_rttm_groups_by_file_id(tmp_path):
