@@ -54,7 +54,7 @@ from .model import (
     predict_probs,
     sap_pool,
 )
-from .rttm import RttmParseError, read_rttm, write_rttm
+from .rttm import RttmParseError, RttmWriteError, read_rttm, write_rttm
 from .scoring import (
     DerReport,
     DiarizationHypothesis,

@@ -14,12 +14,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .frontend import ConfigError, from_json, load_wav, write_wav
+from .frontend import ConfigError, frame_count, from_json, load_wav, write_wav
 from .model import predict_probs
 from .rttm import read_rttm, write_rttm
 from .scoring import (DiarizationHypothesis, ScoringError, aggregate_reports, der_score,
                       posterior_to_segments)
-from .synth import MixtureSpec, labels_from_segments, synth_mixture
+from .synth import LabeledRecording, MixtureSpec, labels_from_segments, synth_mixture
 from .training import TrainConfig, load_checkpoint, train
 
 
@@ -151,9 +151,6 @@ def cmd_train(args) -> int:
 
 
 def _load_recording(rec_id: str, wav_path: Path, rttm_path: Path):
-    from .frontend import frame_count
-    from .synth import LabeledRecording
-
     clip = load_wav(wav_path)
     hyps = read_rttm(rttm_path)
     # an RTTM of one file may name it by the WAV's stem, as `infer` writes it

@@ -30,6 +30,10 @@ class RttmParseError(ValueError):
     pass
 
 
+class RttmWriteError(ValueError):
+    """A file id or speaker name that would not read back as one RTTM field."""
+
+
 # the tag, file id, onset, duration and speaker of each record
 _FIELDS = [("tag", object), ("file", object), ("tbeg", float), ("tdur", float),
            ("speaker", object)]
@@ -44,11 +48,16 @@ def _parse(lines: list[str], skip: int = 0) -> np.ndarray:
 
 def write_rttm(path, hyps) -> None:
     """Write one hypothesis or a {file_id: hypothesis} mapping; each file's
-    lines are sorted by start, then end, then speaker name."""
+    lines are sorted by start, then end, then speaker name. A file id or
+    speaker name that is empty or holds whitespace raises RttmWriteError and
+    writes nothing."""
     if isinstance(hyps, DiarizationHypothesis):
         hyps = {hyps.file_id: hyps}
     text = []
     for file_id, hyp in hyps.items():
+        for what, value in (("file id", str(file_id)), *(("speaker", str(n)) for n in hyp.names)):
+            if value.split() != [value]:
+                raise RttmWriteError(f"{path}: {what} {value!r} is empty or holds whitespace")
         # codes index the sorted names, so sorting codes sorts names
         order = np.lexsort((hyp.codes, hyp.ends, hyp.starts))
         # one %-format call per file, over start, duration, speaker triples

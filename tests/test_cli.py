@@ -351,6 +351,21 @@ def test_infer_median_below_one_exits_1(dataset, tmp_path, capsys, width):
     assert not out_rttm.exists()
 
 
+def test_infer_wav_stem_with_a_space_exits_1(dataset, tmp_path, capsys):
+    # the stem is the RTTM file id, and a space would split it into two fields
+    cfg = ModelConfig(**DESK_MODEL)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, init_model_params(cfg, np.random.default_rng(0)), cfg)
+    wav = tmp_path / "my rec.wav"
+    wav.write_bytes(next(dataset.glob("*.wav")).read_bytes())
+    out_rttm = tmp_path / "hyp.rttm"
+    rc = main(["infer", "--ckpt", str(ckpt), "--wav", str(wav), "--rttm", str(out_rttm)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "RttmWriteError" in err[0] and "'my rec'" in err[0]
+    assert not out_rttm.exists()
+
+
 def test_infer_corrupt_checkpoint_exits_1(dataset, tmp_path, capsys):
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_bytes(b"{truncated json\n" + b"\x00" * 32)

@@ -8,7 +8,7 @@ import pytest
 
 import rttm_reference
 from diarnet import rttm
-from diarnet.rttm import RttmParseError, read_rttm, write_rttm
+from diarnet.rttm import RttmParseError, RttmWriteError, read_rttm, write_rttm
 from diarnet.scoring import DiarizationHypothesis
 
 # several file ids, interleaved; 8, 9 and 10 fields; tabs; comments after
@@ -200,6 +200,20 @@ def test_write_rttm_matches_tuple_sort(tmp_path, segments):
     write_rttm(got, DiarizationHypothesis(segments, file_id="f"))
     rttm_reference.write_rttm(want, {"f": segments})
     assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("file_id,speaker,bad", [
+    ("my rec", "1", "my rec"), ("f", "spk a", "spk a"), ("f", "a\tb", "a\tb"),
+    ("", "1", ""), ("f", "", ""), (" f", "1", " f"),
+])
+def test_write_rttm_refuses_a_field_that_would_split(tmp_path, file_id, speaker, bad):
+    # read back, "my rec" was file "my" with times shifted one field along
+    p = tmp_path / "h.rttm"
+    hyp = DiarizationHypothesis([(0.5, 1.5, "0"), (2.0, 3.0, speaker)], file_id=file_id)
+    ok = DiarizationHypothesis([(0.0, 1.0, "0")], file_id="ok")
+    with pytest.raises(RttmWriteError, match=re.escape(repr(bad))):
+        write_rttm(p, {"ok": ok, file_id: hyp})
+    assert not p.exists()
 
 
 def test_write_rttm_random_ties_match_tuple_sort(tmp_path):

@@ -196,6 +196,9 @@ def _corrupt_checkpoint(case: str, named: dict, model: dict) -> tuple[dict, dict
     if case == "missing parameter":
         return ({k: v for k, v in named.items() if k != "head.b_global"}, {"model": model},
                 "head.b_global")
+    if case == "extra tensor":       # one of a second block, which a depth-1 config lacks
+        bias = np.zeros_like(named["block1.xattn.v.b"])
+        return dict(named, **{"block2.xattn.v.b": bias}), {"model": model}, "block2.xattn.v.b"
     if case == "non-finite tensor":
         w = named["frontend.conv1.w"].copy()
         w.flat[3] = np.inf
@@ -206,7 +209,8 @@ def _corrupt_checkpoint(case: str, named: dict, model: dict) -> tuple[dict, dict
 
 
 @pytest.mark.parametrize("case", ["no model config", "unknown model key",
-                                  "missing parameter", "wrong shape", "non-finite tensor"])
+                                  "missing parameter", "wrong shape", "non-finite tensor",
+                                  "extra tensor"])
 def test_corrupt_checkpoint_raises_serialization_error(tmp_path, case):
     cfg = desk_model()
     named = {k: p.data for k, p in init_model_params(cfg, np.random.default_rng(7)).items()}
