@@ -60,7 +60,7 @@ print("assignment: columns", bundle.alignment.active_cols,
 
 fast = pit_align(logits.data, labels)
 slow = pit_align_bruteforce(logits.data, labels)
-print("hungarian cost == brute-force cost:", fast.cost == slow.cost)
+print("shortest-augmenting-path cost == brute-force cost:", fast.cost == slow.cost)
 
 # ## Unassigned slots are bias-only: no BCE gradient reaches their directions
 

@@ -16,9 +16,9 @@ from pathlib import Path
 
 from .frontend import ConfigError, frame_count, from_json, load_wav, write_wav
 from .model import predict_probs
-from .rttm import read_rttm, write_rttm
-from .scoring import (DiarizationHypothesis, ScoringError, aggregate_reports, der_score,
-                      posterior_to_segments)
+from .rttm import check_field, read_rttm, write_rttm
+from .scoring import (DiarizationHypothesis, ScoringError, aggregate_reports,
+                      check_segment_options, der_score, posterior_to_segments)
 from .synth import LabeledRecording, MixtureSpec, labels_from_segments, synth_mixture
 from .training import TrainConfig, load_checkpoint, train
 
@@ -164,12 +164,15 @@ def _load_recording(rec_id: str, wav_path: Path, rttm_path: Path):
 
 
 def cmd_infer(args) -> int:
+    file_id = Path(args.wav).stem
+    # refuse bad settings and a file id the RTTM cannot hold before the model runs
+    check_segment_options(args.threshold, args.median)
+    check_field(args.rttm, "file id", file_id)
     params, cfg = load_checkpoint(Path(args.ckpt))
     clip = load_wav(Path(args.wav))
     probs = predict_probs(clip, params, cfg)
     hyp = posterior_to_segments(probs, threshold=args.threshold,
-                                median_w=args.median,
-                                file_id=Path(args.wav).stem)
+                                median_w=args.median, file_id=file_id)
     write_rttm(Path(args.rttm), hyp)
     print(f"wrote {args.rttm}: {len(hyp)} segments, {len(hyp.names)} speakers")
     return 0
@@ -193,41 +196,51 @@ def cmd_score(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (handler, help, the subcommand's arguments)
+_COMMANDS = {
+    "synth-data": (cmd_synth_data, "generate labeled synthetic mixtures", [
+        ("--spec", {"required": True, "help": "JSON mixture spec"}),
+        ("--out", {"required": True, "help": "output directory"})]),
+    "train": (cmd_train, "train on a synthesized dataset", [
+        ("--config", {"required": True, "help": "JSON train config"}),
+        ("--data", {"required": True, "help": "dataset directory (manifest.csv)"}),
+        ("--out", {"required": True, "help": "output directory for checkpoints"}),
+        ("--epochs", {"type": int, "default": None, "help": "override config epochs"})]),
+    "infer": (cmd_infer, "diarize a WAV with a trained checkpoint", [
+        ("--ckpt", {"required": True}),
+        ("--wav", {"required": True}),
+        ("--rttm", {"required": True, "help": "output RTTM path"}),
+        ("--threshold", {"type": float, "default": 0.5}),
+        ("--median", {"type": int, "default": 11})]),
+    "score": (cmd_score, "score hypothesis RTTM against reference", [
+        ("--ref", {"required": True}),
+        ("--hyp", {"required": True}),
+        ("--collar", {"type": float, "default": 0.25})]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone; its usage line
+    names all four either way."""
     parser = argparse.ArgumentParser(prog="diarnet",
                                      description="desk-scale neural speaker diarization")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth-data", help="generate labeled synthetic mixtures")
-    p.add_argument("--spec", required=True, help="JSON mixture spec")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_synth_data)
-
-    p = sub.add_parser("train", help="train on a synthesized dataset")
-    p.add_argument("--config", required=True, help="JSON train config")
-    p.add_argument("--data", required=True, help="dataset directory (manifest.csv)")
-    p.add_argument("--out", required=True, help="output directory for checkpoints")
-    p.add_argument("--epochs", type=int, default=None, help="override config epochs")
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("infer", help="diarize a WAV with a trained checkpoint")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--wav", required=True)
-    p.add_argument("--rttm", required=True, help="output RTTM path")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--median", type=int, default=11)
-    p.set_defaults(fn=cmd_infer)
-
-    p = sub.add_parser("score", help="score hypothesis RTTM against reference")
-    p.add_argument("--ref", required=True)
-    p.add_argument("--hyp", required=True)
-    p.add_argument("--collar", type=float, default=0.25)
-    p.set_defaults(fn=cmd_score)
+    # through the metavar a one-command parser's usage still lists all four; the
+    # full parser sets none, as a metavar would also rename `command` in errors
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        fn, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a call that names its subcommand first builds only that one's parser
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

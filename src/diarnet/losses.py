@@ -13,11 +13,11 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
 from .autodiff import NORM_EPS, Tensor, tensor
 from .model import ForwardResult
+from .scoring import min_cost_assignment
 
 DPCL_MODES = ("activity", "attractor", "none")
 
@@ -118,9 +118,8 @@ def pit_align(logits, labels: LabelMatrix) -> Alignment:
     A crop with no active speaker gets the empty alignment.
     """
     cost = bce_cost_matrix(logits, labels)
-    rows, slot_idx = linear_sum_assignment(cost)
-    order = np.argsort(rows)
-    slots = tuple(int(s) for s in slot_idx[order])
+    rows, slot_idx = min_cost_assignment(cost)      # rows ascending: speaker order
+    slots = tuple(int(s) for s in slot_idx)
     total = float(cost[rows, slot_idx].sum())
     return Alignment(active_cols=labels.active_columns, slots=slots, cost=total)
 

@@ -46,6 +46,14 @@ def _parse(lines: list[str], skip: int = 0) -> np.ndarray:
                       comments=None, ndmin=1)
 
 
+def check_field(path, what: str, value) -> None:
+    """Raise RttmWriteError unless `str(value)` reads back as one RTTM field
+    of a file written to `path`: it is not empty and holds no whitespace."""
+    value = str(value)
+    if value.split() != [value]:
+        raise RttmWriteError(f"{path}: {what} {value!r} is empty or holds whitespace")
+
+
 def write_rttm(path, hyps) -> None:
     """Write one hypothesis or a {file_id: hypothesis} mapping; each file's
     lines are sorted by start, then end, then speaker name. A file id or
@@ -55,9 +63,8 @@ def write_rttm(path, hyps) -> None:
         hyps = {hyps.file_id: hyps}
     text = []
     for file_id, hyp in hyps.items():
-        for what, value in (("file id", str(file_id)), *(("speaker", str(n)) for n in hyp.names)):
-            if value.split() != [value]:
-                raise RttmWriteError(f"{path}: {what} {value!r} is empty or holds whitespace")
+        for what, value in (("file id", file_id), *(("speaker", n) for n in hyp.names)):
+            check_field(path, what, value)
         # codes index the sorted names, so sorting codes sorts names
         order = np.lexsort((hyp.codes, hyp.ends, hyp.starts))
         # one %-format call per file, over start, duration, speaker triples

@@ -28,7 +28,6 @@ import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .frontend import FRAME_S
 
@@ -131,6 +130,15 @@ def run_edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[::2], edges[1::2]
 
 
+def check_segment_options(threshold: float, median_w: int) -> None:
+    """Raise ScoringError unless `threshold` lies in [0, 1] and `median_w` is
+    a positive odd integer, as `posterior_to_segments` requires."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ScoringError(f"threshold must lie in [0, 1], got {threshold}")
+    if not (isinstance(median_w, numbers.Integral) and median_w >= 1 and median_w % 2 == 1):
+        raise ScoringError(f"median width must be a positive odd integer, got {median_w}")
+
+
 def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
                           median_w: int = 11, file_id: str = "rec",
                           speaker_names: list | None = None) -> DiarizationHypothesis:
@@ -138,10 +146,7 @@ def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
 
     `threshold` and the posteriors lie in [0, 1]; `median_w` is an odd int >= 1 (1: no filter).
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ScoringError(f"threshold must lie in [0, 1], got {threshold}")
-    if not (isinstance(median_w, numbers.Integral) and median_w >= 1 and median_w % 2 == 1):
-        raise ScoringError(f"median width must be a positive odd integer, got {median_w}")
+    check_segment_options(threshold, median_w)
     probs = np.asarray(probs)
     if probs.ndim != 2:
         raise ValueError(f"expected (T, S) posteriors, got {probs.shape}")
@@ -205,12 +210,81 @@ class DerReport:
 _SECONDS = tuple(f.name for f in fields(DerReport))[6:]
 
 
+def min_cost_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment on a rectangular (n, m) cost matrix: rows[k] is
+    matched to cols[k] for min(n, m) pairs, with rows ascending.
+
+    The shortest augmenting path method (D. F. Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4), 2016) in the loop
+    order of `scipy.optimize.linear_sum_assignment`, so ties break alike and
+    the outputs are equal. A NaN or -inf entry raises ValueError, as does a
+    matrix with no finite assignment. Costs are solved as float64 with a
+    Python loop, which suits the few-speaker matrices of this library.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2:
+        raise ValueError(f"expected a matrix (2-D array), got a {cost.ndim}-D array")
+    transpose = cost.shape[1] < cost.shape[0]     # the solver wants no more rows than columns
+    if transpose:
+        cost = cost.T
+    nr, nc = cost.shape
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    c = cost.tolist()
+    u, v = [0.0] * nr, [0.0] * nc                  # dual variables
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        # Dijkstra from row `cur` over reduced costs until an unassigned column;
+        # visiting columns from the last makes a constant matrix give the identity
+        dist, remaining = [math.inf] * nc, list(range(nc - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        i, min_val = cur, 0.0
+        while True:
+            rows_seen.append(i)
+            index, lowest, ci, ui = -1, math.inf, c[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < dist[j]:
+                    path[j], dist[j] = i, r
+                else:
+                    r = dist[j]
+                # among equal distances, prefer a column that ends the path
+                if r < lowest or (r == lowest and row4col[j] == -1):
+                    lowest, index = r, it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for k in cols_seen:
+            v[k] -= min_val - dist[k]
+        while True:                                # augment back along the path to `cur`
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    cols = np.array(col4row, dtype=np.intp)
+    if not transpose:
+        return np.arange(nr), cols
+    order = np.argsort(cols)
+    return cols[order], order
+
+
 def _optimal_speaker_map(ref_act: np.ndarray, hyp_act: np.ndarray,
                          weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Global 1-1 speaker map (ref rows, hyp rows) maximizing matched time
     in scored regions; pairs that never co-occur are left unmapped."""
     overlap = (ref_act * weight) @ hyp_act.astype(float).T
-    rows, cols = linear_sum_assignment(-overlap)
+    rows, cols = min_cost_assignment(-overlap)
     keep = overlap[rows, cols] > 0
     return rows[keep], cols[keep]
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import diarnet
-from diarnet.cli import main
+from diarnet.cli import build_parser, main
 from diarnet.frontend import load_wav
 from diarnet.model import ModelConfig, init_model_params
 from diarnet.rttm import read_rttm
@@ -366,6 +366,26 @@ def test_infer_wav_stem_with_a_space_exits_1(dataset, tmp_path, capsys):
     assert not out_rttm.exists()
 
 
+@pytest.mark.parametrize("flags,error,text", [
+    pytest.param(["--threshold", "1.5"], "ScoringError", "threshold", id="threshold-1.5"),
+    pytest.param(["--threshold", "nan"], "ScoringError", "threshold", id="threshold-nan"),
+    pytest.param(["--median", "4"], "ScoringError", "median", id="median-4"),
+    pytest.param(["--median", "0"], "ScoringError", "median", id="median-0"),
+    pytest.param(["--median", "-3"], "ScoringError", "median", id="median--3"),
+    pytest.param(["--wav", "my rec.wav"], "RttmWriteError", "'my rec'", id="wav-stem-space"),
+])
+def test_infer_bad_argument_is_refused_before_the_checkpoint_loads(tmp_path, capsys, flags,
+                                                                   error, text):
+    # neither the checkpoint nor the WAV exists: only the argument can be at fault
+    out_rttm = tmp_path / "hyp.rttm"
+    rc = main(["infer", "--ckpt", str(tmp_path / "missing.ckpt"), "--wav",
+               str(tmp_path / "rec.wav"), "--rttm", str(out_rttm), *flags])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and error in err[0] and text in err[0]
+    assert not out_rttm.exists()
+
+
 def test_infer_corrupt_checkpoint_exits_1(dataset, tmp_path, capsys):
     ckpt = tmp_path / "bad.ckpt"
     ckpt.write_bytes(b"{truncated json\n" + b"\x00" * 32)
@@ -445,10 +465,14 @@ def test_bad_seed_env_is_a_config_error(dataset, tmp_path, capsys, monkeypatch, 
     assert "ConfigError" in err and "DIARNET_SEED" in err
 
 
-def test_module_entry_point_prints_help():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _subprocess_env() -> dict:
+    """The environment, with this diarnet first on the import path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(diarnet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-    res = subprocess.run([sys.executable, "-m", "diarnet", "--help"], env=env,
+
+
+def test_module_entry_point_prints_help():
+    res = subprocess.run([sys.executable, "-m", "diarnet", "--help"], env=_subprocess_env(),
                          capture_output=True, text=True, timeout=60)
     assert res.returncode == 0
     assert "synth-data" in res.stdout and "train" in res.stdout
@@ -471,11 +495,51 @@ def test_score_end_too_large_for_a_float_prints_one_line(tmp_path):
     ref, far = tmp_path / "ref.rttm", tmp_path / "hyp.rttm"
     ref.write_text("SPEAKER f 1 0 1 <NA> <NA> s <NA> <NA>\n")
     far.write_text("SPEAKER f 1 1e308 1e308 <NA> <NA> s <NA> <NA>\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(diarnet.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     res = subprocess.run([sys.executable, "-m", "diarnet", "score", "--ref", str(ref),
-                          "--hyp", str(far)], env=env, capture_output=True, text=True,
-                         timeout=120)
+                          "--hyp", str(far)], env=_subprocess_env(), capture_output=True,
+                         text=True, timeout=120)
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr.count("\n") == 1
     assert res.stderr.startswith(f"error: RttmParseError: {far}:1: non-finite time field or end")
+
+
+def test_score_call_imports_no_scipy(tmp_path):
+    rttm = tmp_path / "ref.rttm"
+    rttm.write_text("SPEAKER f 1 0.000 2.000 <NA> <NA> a <NA> <NA>\n")
+    code = ("import sys, diarnet\n"
+            "from diarnet import cli\n"
+            "rc = cli.main(['score', '--ref', sys.argv[1], '--hyp', sys.argv[1]])\n"
+            "print(rc, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    res = subprocess.run([sys.executable, "-c", code, str(rttm)], env=_subprocess_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert res.stdout.splitlines()[-1] == "0 []", res.stdout + res.stderr
+
+
+# argv: a fragment of the text the full parser prints for it
+PARSER_CASES = {
+    "no-arguments": ([], "required: command"),
+    "-h": (["-h"], "{synth-data,train,infer,score}"),
+    "--help": (["--help"], "diarize a WAV with a trained checkpoint"),
+    "unknown-command": (["bogus"], "argument command: invalid choice"),
+    **{f"{cmd}-help": ([cmd, "--help"], f"usage: diarnet {cmd}")
+       for cmd in ("synth-data", "train", "infer", "score")},
+    "missing-required-flag": (["train", "--config", "c.json", "--data", "d"],
+                              "required: --out"),
+    "non-integer-epochs": (["train", "--config", "c.json", "--data", "d", "--out", "o",
+                            "--epochs", "x"], "invalid int value: 'x'"),
+    "extra-positional": (["score", "--ref", "r.rttm", "--hyp", "h.rttm", "extra"],
+                         "unrecognized arguments: extra"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSER_CASES))
+def test_parser_text_matches_the_full_parser(capsys, case):
+    # main builds one subcommand's parser when argv names it first
+    argv, fragment = PARSER_CASES[case]
+    outcomes = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as e:
+            parse(list(argv))
+        outcomes.append((e.value.code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert fragment in outcomes[0][1] + outcomes[0][2]

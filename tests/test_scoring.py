@@ -20,6 +20,7 @@ from diarnet.scoring import (
     aggregate_reports,
     cover,
     der_score,
+    min_cost_assignment,
     posterior_to_segments,
     run_edges,
 )
@@ -194,6 +195,53 @@ def test_cover_matches_counting_reference():
         rows = rng.integers(0, n_rows, size=k)
         assert np.array_equal(cover(lo, hi, rows, n_rows, n),
                               scoring_reference.cover(lo, hi, rows, n_rows, n))
+
+
+# ---------------------------------------------------------------------------
+# optimal assignment, against scipy's solver
+# ---------------------------------------------------------------------------
+
+ASSIGNMENT_COSTS = {
+    "gaussian": lambda rng, shape: rng.standard_normal(shape),
+    "ternary": lambda rng, shape: rng.integers(0, 3, shape).astype(float),   # full of ties
+    "quarter-step": lambda rng, shape: rng.integers(-8, 9, shape) / 4,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ASSIGNMENT_COSTS))
+def test_min_cost_assignment_equals_scipy(kind):
+    rng = np.random.default_rng(sorted(ASSIGNMENT_COSTS).index(kind))
+    for _ in range(7000):     # shapes 1-8 x 1-8, wide and tall
+        cost = ASSIGNMENT_COSTS[kind](rng, tuple(rng.integers(1, 9, size=2)))
+        rows, cols = min_cost_assignment(cost)
+        want_rows, want_cols = linear_sum_assignment(cost)
+        assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols), cost
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_min_cost_assignment_of_an_empty_side_is_empty(shape):
+    rows, cols = min_cost_assignment(np.zeros(shape))
+    assert rows.shape == cols.shape == (0,) and rows.dtype == cols.dtype == np.intp
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+def test_min_cost_assignment_refuses_nan_and_minus_inf(shape, bad):
+    cost = np.ones(shape)
+    cost[1, 1] = bad
+    for solve in (min_cost_assignment, linear_sum_assignment):
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            solve(cost)
+
+
+def test_min_cost_assignment_of_a_row_of_inf():
+    wide = np.array([[1.0, 2.0, 3.0], [np.inf, np.inf, np.inf]])
+    for solve in (min_cost_assignment, linear_sum_assignment):
+        with pytest.raises(ValueError, match="infeasible"):
+            solve(wide)
+    # a tall matrix leaves that row out instead
+    rows, cols = min_cost_assignment(np.array([[1.0, 2.0], [np.inf, np.inf], [3.0, 4.0]]))
+    assert rows.tolist() == [0, 2] and cols.tolist() == [0, 1]
 
 
 # ---------------------------------------------------------------------------
