@@ -6,7 +6,10 @@ the graph in reverse topological order and accumulates gradients into the
 frees the graph behind it: once a node's backward closure has run, its
 closure, gradient and parent links are dropped, so intermediate arrays are
 released as the walk passes them and only leaves keep a `.grad`. A graph
-can therefore be backpropagated once.
+can therefore be backpropagated once. Until then a node keeps only what its
+backward reads: an array that is cheap to rebuild from the node's inputs or
+output (a relu mask, conv2d's im2col columns) is rebuilt in backward, not
+stored.
 
 Conventions:
   * training math runs in float32, gradient checks in float64 (dtype follows
@@ -382,11 +385,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
     out = np.maximum(a.data, 0)    # branch-free, unlike np.where on a random mask
 
     def bwd(g):
-        _accum(a, g * mask)
+        _accum(a, g * (out > 0))    # out > 0 exactly where a > 0
 
     return _make(out, (a,), bwd)
 
@@ -592,7 +594,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     Lowered to one gather (im2col through a cached index, `_conv_index`) and
     one matmul; the input gradient is the transposed matmul summed back
-    through the index's inverse.
+    through the index's inverse. The node keeps the input, not the columns:
+    backward gathers them again for the kernel gradient.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: need 4-d operands, got {x.shape} and {w.shape}")
@@ -612,10 +615,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ShapeError(f"conv2d: kernel {w.shape} does not fit input {x.shape} with pads {pads}")
 
     idx, inv = _conv_index(cin, h, wdt, kh, kw, stride, pads)
-    xe = _zero_slot(x.data.reshape(n, cin * h * wdt))
-    cols = np.take(xe, idx.ravel(), axis=1).reshape(n * ho * wo, cin * kh * kw)
+
+    def im2col():
+        # np.take keeps the columns C-ordered; a fancy index would hand BLAS
+        # F-ordered ones and change the products' last bits
+        xe = _zero_slot(x.data.reshape(n, cin * h * wdt))
+        return np.take(xe, idx.ravel(), axis=1).reshape(n * ho * wo, cin * kh * kw)
+
     wmat = w.data.reshape(cout, -1)
-    out = (cols @ wmat.T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
+    out = (im2col() @ wmat.T).reshape(n, ho, wo, cout).transpose(0, 3, 1, 2)
     if b is not None:
         out = out + b.data.reshape(1, cout, 1, 1)
     out = np.ascontiguousarray(out)
@@ -623,7 +631,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     def bwd(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
-        _accum(w, (gmat.T @ cols).reshape(w.shape))
+        _accum(w, (gmat.T @ im2col()).reshape(w.shape))
         if b is not None:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
@@ -654,11 +662,14 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
     pad = k // 2
     xp = np.zeros(x.shape[:-2] + (t + 2 * pad, c), dtype=x.data.dtype)
     xp[..., pad:pad + t, :] = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-2)  # (..., T, C, k)
-    out = (win * w.data.T).sum(axis=-1)
+    # one shifted multiply-add per tap, summed in tap order
+    out = xp[..., :t, :] * w.data[0]
+    for i in range(1, k):
+        out += xp[..., i:i + t, :] * w.data[i]
     _audit_macs(x.size * k)
 
     def bwd(g):
+        win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-2)  # (..., T, C, k)
         lead = "ABCDEFGH"[:x.ndim - 2]   # einsum keeps "..." axes, so name them
         _accum(w, np.einsum(f"{lead}tck,{lead}tc->kc", win, g))
         gxp = np.zeros_like(xp)
@@ -666,7 +677,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
             gxp[..., i:i + t, :] += g * w.data[i]
         _accum(x, gxp[..., pad:pad + t, :])
 
-    return _make(np.ascontiguousarray(out), (x, w), bwd)
+    return _make(out, (x, w), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +723,9 @@ def _is_basic_index(idx) -> bool:
 
 def take(a: Tensor, idx) -> Tensor:
     """Indexing/slicing; gradients write (basic index) or scatter-add
-    (integer arrays, which may repeat an element) back into place."""
-    out = a.data[idx]
+    (integer arrays, which may repeat an element) back into place. As in
+    numpy, a basic index gives a view of the input and an integer array a
+    copy."""
     basic = _is_basic_index(idx)
 
     def bwd(g):
@@ -724,7 +736,7 @@ def take(a: Tensor, idx) -> Tensor:
             np.add.at(ga, idx, g)
         _accum(a, ga)
 
-    return _make(np.array(out, copy=True), (a,), bwd)
+    return _make(a.data[idx], (a,), bwd)
 
 
 def stack(tensors: list, axis: int = 0) -> Tensor:

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frontend import (FRAME_S, WINDOW_FRAMES, WINDOW_HOP, ConfigError, check_number_fields,
-                       cnn_encode, from_json, log_mel, window_stack)
+from .frontend import (FRAME_S, HOP_SAMPLES, WIN_SAMPLES, WINDOW_FRAMES, WINDOW_HOP, AudioClip,
+                       ConfigError, check_number_fields, cnn_encode, from_json, log_mel,
+                       window_stack)
 from .losses import DPCL_MODES, LabelMatrix, LossWeights, total_loss
 from .model import ModelConfig, forward, init_model_params, param_specs, zero_grads
 from .serialize import SerializationError, load_bundle, save_bundle
@@ -207,11 +208,20 @@ class TrainResult:
     wall_s: float
 
 
-def _prepare(item, n_slots: int, nf_crop: int) -> tuple[np.ndarray, LabelMatrix, int]:
+def _prepare(item, n_slots: int, nf_crop: int,
+             head: bool = False) -> tuple[np.ndarray, LabelMatrix, int]:
     """Mel rows, slot-padded labels and crop length in frames of a MixtureSpec
-    (synthesized here) or a LabeledRecording (used as-is)."""
+    (synthesized here) or a LabeledRecording (used as-is); with ``head``, only
+    those of output frames [0, nf), the rows made from the samples they read
+    (log_mel is prefix-stable)."""
     rec = item if isinstance(item, LabeledRecording) else synth_mixture(item)
-    return log_mel(rec.clip), rec.labels.pad_to(n_slots), min(nf_crop, rec.labels.n_frames)
+    nf = min(nf_crop, rec.labels.n_frames)
+    clip, labels = rec.clip, rec.labels.pad_to(n_slots)
+    if head:
+        n_rows = WINDOW_HOP * (nf - 1) + WINDOW_FRAMES
+        clip = AudioClip(clip.samples[:HOP_SAMPLES * (n_rows - 1) + WIN_SAMPLES])
+        labels = LabelMatrix(labels.y_pm[:nf])
+    return log_mel(clip), labels, nf
 
 
 def _crop_windows(mel: np.ndarray, labels: LabelMatrix, f0: int,
@@ -253,8 +263,9 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
 
     Datasets are iterables of MixtureSpec (synthesized here) or
     LabeledRecording (used as-is), each read once: only its mel rows and
-    labels are kept, so a generator lets each recording's audio go as soon
-    as its features are made. Writes metrics.csv plus last.ckpt / best.ckpt under out_dir
+    labels are kept (of a validation recording, only those of the crop
+    validation scores), so a generator lets each recording's audio go as
+    soon as its features are made. Writes metrics.csv plus last.ckpt / best.ckpt under out_dir
     when given. Aborts (diverged=True) as soon as a training or a validation
     loss goes non-finite, keeping the parameters of the last step.
     """
@@ -265,7 +276,8 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
 
     nf_crop = int(round(cfg.crop_s / FRAME_S))
     train_data = [_prepare(s, cfg.model.n_attractors, nf_crop) for s in train_specs]
-    val_data = [_prepare(s, cfg.model.n_attractors, nf_crop) for s in val_specs or []]
+    val_data = [_prepare(s, cfg.model.n_attractors, nf_crop, head=True)
+                for s in val_specs or []]
 
     params = init_model_params(cfg.model, init_rng)
     opt = AdamW(params, weight_decay=cfg.weight_decay)
@@ -277,7 +289,8 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
 
     history: list[dict] = []
     best_val = math.inf
-    best_params = {k: p.data.copy() for k, p in params.items()}
+    # without validation, best_params is the final parameters, copied at the end
+    best_params = {k: p.data.copy() for k, p in params.items()} if val_data else {}
     diverged = False
     step = 0
     lr = one_cycle_lr(0, total_steps, cfg.max_lr)

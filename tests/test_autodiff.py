@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import diarnet.autodiff as dt
+from conftest import traced_peak
 from diarnet.gradcheck import grad_check
 from diarnet.autodiff import (
     NumericError,
@@ -353,6 +354,28 @@ def test_grad_depthwise_conv1d(tc):
     assert rep.passed, str(rep)
 
 
+def _depthwise_reference(x, w):
+    """The depthwise forward that the tap loop replaced: one (..., T, C, k)
+    product of sliding windows and kernel, summed over taps."""
+    k, c = w.shape
+    t, pad = x.shape[-2], k // 2
+    xp = np.zeros(x.shape[:-2] + (t + 2 * pad, c), dtype=x.dtype)
+    xp[..., pad:pad + t, :] = x
+    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-2)
+    return (win * w.T).sum(axis=-1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 9])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_depthwise_conv1d_matches_window_product_bitwise(k, lead):
+    rng = np.random.default_rng(61 + k)
+    xd = rng.standard_normal(lead + (150, 64)).astype(np.float32)
+    wd = rng.standard_normal((k, 64)).astype(np.float32)
+    got = depthwise_conv1d(tensor(xd), tensor(wd)).data
+    want = _depthwise_reference(xd, wd)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # the fused primitives, on criterion 1's shapes and at its tolerance
 FUSED_SHAPES = [(2, 5), (4, 3), (3, 7)]
 FUSED_TOL = 1e-4
@@ -435,6 +458,49 @@ def test_take_repeated_index_accumulates():
     out = dt.sum_(take(x, np.array([1, 1, 1])))
     out.backward()
     assert np.allclose(x.grad, [[0, 0], [3, 3], [0, 0]])
+
+
+def _closure_arrays(fn):
+    """Every ndarray a closure holds, through nested closures and tensors."""
+    found, todo = [], [fn]
+    while todo:
+        f = todo.pop()
+        for cell in f.__closure__ or ():
+            v = cell.cell_contents
+            if isinstance(v, dt.Tensor):
+                v = v.data
+            if isinstance(v, np.ndarray):
+                found.append(v)
+            elif callable(v) and getattr(v, "__closure__", None):
+                todo.append(v)
+    return found
+
+
+def test_conv2d_node_keeps_no_im2col_columns():
+    rng = np.random.default_rng(67)
+    x = tensor(rng.standard_normal((4, 3, 6, 5)), requires_grad=True)
+    k = tensor(rng.standard_normal((8, 3, 3, 3)), requires_grad=True)
+    out = conv2d(x, k, stride=(2, 2), pads=((1, 1), (1, 1)))
+    cols_shape = (4 * out.shape[2] * out.shape[3], 3 * 3 * 3)
+    assert all(a.shape != cols_shape for a in _closure_arrays(out._backward))
+
+
+def test_relu_node_keeps_no_mask():
+    x = tensor(np.random.default_rng(71).standard_normal((5, 7)), requires_grad=True)
+    out = relu(x)
+    assert all(a.dtype != bool for a in _closure_arrays(out._backward))
+
+
+def test_take_views_a_basic_index_and_copies_an_integer_array_once():
+    a = tensor(np.random.default_rng(73).standard_normal((512, 512)), requires_grad=True,
+               dtype=np.float32)
+    assert np.shares_memory(take(a, (slice(1, None), 3)).data, a.data)
+    assert np.shares_memory(a[2:].data, a.data)
+    rows = np.arange(511, -1, -1)
+    out, peak = traced_peak(take, a, rows)
+    assert out.data.flags.owndata and not np.shares_memory(out.data, a.data)
+    # the copy, plus the quarter-size finite scan; a second copy would double it
+    assert peak < 1.5 * out.data.nbytes
 
 
 def test_backward_frees_the_graph():

@@ -17,6 +17,7 @@ from diarnet.frontend import (
     write_wav,
 )
 from diarnet.model import ModelConfig, init_model_params
+from diarnet.synth import MixtureSpec, synth_mixture
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +149,23 @@ def test_pure_tone_concentrates_in_expected_mel_bin():
     bin_1k = int(np.argmin(np.abs(freqs - 1000.0)))
     expected = int(np.argmax(fb[:, bin_1k]))
     assert np.all(got == expected)
+
+
+@pytest.mark.parametrize("rows", [
+    1,                                       # one WIN_SAMPLES window
+    fe.LOG_MEL_BLOCK + 123,                  # ends inside its last block
+    fe.LOG_MEL_BLOCK,                        # exactly one block
+    fe.WINDOW_HOP * 149 + fe.WINDOW_FRAMES,  # the desk crop: 150 frames, 1505 rows
+])
+def test_log_mel_is_prefix_stable(rows):
+    # training keeps only a validation crop's rows, made from the samples
+    # they read; they must be the head of the whole recording's rows
+    clip = synth_mixture(MixtureSpec(n_speakers=2, duration_s=25.0, overlap_ratio=0.2,
+                                     noise_snr_db=15.0, seed=7)).clip
+    full = log_mel(clip)
+    head = log_mel(AudioClip(clip.samples[:fe.HOP_SAMPLES * (rows - 1) + fe.WIN_SAMPLES]))
+    assert head.shape == (rows, fe.N_MELS)
+    assert head.tobytes() == full[:rows].tobytes()
 
 
 def test_too_short_clip_rejected():

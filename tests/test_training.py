@@ -8,7 +8,9 @@ import pytest
 
 from diarnet import training
 from diarnet.autodiff import Tensor
-from diarnet.frontend import ConfigError, cnn_encode
+from conftest import traced_peak
+from diarnet.frontend import (FRAME_S, HOP_SAMPLES, WIN_SAMPLES, WINDOW_FRAMES, WINDOW_HOP,
+                              AudioClip, ConfigError, cnn_encode, log_mel)
 from diarnet.losses import LabelMatrix, LossWeights, total_loss
 from diarnet.model import ModelConfig, forward, init_model_params, zero_grads
 from diarnet.serialize import SerializationError, save_bundle
@@ -363,6 +365,65 @@ def test_silent_recording_trains_instead_of_diverging(tmp_path):
     assert len(rows) == 1
     assert rows[0]["dpcl"] == 0.0 and rows[0]["ortho"] == 0.0
     assert np.isfinite(rows[0]["bce"]) and rows[0]["bce"] > 0
+
+
+def _crop_rows(nf: int) -> int:
+    return WINDOW_HOP * (nf - 1) + WINDOW_FRAMES
+
+
+def test_validation_keeps_only_the_rows_its_crop_reads(monkeypatch):
+    cfg = desk_config(epochs=1)
+    val = desk_specs(2, seed0=90)
+    kept = {}
+    prepare = training._prepare
+
+    def spy(item, *args, **kwargs):
+        kept[item.seed] = prepare(item, *args, **kwargs)
+        return kept[item.seed]
+
+    monkeypatch.setattr(training, "_prepare", spy)
+    train(cfg, desk_specs(2), val_specs=val)
+    nf = round(cfg.crop_s / FRAME_S)
+    for spec in val:
+        mel, labels, n = kept[spec.seed]
+        rec = synth_mixture(spec)
+        assert rec.labels.n_frames > nf and n == nf
+        assert mel.shape[0] == _crop_rows(nf)
+        assert mel.tobytes() == log_mel(rec.clip)[:_crop_rows(nf)].tobytes()
+        assert np.array_equal(labels.y_pm, rec.labels.pad_to(2).y_pm[:nf])
+
+
+def test_validation_rows_ignore_audio_past_the_crop(tmp_path):
+    cfg = desk_config(epochs=2)
+    nf = round(cfg.crop_s / FRAME_S)
+    long = [synth_mixture(MixtureSpec(n_speakers=2, duration_s=4 * cfg.crop_s,
+                                      overlap_ratio=0.2, noise_snr_db=15.0, seed=90 + i))
+            for i in range(2)]
+    n_samples = HOP_SAMPLES * (_crop_rows(nf) - 1) + WIN_SAMPLES
+    cut = [LabeledRecording(AudioClip(r.clip.samples[:n_samples]),
+                            LabelMatrix(r.labels.y_pm[:nf]), r.rec_id) for r in long]
+    logs = []
+    for name, val in (("long", long), ("cut", cut)):
+        train(cfg, desk_specs(3), val_specs=val, out_dir=tmp_path / name)
+        lines = (tmp_path / name / "metrics.csv").read_bytes().splitlines()
+        logs.append([line for line in lines if b",val," in line])
+    assert len(logs[0]) == cfg.epochs and logs[0] == logs[1]
+
+
+def test_training_without_validation_makes_no_initial_parameter_copy():
+    # with validation, a copy of the parameters is live for the whole run;
+    # without, only the final one, made once the step's graph is gone
+    cfg = desk_config(epochs=1, batch_size=1, model=ModelConfig(
+        depth=2, embed_dim=64, latte_dim=16, n_latents=2, n_attractors=2, ff_expansion=2,
+        conv_kernel=3, heads=2))
+    rec = synth_mixture(desk_specs(1)[0])
+    n_bytes = sum(p.data.nbytes for p in init_model_params(cfg.model,
+                                                           np.random.default_rng(0)).values())
+    train(cfg, [rec])       # fills the caches a first run allocates
+    without, peak_without = traced_peak(train, cfg, [rec])
+    _, peak_with = traced_peak(train, cfg, [rec], val_specs=[rec])
+    assert not without.diverged
+    assert peak_with - peak_without >= n_bytes, (peak_with, peak_without, n_bytes)
 
 
 def test_ragged_batch_matches_per_crop_reference():
