@@ -1,15 +1,20 @@
 """Reverse-mode autodiff over numpy arrays, sized for desk-scale models.
 
-Every operation builds a node in a dynamic graph; `Tensor.backward()` walks
-the graph in reverse topological order and accumulates gradients into the
-`.grad` field of any tensor created with ``requires_grad=True``. The walk
-frees the graph behind it: once a node's backward closure has run, its
-closure, gradient and parent links are dropped, so intermediate arrays are
-released as the walk passes them and only leaves keep a `.grad`. A graph
-can therefore be backpropagated once. Until then a node keeps only what its
-backward reads: an array that is cheap to rebuild from the node's inputs or
-output (a relu mask, conv2d's im2col columns) is rebuilt in backward, not
-stored.
+A `Tensor` is a value, `data`, plus a `Node` when it needs a gradient. Every
+operation on a tensor that needs one builds a node in a dynamic graph: the
+parents' nodes, a backward closure and the output shape, never a `Tensor`.
+`Tensor.backward()` walks the nodes in reverse topological order; each
+closure returns its inputs' gradients, which the walk reduces over broadcast
+axes and adds into the parents' `.grad`. Leaves created with
+``requires_grad=True`` keep theirs. The walk frees the graph behind it: once
+a node's closure has run, its closure, gradient and parent links are
+dropped, so a graph can be backpropagated once.
+
+Each closure captures only the arrays it reads, so the graph holds no value
+for its shape alone: an input or output that no backward reads is freed as
+soon as the calling code drops its tensor. An array that is cheap to rebuild
+from what a closure keeps (a relu mask, conv2d's im2col columns, rms_norm's
+quotient) is rebuilt in backward, not stored.
 
 Conventions:
   * training math runs in float32, gradient checks in float64 (dtype follows
@@ -93,10 +98,25 @@ def _audit_shape(shape) -> None:
         _AUDIT["shapes"].append(tuple(shape))
 
 
-class Tensor:
-    """An ndarray plus an optional gradient and a backward closure."""
+class Node:
+    """A tensor's place in the graph: its gradient, its parents' nodes (None
+    for a parent that needs no gradient), the backward closure, which returns
+    a gradient or None per parent, and the shape. A leaf has neither parents
+    nor closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "parents", "backward", "shape")
+
+    def __init__(self, shape: tuple, parents: tuple = (), backward=None):
+        self.grad = None
+        self.parents = parents
+        self.backward = backward
+        self.shape = shape
+
+
+class Tensor:
+    """An ndarray plus, when it needs a gradient, a graph `Node`."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -104,10 +124,7 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         _scan("tensor", arr)
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._backward = None
+        self.node = Node(arr.shape) if requires_grad else None
         _audit_shape(arr.shape)
 
     # -- basic introspection ------------------------------------------------
@@ -128,6 +145,21 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        if self.node is not None:
+            self.node.grad = g
+        elif g is not None:
+            raise ValueError("cannot set the gradient of a tensor that does not require one")
+
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -147,10 +179,13 @@ class Tensor:
             seed = np.asarray(seed, dtype=self.data.dtype)
             if seed.shape != self.data.shape:
                 raise ShapeError(f"seed shape {seed.shape} != output shape {self.data.shape}")
+        root = self.node
+        if root is None:    # nothing it depends on needs a gradient
+            return
 
-        topo: list[Tensor] = []
+        topo: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -160,23 +195,28 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 # leaves and untracked values have nothing to propagate
-                if p._backward is not None and id(p) not in seen:
+                if p is not None and p.backward is not None and id(p) not in seen:
                     stack.append((p, False))
 
-        self.grad = seed if self.grad is None else self.grad + seed
+        root.grad = seed if root.grad is None else root.grad + seed
         # popping drops the list's reference; with the closure and the parent
         # links gone too, nothing but the caller holds a finished node
         while topo:
             node = topo.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue
             if node.grad is not None:
-                node._backward(node.grad)
+                for p, g in zip(node.parents, node.backward(node.grad)):
+                    if p is None or g is None:
+                        continue
+                    if g.shape != p.shape:
+                        g = _unbroadcast(g, p.shape)
+                    p.grad = g if p.grad is None else p.grad + g
             node.grad = None
-            node._backward = None
-            node._parents = ()
+            node.backward = None
+            node.parents = ()
 
     # -- operator sugar -------------------------------------------------------
 
@@ -234,21 +274,11 @@ def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     _scan(backward.__qualname__.partition(".")[0], data)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    out.requires_grad = track
-    out._parents = parents if track else ()
-    out._backward = backward if track else None
+    nodes = tuple(p.node for p in parents)
+    track = _GRAD_ENABLED and any(n is not None for n in nodes)
+    out.node = Node(data.shape, nodes, backward) if track else None
     _audit_shape(data.shape)
     return out
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if g.shape != t.data.shape:
-        g = _unbroadcast(g, t.data.shape)
-    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -267,36 +297,37 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
-        _accum(a, g)
-        _accum(b, g)
+        return g, g
 
     return _make(a.data + b.data, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
-        _accum(a, g)
-        _accum(b, -g)
+        return g, -g
 
     return _make(a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    # each operand's gradient reads the other's value; keep it only if it flows
+    av = a.data if b.requires_grad else None
+    bv = b.data if a.requires_grad else None
+
     def bwd(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        return None if bv is None else g * bv, None if av is None else g * av
 
     return _make(a.data * b.data, (a, b), bwd)
 
 
 def power(a: Tensor, p: float) -> Tensor:
     p = float(p)
-    out = a.data ** p
+    av = a.data
 
     def bwd(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
+        return (g * p * av ** (p - 1.0),)
 
-    return _make(out, (a,), bwd)
+    return _make(av ** p, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +342,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
     out = a.data @ b.data
     _audit_macs(out.size * a.shape[-1])
+    # as in `mul`, each gradient reads the other operand
+    at = np.swapaxes(a.data, -1, -2) if b.requires_grad else None
+    bt = np.swapaxes(b.data, -1, -2) if a.requires_grad else None
 
     def bwd(g):
-        _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+        return None if bt is None else g @ bt, None if at is None else at @ g
 
     return _make(out, (a, b), bwd)
 
@@ -327,14 +360,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                          f"to {x.shape}")
     n_in, n_out = w.shape
     x2 = x.data.reshape(-1, n_in)
-    out = x2 @ w.data + b.data
+    wv, x_shape = w.data, x.shape
+    out = x2 @ wv + b.data
     _audit_macs(out.size * n_in)
 
     def bwd(g):
         g2 = g.reshape(-1, n_out)
-        _accum(w, x2.T @ g2)
-        _accum(b, g2.sum(axis=0))
-        _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
+        return (g2 @ wv.T).reshape(x_shape), x2.T @ g2, g2.sum(axis=0)
 
     return _make(out.reshape(*x.shape[:-1], n_out), (x, w, b), bwd)
 
@@ -373,9 +405,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         gh = _split_heads(g, heads)
         gp = gh @ np.swapaxes(vh, -1, -2)
         gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
-        _accum(q, _merge_heads(gs @ kh))
-        _accum(k, _merge_heads(np.swapaxes(gs, -1, -2) @ qh))
-        _accum(v, _merge_heads(np.swapaxes(p, -1, -2) @ gh))
+        return (_merge_heads(gs @ kh), _merge_heads(np.swapaxes(gs, -1, -2) @ qh),
+                _merge_heads(np.swapaxes(p, -1, -2) @ gh))
 
     return _make(_merge_heads(p @ vh), (q, k, v), bwd)
 
@@ -388,7 +419,7 @@ def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0)    # branch-free, unlike np.where on a random mask
 
     def bwd(g):
-        _accum(a, g * (out > 0))    # out > 0 exactly where a > 0
+        return (g * (out > 0),)    # out > 0 exactly where a > 0
 
     return _make(out, (a,), bwd)
 
@@ -397,7 +428,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid_np(a.data)
 
     def bwd(g):
-        _accum(a, g * out * (1.0 - out))
+        return (g * out * (1.0 - out),)
 
     return _make(out, (a,), bwd)
 
@@ -418,7 +449,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def bwd(g):
         dot = (g * out).sum(axis=axis, keepdims=True)
-        _accum(a, out * (g - dot))
+        return (out * (g - dot),)
 
     return _make(out, (a,), bwd)
 
@@ -429,11 +460,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape))
+        return (np.broadcast_to(g, shape),)
 
     return _make(np.asarray(out, dtype=a.data.dtype), (a,), bwd)
 
@@ -441,11 +473,12 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size / max(np.asarray(out).size, 1)
+    shape = a.shape
 
     def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape) / count)
+        return (np.broadcast_to(g, shape) / count,)
 
     return _make(np.asarray(out, dtype=a.data.dtype), (a,), bwd)
 
@@ -459,8 +492,7 @@ def mse(a: Tensor, b) -> Tensor:
 
     def bwd(g):
         gd = g * 2.0 * d / n
-        _accum(a, gd)
-        _accum(b, -gd)
+        return gd, -gd
 
     return _make(out, (a, b), bwd)
 
@@ -470,33 +502,34 @@ def mse(a: Tensor, b) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
-    """y = gain * x / max(rms(x), NORM_EPS), rms over the last axis."""
+    """y = gain * x / max(rms(x), NORM_EPS), rms over the last axis; backward
+    divides x by the denominator again rather than keep the quotient."""
     n = x.shape[-1]
-    r = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) / n)
-    denom = np.maximum(r, NORM_EPS)
-    xn = x.data / denom
-    out = xn * gain.data
+    xv, gv = x.data, gain.data
+    r = np.sqrt((xv * xv).sum(axis=-1, keepdims=True) / n)
+    denom = np.maximum(r, NORM_EPS)    # > NORM_EPS exactly where r is
+    out = xv / denom * gv
 
     def bwd(g):
-        _accum(gain, g * xn)
-        gx_n = g * gain.data
-        s = (gx_n * x.data).sum(axis=-1, keepdims=True)
-        corr = np.where(r > NORM_EPS, x.data * s / (n * denom ** 3), 0.0)
-        _accum(x, gx_n / denom - corr)
+        gx_n = g * gv
+        s = (gx_n * xv).sum(axis=-1, keepdims=True)
+        corr = np.where(denom > NORM_EPS, xv * s / (n * denom ** 3), 0.0)
+        return gx_n / denom - corr, g * (xv / denom)
 
     return _make(out, (x, gain), bwd)
 
 
 def l2_normalize(x: Tensor) -> Tensor:
     """Rows scaled to unit L2 norm along the last axis; zero rows stay zero."""
-    nu = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
-    denom = np.maximum(nu, NORM_EPS)
-    out = x.data / denom
+    xv = x.data
+    nu = np.sqrt((xv * xv).sum(axis=-1, keepdims=True))
+    denom = np.maximum(nu, NORM_EPS)    # > NORM_EPS exactly where nu is
+    out = xv / denom
 
     def bwd(g):
-        s = (g * x.data).sum(axis=-1, keepdims=True)
-        corr = np.where(nu > NORM_EPS, x.data * s / denom ** 3, 0.0)
-        _accum(x, g / denom - corr)
+        s = (g * xv).sum(axis=-1, keepdims=True)
+        corr = np.where(denom > NORM_EPS, xv * s / denom ** 3, 0.0)
+        return (g / denom - corr,)
 
     return _make(out, (x,), bwd)
 
@@ -510,15 +543,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xn = xc * inv
-    out = xn * gain.data + bias.data
+    gv = gain.data
+    out = xn * gv + bias.data
 
     def bwd(g):
-        _accum(bias, g)
-        _accum(gain, g * xn)
-        gxn = g * gain.data
+        gxn = g * gv
         m1 = gxn.sum(axis=-1, keepdims=True) / n
         m2 = (gxn * xn).sum(axis=-1, keepdims=True) / n
-        _accum(x, (gxn - m1 - xn * m2) * inv)
+        return (gxn - m1 - xn * m2) * inv, g * xn, g
 
     return _make(out, (x, gain, bias), bwd)
 
@@ -535,7 +567,7 @@ def bce_logits(z: Tensor, targets) -> Tensor:
     out = np.maximum(zd, 0.0) - zd * y + np.log1p(np.exp(-np.abs(zd)))
 
     def bwd(g):
-        _accum(z, g * (_sigmoid_np(zd) - y))
+        return (g * (_sigmoid_np(zd) - y),)
 
     return _make(out, (z,), bwd)
 
@@ -615,11 +647,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         raise ShapeError(f"conv2d: kernel {w.shape} does not fit input {x.shape} with pads {pads}")
 
     idx, inv = _conv_index(cin, h, wdt, kh, kw, stride, pads)
+    xv, x_shape, need_gx, has_b = x.data, x.shape, x.requires_grad, b is not None
 
     def im2col():
         # np.take keeps the columns C-ordered; a fancy index would hand BLAS
         # F-ordered ones and change the products' last bits
-        xe = _zero_slot(x.data.reshape(n, cin * h * wdt))
+        xe = _zero_slot(xv.reshape(n, cin * h * wdt))
         return np.take(xe, idx.ravel(), axis=1).reshape(n * ho * wo, cin * kh * kw)
 
     wmat = w.data.reshape(cout, -1)
@@ -631,15 +664,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     def bwd(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, cout)
-        _accum(w, (gmat.T @ im2col()).reshape(w.shape))
-        if b is not None:
-            _accum(b, g.sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            gce = _zero_slot((gmat @ wmat).reshape(n, -1))
-            gx = np.take(gce, inv[0], axis=1)
-            for slot in inv[1:]:
-                gx += np.take(gce, slot, axis=1)
-            _accum(x, gx.reshape(x.shape))
+        gw = (gmat.T @ im2col()).reshape(cout, cin, kh, kw)
+        gb = g.sum(axis=(0, 2, 3)) if has_b else None
+        if not need_gx:
+            return None, gw, gb
+        gce = _zero_slot((gmat @ wmat).reshape(n, -1))
+        gx = np.take(gce, inv[0], axis=1)
+        for slot in inv[1:]:
+            gx += np.take(gce, slot, axis=1)
+        return gx.reshape(x_shape), gw, gb
 
     parents = (x, w) if b is None else (x, w, b)
     return _make(out, parents, bwd)
@@ -662,20 +695,21 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
     pad = k // 2
     xp = np.zeros(x.shape[:-2] + (t + 2 * pad, c), dtype=x.data.dtype)
     xp[..., pad:pad + t, :] = x.data
+    wv = w.data
     # one shifted multiply-add per tap, summed in tap order
-    out = xp[..., :t, :] * w.data[0]
+    out = xp[..., :t, :] * wv[0]
     for i in range(1, k):
-        out += xp[..., i:i + t, :] * w.data[i]
+        out += xp[..., i:i + t, :] * wv[i]
     _audit_macs(x.size * k)
+    lead = "ABCDEFGH"[:x.ndim - 2]   # einsum keeps "..." axes, so name them
 
     def bwd(g):
         win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-2)  # (..., T, C, k)
-        lead = "ABCDEFGH"[:x.ndim - 2]   # einsum keeps "..." axes, so name them
-        _accum(w, np.einsum(f"{lead}tck,{lead}tc->kc", win, g))
+        gw = np.einsum(f"{lead}tck,{lead}tc->kc", win, g)
         gxp = np.zeros_like(xp)
         for i in range(k):
-            gxp[..., i:i + t, :] += g * w.data[i]
-        _accum(x, gxp[..., pad:pad + t, :])
+            gxp[..., i:i + t, :] += g * wv[i]
+        return gxp[..., pad:pad + t, :], gw
 
     return _make(out, (x, w), bwd)
 
@@ -686,9 +720,10 @@ def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
+    a_shape = a.shape
 
     def bwd(g):
-        _accum(a, g.reshape(a.data.shape))
+        return (g.reshape(a_shape),)
 
     return _make(out, (a,), bwd)
 
@@ -698,7 +733,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     inv = None if axes is None else np.argsort(axes)
 
     def bwd(g):
-        _accum(a, np.transpose(g, inv))
+        return (np.transpose(g, inv),)
 
     return _make(out, (a,), bwd)
 
@@ -708,7 +743,7 @@ def cast(a: Tensor, dtype) -> Tensor:
     src = a.data.dtype
 
     def bwd(g):
-        _accum(a, g.astype(src, copy=False))
+        return (g.astype(src, copy=False),)
 
     return _make(a.data.astype(dtype, copy=False), (a,), bwd)
 
@@ -727,24 +762,25 @@ def take(a: Tensor, idx) -> Tensor:
     numpy, a basic index gives a view of the input and an integer array a
     copy."""
     basic = _is_basic_index(idx)
+    shape, dtype = a.shape, a.dtype
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dtype)
         if basic:
             ga[idx] = g
         else:
             np.add.at(ga, idx, g)
-        _accum(a, ga)
+        return (ga,)
 
     return _make(a.data[idx], (a,), bwd)
 
 
 def stack(tensors: list, axis: int = 0) -> Tensor:
-    tensors = list(tensors)  # snapshot: the caller may mutate its list
+    tensors = tuple(tensors)  # snapshot: the caller may mutate its list
     out = np.stack([t.data for t in tensors], axis=axis)
+    n = len(tensors)
 
     def bwd(g):
-        for i, t in enumerate(tensors):
-            _accum(t, np.take(g, i, axis=axis))
+        return tuple(np.take(g, i, axis=axis) for i in range(n))
 
-    return _make(out, tuple(tensors), bwd)
+    return _make(out, tensors, bwd)

@@ -200,8 +200,11 @@ def load_checkpoint(path) -> tuple[dict, ModelConfig]:
 
 @dataclass
 class TrainResult:
+    """What `train` returns. `best_params` holds plain arrays: those of the
+    lowest validation loss, or without validation data the final `params`
+    arrays themselves, not a copy."""
     params: dict
-    best_params: dict            # plain arrays, lowest validation loss
+    best_params: dict
     history: list
     diverged: bool
     best_val: float
@@ -289,7 +292,7 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
 
     history: list[dict] = []
     best_val = math.inf
-    # without validation, best_params is the final parameters, copied at the end
+    # without validation, best_params is the final parameters, taken at the end
     best_params = {k: p.data.copy() for k, p in params.items()} if val_data else {}
     diverged = False
     step = 0
@@ -334,7 +337,8 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
                       "finite parameters", RuntimeWarning, stacklevel=2)
 
     if not val_data:
-        best_params = {k: p.data.copy() for k, p in params.items()}
+        # AdamW replaces each p.data rather than write into it, so sharing is safe
+        best_params = {k: p.data for k, p in params.items()}
         best_val = math.nan
 
     wall = time.perf_counter() - t_start

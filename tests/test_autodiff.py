@@ -1,8 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 import diarnet.autodiff as dt
-from conftest import traced_peak
+from conftest import graph_arrays, traced_peak
 from diarnet.gradcheck import grad_check
 from diarnet.autodiff import (
     NumericError,
@@ -460,35 +462,74 @@ def test_take_repeated_index_accumulates():
     assert np.allclose(x.grad, [[0, 0], [3, 3], [0, 0]])
 
 
-def _closure_arrays(fn):
-    """Every ndarray a closure holds, through nested closures and tensors."""
-    found, todo = [], [fn]
-    while todo:
-        f = todo.pop()
-        for cell in f.__closure__ or ():
-            v = cell.cell_contents
-            if isinstance(v, dt.Tensor):
-                v = v.data
-            if isinstance(v, np.ndarray):
-                found.append(v)
-            elif callable(v) and getattr(v, "__closure__", None):
-                todo.append(v)
-    return found
-
-
 def test_conv2d_node_keeps_no_im2col_columns():
     rng = np.random.default_rng(67)
     x = tensor(rng.standard_normal((4, 3, 6, 5)), requires_grad=True)
     k = tensor(rng.standard_normal((8, 3, 3, 3)), requires_grad=True)
     out = conv2d(x, k, stride=(2, 2), pads=((1, 1), (1, 1)))
     cols_shape = (4 * out.shape[2] * out.shape[3], 3 * 3 * 3)
-    assert all(a.shape != cols_shape for a in _closure_arrays(out._backward))
+    assert all(a.shape != cols_shape for a in graph_arrays(out)[1].values())
 
 
 def test_relu_node_keeps_no_mask():
     x = tensor(np.random.default_rng(71).standard_normal((5, 7)), requires_grad=True)
     out = relu(x)
-    assert all(a.dtype != bool for a in _closure_arrays(out._backward))
+    assert all(a.dtype != bool for a in graph_arrays(out)[1].values())
+
+
+def test_rms_norm_node_keeps_no_quotient():
+    rng = np.random.default_rng(83)
+    x = tensor(rng.standard_normal((5, 7)), requires_grad=True)
+    out = rms_norm(x, tensor(rng.standard_normal(7), requires_grad=True))
+    # x itself and the (5, 1) denominator, not x / denominator
+    full = [a for a in graph_arrays(out)[1].values() if a.shape == x.shape]
+    assert len(full) == 1 and full[0] is x.data
+
+
+# (op, input shapes, whether its backward reads each input's value); every
+# input needs a gradient
+KEEPS = [
+    ("add", lambda a, b: a + b, [(3, 4), (4,)], (False, False)),
+    ("sub", lambda a, b: a - b, [(3, 4), (3, 4)], (False, False)),
+    ("mul", lambda a, b: a * b, [(3, 4), (3, 4)], (True, True)),
+    ("mul_constant", lambda a: a * 0.5, [(3, 4)], (False,)),
+    ("power", lambda a: a ** 2.0, [(3, 4)], (True,)),
+    ("matmul", matmul, [(3, 4), (4, 2)], (True, True)),
+    ("matmul_constant", lambda a: matmul(a, tensor(np.ones((4, 2)))), [(3, 4)], (False,)),
+    ("linear", dt.linear, [(2, 3, 4), (4, 5), (5,)], (True, True, False)),
+    ("attention", lambda q, k, v: dt.attention(q, k, v, 2), [(3, 4), (5, 4), (5, 4)],
+     (True, True, True)),
+    ("relu", relu, [(3, 4)], (False,)),
+    ("sigmoid", sigmoid, [(3, 4)], (False,)),
+    ("softmax", softmax, [(3, 4)], (False,)),
+    ("sum", lambda a: a.sum(axis=0), [(3, 4)], (False,)),
+    ("mean", mean, [(3, 4)], (False,)),
+    ("mse", mse, [(3, 4), (3, 4)], (False, False)),
+    ("rms_norm", rms_norm, [(3, 4), (4,)], (True, True)),
+    ("l2_normalize", l2_normalize, [(3, 4)], (True,)),
+    ("layer_norm", layer_norm, [(3, 4), (4,), (4,)], (False, True, False)),
+    ("bce_logits", lambda z: bce_logits(z, np.ones((3, 4))), [(3, 4)], (True,)),
+    ("conv2d", lambda x, w, b: conv2d(x, w, b, pads=((1, 1), (1, 1))),
+     [(2, 3, 5, 4), (4, 3, 3, 3), (4,)], (True, True, False)),
+    ("depthwise_conv1d", depthwise_conv1d, [(6, 4), (3, 4)], (False, True)),
+    ("reshape", lambda a: a.reshape(4, 3), [(3, 4)], (False,)),
+    ("transpose", lambda a: a.transpose(1, 0), [(3, 4)], (False,)),
+    ("cast", lambda a: dt.cast(a, np.float32), [(3, 4)], (False,)),
+    ("take", lambda a: a[1:, :2], [(3, 4)], (False,)),
+    ("take_rows", lambda a: take(a, np.array([0, 2, 0])), [(3, 4)], (False,)),
+    ("stack", lambda a, b: stack([a, b]), [(3, 4), (3, 4)], (False, False)),
+]
+
+
+@pytest.mark.parametrize("op, shapes, reads", [k[1:] for k in KEEPS], ids=[k[0] for k in KEEPS])
+def test_node_keeps_an_input_value_only_if_its_backward_reads_it(op, shapes, reads):
+    rng = np.random.default_rng(79)
+    inputs = [rand(rng, *shape) for shape in shapes]
+    values = [weakref.ref(t.data) for t in inputs]
+    node = op(*inputs).node
+    del inputs      # the caller drops its tensors and keeps the graph
+    assert node.backward is not None
+    assert [v() is not None for v in values] == list(reads)
 
 
 def test_take_views_a_basic_index_and_copies_an_integer_array_once():
@@ -510,8 +551,8 @@ def test_backward_frees_the_graph():
     sq = prod ** 2.0
     out = mean(sq)
     out.backward()
-    for node in (prod, sq, out):
-        assert node.grad is None and node._backward is None and node._parents == ()
+    for t in (prod, sq, out):
+        assert t.grad is None and t.node.backward is None and t.node.parents == ()
     assert np.allclose(x.grad, 2.0 * x.data * w.data ** 2 / 12, atol=1e-15)
     assert np.allclose(w.grad, 2.0 * w.data * x.data ** 2 / 12, atol=1e-15)
 
@@ -526,7 +567,7 @@ def test_no_grad_suppresses_graph():
     x = tensor(np.ones(3), requires_grad=True)
     with dt.no_grad():
         y = x * 2.0
-    assert not y.requires_grad and y._backward is None
+    assert not y.requires_grad and y.node is None
 
 
 def test_gradient_shape_matches_data():

@@ -2,13 +2,14 @@
 
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from diarnet import training
+from diarnet import autodiff as ad, training
 from diarnet.autodiff import Tensor
-from conftest import traced_peak
+from conftest import graph_arrays, traced_peak
 from diarnet.frontend import (FRAME_S, HOP_SAMPLES, WIN_SAMPLES, WINDOW_FRAMES, WINDOW_HOP,
                               AudioClip, ConfigError, cnn_encode, log_mel)
 from diarnet.losses import LabelMatrix, LossWeights, total_loss
@@ -412,7 +413,7 @@ def test_validation_rows_ignore_audio_past_the_crop(tmp_path):
 
 def test_training_without_validation_makes_no_initial_parameter_copy():
     # with validation, a copy of the parameters is live for the whole run;
-    # without, only the final one, made once the step's graph is gone
+    # without, there is none: the best parameters are the final arrays
     cfg = desk_config(epochs=1, batch_size=1, model=ModelConfig(
         depth=2, embed_dim=64, latte_dim=16, n_latents=2, n_attractors=2, ff_expansion=2,
         conv_kernel=3, heads=2))
@@ -423,7 +424,45 @@ def test_training_without_validation_makes_no_initial_parameter_copy():
     without, peak_without = traced_peak(train, cfg, [rec])
     _, peak_with = traced_peak(train, cfg, [rec], val_specs=[rec])
     assert not without.diverged
+    assert all(without.best_params[k] is p.data for k, p in without.params.items())
     assert peak_with - peak_without >= n_bytes, (peak_with, peak_without, n_bytes)
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns `a`'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_desk_crop_graph_holds_no_array_only_for_its_shape(monkeypatch):
+    # criterion 6's model on one 150-frame crop, before backward()
+    model = ModelConfig(depth=2, embed_dim=64, latte_dim=32, n_latents=8, n_attractors=4,
+                        ff_expansion=4, conv_kernel=9, heads=4)
+    params = init_model_params(model, np.random.default_rng(1))
+    spec = MixtureSpec(n_speakers=2, duration_s=15.0, overlap_ratio=0.2, noise_snr_db=15.0,
+                       seed=100)
+    windows, labels = _crop_windows(*_prepare(spec, model.n_attractors, 150)[:2], 0, 150)
+    made, make = [], ad._make
+
+    def spy(data, parents, backward):
+        if isinstance(data, np.ndarray):    # 0-d sums come as numpy scalars
+            made.append(weakref.ref(data))
+        return make(data, parents, backward)
+
+    monkeypatch.setattr(ad, "_make", spy)
+    res = forward(cnn_encode(windows, params, model.embed_dim), params, model)
+    loss = total_loss(res, labels, weights=LossWeights(1.0, 0.5, 0.1, 0.1)).total_tensor
+
+    held, captured = graph_arrays(loss)
+    kept = {id(_owner(a)) for a in captured.values()}
+    kept |= {id(_owner(t.data)) for t in (*params.values(), loss, res.logits, res.frames,
+                                          res.attractor_dirs, res.attractor_biases)}
+    # what the graph reaches, and every op result still alive
+    arrays = [*held.values(), *(r() for r in made if r() is not None)]
+    stray = {id(_owner(a)): _owner(a).nbytes for a in arrays}
+    assert captured
+    assert sum(n for k, n in stray.items() if k not in kept) == 0
 
 
 def test_ragged_batch_matches_per_crop_reference():
