@@ -14,7 +14,11 @@ Each closure captures only the arrays it reads, so the graph holds no value
 for its shape alone: an input or output that no backward reads is freed as
 soon as the calling code drops its tensor. An array that is cheap to rebuild
 from what a closure keeps (a relu mask, conv2d's im2col columns, rms_norm's
-quotient) is rebuilt in backward, not stored.
+quotient, glu's sigmoid) is rebuilt in backward, not stored. So is a layer
+norm's output ``xn * g + b`` where a `linear` reads it: the norm's tensor
+carries a `rebuild` thunk over ``xn``, which the norm's node keeps, and the
+gain and bias values, and the linear keeps the thunk instead of the value
+(selective recomputation, Korthikanti et al., arXiv:2205.05198).
 
 Conventions:
   * training math runs in float32, gradient checks in float64 (dtype follows
@@ -114,9 +118,12 @@ class Node:
 
 
 class Tensor:
-    """An ndarray plus, when it needs a gradient, a graph `Node`."""
+    """An ndarray plus, when it needs a gradient, a graph `Node`. `rebuild`
+    is None, or a thunk that recomputes `data` bit for bit from arrays the
+    graph keeps anyway; a consumer that reads the value in backward may keep
+    the thunk instead."""
 
-    __slots__ = ("data", "node")
+    __slots__ = ("data", "node", "rebuild")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -125,6 +132,7 @@ class Tensor:
         _scan("tensor", arr)
         self.data = arr
         self.node = Node(arr.shape) if requires_grad else None
+        self.rebuild = None
         _audit_shape(arr.shape)
 
     # -- basic introspection ------------------------------------------------
@@ -277,6 +285,7 @@ def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
     nodes = tuple(p.node for p in parents)
     track = _GRAD_ENABLED and any(n is not None for n in nodes)
     out.node = Node(data.shape, nodes, backward) if track else None
+    out.rebuild = None
     _audit_shape(data.shape)
     return out
 
@@ -354,18 +363,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for x (..., n_in), w (n_in, n_out) and b (n_out,), as one
-    node; the leading axes fold into the rows of one 2-d product."""
+    node; the leading axes fold into the rows of one 2-d product. When x
+    carries a `rebuild` thunk (a layer norm's output), the node keeps that
+    and recomputes x in backward instead of keeping x."""
     if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: cannot apply {w.shape} weights and {b.shape} bias "
                          f"to {x.shape}")
     n_in, n_out = w.shape
-    x2 = x.data.reshape(-1, n_in)
-    wv, x_shape = w.data, x.shape
-    out = x2 @ wv + b.data
+    wv, x_shape, rebuild = w.data, x.shape, x.rebuild
+    out = x.data.reshape(-1, n_in) @ wv + b.data
     _audit_macs(out.size * n_in)
+    xv = x.data if rebuild is None else None
 
     def bwd(g):
         g2 = g.reshape(-1, n_out)
+        x2 = (xv if rebuild is None else rebuild()).reshape(-1, n_in)
         return (g2 @ wv.T).reshape(x_shape), x2.T @ g2, g2.sum(axis=0)
 
     return _make(out.reshape(*x.shape[:-1], n_out), (x, w, b), bwd)
@@ -429,6 +441,26 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def bwd(g):
         return (g * out * (1.0 - out),)
+
+    return _make(out, (a,), bwd)
+
+
+def glu(a: Tensor) -> Tensor:
+    """Gated linear unit over the last axis: the first half times the sigmoid
+    of the second. One node keeps the input and recomputes the sigmoid in
+    backward, which writes both halves of one gradient."""
+    if a.shape[-1] % 2:
+        raise ShapeError(f"glu: last axis must be even, got {a.shape}")
+    e = a.shape[-1] // 2
+    av = a.data
+    out = av[..., :e] * _sigmoid_np(av[..., e:])
+
+    def bwd(g):
+        s = _sigmoid_np(av[..., e:])
+        ga = np.empty_like(av)
+        ga[..., :e] = g * s
+        ga[..., e:] = g * av[..., :e] * s * (1.0 - s)
+        return (ga,)
 
     return _make(out, (a,), bwd)
 
@@ -535,7 +567,8 @@ def l2_normalize(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Standard layer norm over the last axis with learned gain and bias."""
+    """Standard layer norm over the last axis with learned gain and bias; a
+    result with a node gets a `rebuild` that redoes ``xn * gain + bias``."""
     # sum / n is what `mean` computes, without its per-call overhead
     n = x.shape[-1]
     mu = x.data.sum(axis=-1, keepdims=True) / n
@@ -543,8 +576,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xn = xc * inv
-    gv = gain.data
-    out = xn * gv + bias.data
+    gv, bv = gain.data, bias.data
+    out = xn * gv + bv
 
     def bwd(g):
         gxn = g * gv
@@ -552,7 +585,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         m2 = (gxn * xn).sum(axis=-1, keepdims=True) / n
         return (gxn - m1 - xn * m2) * inv, g * xn, g
 
-    return _make(out, (x, gain, bias), bwd)
+    res = _make(out, (x, gain, bias), bwd)
+    if res.node is not None:
+        res.rebuild = lambda: xn * gv + bv
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -197,10 +197,7 @@ def _feed_forward(x: Tensor, params: dict, name: str) -> Tensor:
 
 def _conv_block(x: Tensor, params: dict, name: str) -> Tensor:
     """Pointwise GLU -> depthwise conv along time -> RMS norm -> pointwise."""
-    h = _apply_linear(_apply_ln(x, params, name + ".ln"), params, name + ".pw1")
-    e = x.shape[-1]
-    gate = h[..., e:]
-    h = h[..., :e] * ad.sigmoid(gate)
+    h = ad.glu(_apply_linear(_apply_ln(x, params, name + ".ln"), params, name + ".pw1"))
     h = ad.depthwise_conv1d(h, params[name + ".dw"])
     h = ad.relu(ad.rms_norm(h, params[name + ".norm_g"]))
     return _apply_linear(h, params, name + ".pw2")

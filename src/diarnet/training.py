@@ -200,9 +200,10 @@ def load_checkpoint(path) -> tuple[dict, ModelConfig]:
 
 @dataclass
 class TrainResult:
-    """What `train` returns. `best_params` holds plain arrays: those of the
-    lowest validation loss, or without validation data the final `params`
-    arrays themselves, not a copy."""
+    """What `train` returns. `best_params` holds plain arrays, never copies:
+    those `params` held at the lowest validation loss, or without validation
+    data the final ones. A run that diverges before its first validation gets
+    the initial parameters, drawn again from the seed."""
     params: dict
     best_params: dict
     history: list
@@ -273,7 +274,6 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
     loss goes non-finite, keeping the parameters of the last step.
     """
     t_start = time.perf_counter()
-    init_rng = np.random.default_rng([cfg.seed, 0])
     crop_rng = np.random.default_rng([cfg.seed, 1])
     order_rng = np.random.default_rng([cfg.seed, 2])
 
@@ -282,7 +282,7 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
     val_data = [_prepare(s, cfg.model.n_attractors, nf_crop, head=True)
                 for s in val_specs or []]
 
-    params = init_model_params(cfg.model, init_rng)
+    params = init_model_params(cfg.model, np.random.default_rng([cfg.seed, 0]))
     opt = AdamW(params, weight_decay=cfg.weight_decay)
 
     n = len(train_data)
@@ -292,8 +292,9 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
 
     history: list[dict] = []
     best_val = math.inf
-    # without validation, best_params is the final parameters, taken at the end
-    best_params = {k: p.data.copy() for k, p in params.items()} if val_data else {}
+    # references, not copies: AdamW replaces each p.data rather than write
+    # into it, so the arrays a validation takes stay as they were
+    best_params = {}
     diverged = False
     step = 0
     lr = one_cycle_lr(0, total_steps, cfg.max_lr)
@@ -328,7 +329,7 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
             history.append({"step": step, "epoch": epoch, "split": "val", **means, "lr": lr})
             if means["total"] < best_val:
                 best_val = means["total"]
-                best_params = {k: p.data.copy() for k, p in params.items()}
+                best_params = {k: p.data for k, p in params.items()}
 
     if diverged:
         # parameters change only in opt.step, which runs after every crop of
@@ -337,9 +338,13 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
                       "finite parameters", RuntimeWarning, stacklevel=2)
 
     if not val_data:
-        # AdamW replaces each p.data rather than write into it, so sharing is safe
         best_params = {k: p.data for k, p in params.items()}
         best_val = math.nan
+    elif not best_params:
+        # diverged before the first validation; the seed redraws the initial
+        # parameters bit for bit, so no copy of them is held through the run
+        initial = init_model_params(cfg.model, np.random.default_rng([cfg.seed, 0]))
+        best_params = {k: p.data for k, p in initial.items()}
 
     wall = time.perf_counter() - t_start
     if out_dir is not None:

@@ -395,6 +395,92 @@ def test_grad_linear(shape, lead):
 
 
 @pytest.mark.parametrize("shape", FUSED_SHAPES)
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
+def test_grad_layer_norm_into_linears(shape, lead):
+    # one projection, as a feed-forward's w1; three sharing one norm, as latent
+    # attention's k1, v1 and q2
+    n, d = shape
+    rng = np.random.default_rng(47 + n * d)
+    x, gain, bias = rand(rng, *lead, n, d), rand(rng, d), rand(rng, d)
+    projections = [t for _ in range(3) for t in (rand(rng, d, 3), rand(rng, 3))]
+
+    def one(u, g, c, w, b):
+        return mean(dt.linear(layer_norm(u, g, c), w, b) ** 2.0)
+
+    def three(u, g, c, w1, b1, w2, b2, w3, b3):
+        y = layer_norm(u, g, c)
+        return mean(dt.linear(y, w1, b1) * dt.linear(y, w2, b2) + dt.linear(y, w3, b3) ** 2.0)
+
+    for fn, inputs in ((one, projections[:2]), (three, projections)):
+        rep = grad_check(fn, [x, gain, bias, *inputs], tol=FUSED_TOL, name=fn.__name__)
+        assert rep.passed, str(rep)
+
+
+@pytest.mark.parametrize("shape", FUSED_SHAPES)
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
+def test_grad_glu(shape, lead):
+    n, d = shape
+    x = rand(np.random.default_rng(53 + n * d), *lead, n, 2 * d)
+    rep = grad_check(lambda u: mean(dt.glu(u) ** 2.0), [x], tol=FUSED_TOL, name="glu")
+    assert rep.passed, str(rep)
+
+
+def test_glu_needs_an_even_last_axis():
+    with pytest.raises(ShapeError, match="glu"):
+        dt.glu(tensor(np.ones((2, 5))))
+
+
+def _f32_leaves(seed, *shapes):
+    rng = np.random.default_rng(seed)
+    return [tensor(rng.standard_normal(s), requires_grad=True, dtype=np.float32) for s in shapes]
+
+
+def _assert_bit_equal(fused, unfused):
+    for a, b in zip(fused, unfused):
+        assert a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
+def test_layer_norm_into_linears_matches_the_unfused_composition_bitwise(lead):
+    # a reshape between the norm and the linears carries no rebuild thunk, so
+    # there each linear keeps its input: the unfused composition
+    def run(fused):
+        x, g, c, w1, b1, w2, b2 = _f32_leaves(97, (*lead, 6, 8), (8,), (8,), (8, 5), (5,),
+                                              (8, 5), (5,))
+        y = layer_norm(x, g, c)
+        if not fused:
+            y = y.reshape(*y.shape)
+        out = dt.linear(y, w1, b1) * dt.linear(y, w2, b2)
+        mean(out ** 2.0).backward()
+        return [out.data] + [t.grad for t in (x, g, c, w1, b1, w2, b2)]
+
+    _assert_bit_equal(run(True), run(False))
+
+
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["unbatched", "batched"])
+def test_glu_matches_the_unfused_composition_bitwise(lead):
+    def run(fused):
+        (h,) = _f32_leaves(101, (*lead, 6, 10))
+        out = dt.glu(h) if fused else h[..., :5] * sigmoid(h[..., 5:])
+        mean(out ** 2.0).backward()
+        return [out.data, h.grad]
+
+    _assert_bit_equal(run(True), run(False))
+
+
+def test_linear_keeps_a_layer_norm_output_as_its_rebuild():
+    rng = np.random.default_rng(103)
+    x, gain, bias, w, b = rand(rng, 4, 6), rand(rng, 6), rand(rng, 6), rand(rng, 6, 3), rand(rng, 3)
+    y = layer_norm(x, gain, bias)
+    value = weakref.ref(y.data)
+    out = dt.linear(y, w, b)
+    del y    # the model drops the norm's output once its projections are built
+    assert value() is None
+    mean(out ** 2.0).backward()
+    assert w.grad is not None and x.grad is not None
+
+
+@pytest.mark.parametrize("shape", FUSED_SHAPES)
 @pytest.mark.parametrize("q_lead,kv_lead", [((), ()), ((2,), (2,)), ((), (2,))],
                          ids=["unbatched", "batched", "broadcast-query"])
 def test_grad_attention(shape, q_lead, kv_lead):
@@ -501,6 +587,7 @@ KEEPS = [
      (True, True, True)),
     ("relu", relu, [(3, 4)], (False,)),
     ("sigmoid", sigmoid, [(3, 4)], (False,)),
+    ("glu", dt.glu, [(3, 4)], (True,)),
     ("softmax", softmax, [(3, 4)], (False,)),
     ("sum", lambda a: a.sum(axis=0), [(3, 4)], (False,)),
     ("mean", mean, [(3, 4)], (False,)),

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from diarnet import autodiff as ad, training
+from diarnet import autodiff as ad, model as model_module, training
 from diarnet.autodiff import Tensor
 from conftest import graph_arrays, traced_peak
 from diarnet.frontend import (FRAME_S, HOP_SAMPLES, WIN_SAMPLES, WINDOW_FRAMES, WINDOW_HOP,
@@ -411,9 +411,10 @@ def test_validation_rows_ignore_audio_past_the_crop(tmp_path):
     assert len(logs[0]) == cfg.epochs and logs[0] == logs[1]
 
 
-def test_training_without_validation_makes_no_initial_parameter_copy():
-    # with validation, a copy of the parameters is live for the whole run;
-    # without, there is none: the best parameters are the final arrays
+def test_training_makes_no_initial_parameter_copy():
+    # neither path holds a copy of the parameters: the best parameters are
+    # arrays `params` held, and a run with validation holds no copy of the
+    # initial ones while it trains
     cfg = desk_config(epochs=1, batch_size=1, model=ModelConfig(
         depth=2, embed_dim=64, latte_dim=16, n_latents=2, n_attractors=2, ff_expansion=2,
         conv_kernel=3, heads=2))
@@ -422,10 +423,29 @@ def test_training_without_validation_makes_no_initial_parameter_copy():
                                                            np.random.default_rng(0)).values())
     train(cfg, [rec])       # fills the caches a first run allocates
     without, peak_without = traced_peak(train, cfg, [rec])
-    _, peak_with = traced_peak(train, cfg, [rec], val_specs=[rec])
-    assert not without.diverged
-    assert all(without.best_params[k] is p.data for k, p in without.params.items())
-    assert peak_with - peak_without >= n_bytes, (peak_with, peak_without, n_bytes)
+    validated, peak_with = traced_peak(train, cfg, [rec], val_specs=[rec])
+    for res in (without, validated):
+        assert not res.diverged
+        assert all(res.best_params[k] is p.data for k, p in res.params.items())
+    # what validation adds is its crop's mel rows and labels
+    assert peak_with - peak_without < n_bytes / 2, (peak_with, peak_without, n_bytes)
+
+
+@pytest.mark.parametrize("cfg", [
+    desk_config(epochs=4, max_lr=1e12, seed=2, val_every=4),
+    desk_config(batch_size=3, epochs=4, max_lr=1e12, val_every=1),
+], ids=["in-a-step", "in-validation"])
+def test_divergence_before_the_first_validation_keeps_the_initial_parameters(cfg, tmp_path):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.warns(RuntimeWarning, match="diverged"):
+            result = train(cfg, desk_specs(3), val_specs=desk_specs(1, seed0=80),
+                           out_dir=tmp_path)
+    assert result.diverged and all(r["split"] == "train" for r in result.history)
+    best, _ = load_checkpoint(tmp_path / "best.ckpt")
+    initial = init_model_params(cfg.model, np.random.default_rng([cfg.seed, 0]))
+    assert best.keys() == initial.keys()
+    for k, p in initial.items():
+        assert best[k].data.tobytes() == p.data.tobytes(), k
 
 
 def _owner(a: np.ndarray) -> np.ndarray:
@@ -435,14 +455,20 @@ def _owner(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def test_desk_crop_graph_holds_no_array_only_for_its_shape(monkeypatch):
-    # criterion 6's model on one 150-frame crop, before backward()
+def _desk_crop():
+    """Criterion 6's model, its seed-1 parameters, and one 150-frame crop's
+    windows and labels."""
     model = ModelConfig(depth=2, embed_dim=64, latte_dim=32, n_latents=8, n_attractors=4,
                         ff_expansion=4, conv_kernel=9, heads=4)
     params = init_model_params(model, np.random.default_rng(1))
     spec = MixtureSpec(n_speakers=2, duration_s=15.0, overlap_ratio=0.2, noise_snr_db=15.0,
                        seed=100)
-    windows, labels = _crop_windows(*_prepare(spec, model.n_attractors, 150)[:2], 0, 150)
+    return model, params, *_crop_windows(*_prepare(spec, model.n_attractors, 150)[:2], 0, 150)
+
+
+def test_desk_crop_graph_holds_no_array_only_for_its_shape(monkeypatch):
+    # criterion 6's model on one 150-frame crop, before backward()
+    model, params, windows, labels = _desk_crop()
     made, make = [], ad._make
 
     def spy(data, parents, backward):
@@ -463,6 +489,39 @@ def test_desk_crop_graph_holds_no_array_only_for_its_shape(monkeypatch):
     stray = {id(_owner(a)): _owner(a).nbytes for a in arrays}
     assert captured
     assert sum(n for k, n in stray.items() if k not in kept) == 0
+
+
+def test_desk_crop_graph_keeps_no_pre_norm_output_or_glu_sigmoid(monkeypatch):
+    # a linear fed by a layer norm rebuilds its input from the norm's xn, and
+    # glu recomputes its sigmoid; out_ln's output is the residual stream, which
+    # later ops read, so it is not checked
+    model, params, windows, labels = _desk_crop()
+    pre_norm, sigmoids = [], []
+    apply_ln, sigmoid_np = model_module._apply_ln, ad._sigmoid_np
+
+    def ln_spy(x, params, name):
+        out = apply_ln(x, params, name)
+        if not name.endswith(".out_ln"):
+            pre_norm.append(out.data)
+        return out
+
+    def sigmoid_spy(x):    # in forward, only the conv modules' GLU gates call it
+        sigmoids.append(sigmoid_np(x))
+        return sigmoids[-1]
+
+    monkeypatch.setattr(model_module, "_apply_ln", ln_spy)
+    monkeypatch.setattr(ad, "_sigmoid_np", sigmoid_spy)
+    res = forward(cnn_encode(windows, params, model.embed_dim), params, model)
+    loss = total_loss(res, labels, weights=LossWeights(1.0, 0.5, 0.1, 0.1)).total_tensor
+    monkeypatch.undo()
+
+    captured = {id(_owner(a)) for a in graph_arrays(loss)[1].values()}
+    # ff1, latte, conv1, xattn, conv2 and ff2 of each block; self, ff1, cross and
+    # ff2 of each decoder layer; the head
+    assert len(pre_norm) == 2 * 10 + 1
+    assert len(sigmoids) == 2 * 2
+    assert not [a.shape for a in pre_norm if id(_owner(a)) in captured]
+    assert not [a.shape for a in sigmoids if id(_owner(a)) in captured]
 
 
 def test_ragged_batch_matches_per_crop_reference():
