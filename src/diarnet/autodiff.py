@@ -257,9 +257,7 @@ class Tensor:
         return sum_(self, axis=axis, keepdims=keepdims)
 
 
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    """Create a leaf tensor (float32 unless the data says otherwise)."""
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
+tensor = Tensor     # a leaf tensor, float32 unless the data says otherwise
 
 
 def _coerce(x, like: Tensor) -> Tensor:

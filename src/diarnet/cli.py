@@ -104,7 +104,7 @@ def _segments_from_labels(rec) -> list:
 
 def read_manifest(data_dir: Path) -> list[tuple[str, Path, Path]]:
     """The (id, wav path, rttm path) rows of `data_dir`/manifest.csv, whose
-    first line is a header. A malformed manifest is a ManifestError."""
+    first line is an id,wav,rttm,... header. A malformed manifest is a ManifestError."""
     manifest = data_dir / "manifest.csv"
     if not manifest.exists():
         raise FileNotFoundError(f"{manifest} not found; run synth-data first")
@@ -112,8 +112,11 @@ def read_manifest(data_dir: Path) -> list[tuple[str, Path, Path]]:
         text = manifest.read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
         raise ManifestError(f"{manifest}: not UTF-8 text: {e}") from e
+    header, *rows = text.strip().splitlines() or [""]
+    if header.split(",")[:3] != ["id", "wav", "rttm"]:
+        raise ManifestError(f"{manifest}:1: expected an id,wav,rttm header, got {header!r}")
     specs = []
-    for line, row in enumerate(text.strip().splitlines()[1:], start=2):
+    for line, row in enumerate(rows, start=2):
         fields = row.split(",")[:3]
         # an empty file name names the directory; no path holds a NUL byte
         if len(fields) < 3 or not all(fields[1:]) or "\0" in "".join(fields):
@@ -250,7 +253,3 @@ def main(argv=None) -> int:
     except Exception as e:  # one-line diagnostic, nonzero exit
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -54,8 +54,7 @@ class ModelConfig:
             raise ConfigError(f"latte_dim {self.latte_dim} not divisible by heads {self.heads}")
         if self.conv_kernel % 2 != 1:
             raise ConfigError(f"conv_kernel must be odd, got {self.conv_kernel}")
-        if self.embed_dim % 16 != 0:
-            raise ConfigError(f"embed_dim must be divisible by 16, got {self.embed_dim}")
+        cnn_channel_plan(self.embed_dim)    # embed_dim must be divisible by 16
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -190,9 +189,9 @@ def latte_attention(x: Tensor, params: dict, name: str, cfg: ModelConfig) -> Ten
     return _apply_linear(out, params, name + ".o")
 
 
-def _feed_forward(x: Tensor, params: dict, name: str) -> Tensor:
-    h = ad.relu(_apply_linear(_apply_ln(x, params, name + ".ln"), params, name + ".w1"))
-    return _apply_linear(h, params, name + ".w2")
+def _mlp(x: Tensor, params: dict, name: str) -> Tensor:
+    """`name`.w1, relu, `name`.w2: a feed-forward sublayer or a depth scorer."""
+    return _apply_linear(ad.relu(_apply_linear(x, params, name + ".w1")), params, name + ".w2")
 
 
 def _conv_block(x: Tensor, params: dict, name: str) -> Tensor:
@@ -207,14 +206,14 @@ def conformer_block(x: Tensor, attractors: Tensor, params: dict, name: str,
                     cfg: ModelConfig) -> Tensor:
     """FF/2, latent self-attention, conv, cross-attention to attractors,
     conv, FF/2, then a closing layer norm; residuals on every sublayer."""
-    x = x + 0.5 * _feed_forward(x, params, f"{name}.ff1")
+    x = x + 0.5 * _mlp(_apply_ln(x, params, f"{name}.ff1.ln"), params, f"{name}.ff1")
     x = x + latte_attention(_apply_ln(x, params, f"{name}.latte.ln"),
                             params, f"{name}.latte", cfg)
     x = x + _conv_block(x, params, f"{name}.conv1")
     x = x + multihead_attention(_apply_ln(x, params, f"{name}.xattn.ln"),
                                 attractors, params, f"{name}.xattn", cfg.heads)
     x = x + _conv_block(x, params, f"{name}.conv2")
-    x = x + 0.5 * _feed_forward(x, params, f"{name}.ff2")
+    x = x + 0.5 * _mlp(_apply_ln(x, params, f"{name}.ff2.ln"), params, f"{name}.ff2")
     return _apply_ln(x, params, f"{name}.out_ln")
 
 
@@ -225,10 +224,10 @@ def attractor_decode(attractors: Tensor, x: Tensor, params: dict, name: str,
     a = attractors
     a_n = _apply_ln(a, params, f"{name}.self.ln")
     a = a + multihead_attention(a_n, a_n, params, f"{name}.self", cfg.heads)
-    a = a + _feed_forward(a, params, f"{name}.ff1")
+    a = a + _mlp(_apply_ln(a, params, f"{name}.ff1.ln"), params, f"{name}.ff1")
     a = a + multihead_attention(_apply_ln(a, params, f"{name}.cross.ln"), x,
                                 params, f"{name}.cross", cfg.heads)
-    a = a + _feed_forward(a, params, f"{name}.ff2")
+    a = a + _mlp(_apply_ln(a, params, f"{name}.ff2.ln"), params, f"{name}.ff2")
     return a
 
 
@@ -239,9 +238,7 @@ def sap_pool(stack: list[Tensor], params: dict, name: str) -> Tensor:
     if len(stack) == 1:
         return stack[0]
     h = ad.stack(stack, axis=0)                       # (d, ..., T, E)
-    s = ad.relu(_apply_linear(h, params, name + ".w1"))
-    s = _apply_linear(s, params, name + ".w2")        # (d, ..., T, 1)
-    weights = ad.softmax(s, axis=0)                   # softmax over depth
+    weights = ad.softmax(_mlp(h, params, name), axis=0)   # (d, ..., T, 1), over depth
     return (weights * h).sum(axis=0)
 
 

@@ -145,6 +145,7 @@ def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
     """Threshold per slot, median-filter, merge runs on the frame grid.
 
     `threshold` and the posteriors lie in [0, 1]; `median_w` is an odd int >= 1 (1: no filter).
+    `speaker_names`, if given, names each of the S slots, each by its own name.
     """
     check_segment_options(threshold, median_w)
     probs = np.asarray(probs)
@@ -153,7 +154,10 @@ def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
     if not np.all((probs >= 0) & (probs <= 1)):
         raise ScoringError("posteriors must lie in [0, 1] and not be NaN")
     s = probs.shape[1]
-    names = speaker_names or [str(i) for i in range(s)]
+    names = [str(i) for i in range(s)] if speaker_names is None else list(speaker_names)
+    if len(names) != s or len(set(names)) != s:
+        raise ScoringError(f"speaker_names must give each of the {s} slots its own name, "
+                           f"got {names!r}")
     starts, ends, speakers = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], []
     for slot in range(s):
         lo, hi = run_edges(_median_binary(probs[:, slot] >= threshold, median_w))

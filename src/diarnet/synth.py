@@ -123,12 +123,10 @@ def _render_speaker(rng: np.random.Generator, sig: np.ndarray, mask: np.ndarray,
     amps = np.arange(1, n_harm + 1, dtype=np.float64) ** (-tilt)
     amps /= np.linalg.norm(amps)
     starts, ends = run_edges(mask)
+    # frame_count leaves 800·T <= len(sig) - 520, so no run reaches past the signal
     for f_start, f_end in zip(starts.tolist(), ends.tolist()):
         s0, s1 = f_start * SAMPLES_PER_FRAME, f_end * SAMPLES_PER_FRAME
-        s1 = min(s1, len(sig))
         n = s1 - s0
-        if n <= 0:
-            continue
         t = np.arange(s0, s1) / SAMPLE_RATE
         # sum_k a_k sin(k w t + p_k) = Im sum_k c_k z^k, c_k = a_k e^{i p_k}, z = e^{i w t}
         coef = amps * np.exp(1j * rng.uniform(0, 2 * np.pi, size=n_harm))
@@ -141,12 +139,11 @@ def _render_speaker(rng: np.random.Generator, sig: np.ndarray, mask: np.ndarray,
         wave = acc.imag
         f_mod = rng.uniform(2.5, 4.5)
         wave *= 0.55 + 0.45 * np.sin(2 * np.pi * f_mod * t + rng.uniform(0, 2 * np.pi))
-        ramp = min(200, n // 4)          # 25 ms fade at the run edges
-        if ramp > 0:
-            env = np.ones(n)
-            env[:ramp] = 0.5 * (1 - np.cos(np.pi * np.arange(ramp) / ramp))
-            env[-ramp:] = env[:ramp][::-1]
-            wave *= env
+        ramp = 200                       # 25 ms fade at the run edges; a run is >= 800 samples
+        env = np.ones(n)
+        env[:ramp] = 0.5 * (1 - np.cos(np.pi * np.arange(ramp) / ramp))
+        env[-ramp:] = env[:ramp][::-1]
+        wave *= env
         sig[s0:s1] += 0.35 * wave
 
 
@@ -179,8 +176,8 @@ def synth_mixture(spec: MixtureSpec) -> LabeledRecording:
 
     speech_samples = np.zeros(n_samples, dtype=bool)
     upsampled = np.repeat(activity.any(axis=1), SAMPLES_PER_FRAME)
-    speech_samples[:min(len(upsampled), n_samples)] = upsampled[:n_samples]
-    p_sig = float((sig[speech_samples] ** 2).mean()) if speech_samples.any() else 1e-6
+    speech_samples[:len(upsampled)] = upsampled
+    p_sig = float((sig[speech_samples] ** 2).mean())   # every speaker has a frame
     sigma = np.sqrt(p_sig * 10.0 ** (-spec.noise_snr_db / 10.0))
     sig += rng.normal(0.0, sigma, size=n_samples)
 

@@ -345,6 +345,38 @@ def test_conv2d_bad_stride_or_pad_is_a_shape_error(stride, pads, what):
         conv2d(x, k, stride=stride, pads=pads)
 
 
+def _backward_with_seed_of_shape(shape):
+    (tensor(np.ones((2, 2)), requires_grad=True) * 2.0).backward(np.ones(shape))
+
+
+@pytest.mark.parametrize("call,prefix", [
+    (lambda: matmul(tensor(np.ones(3)), tensor(np.ones((3, 2)))),
+     "matmul: operands must be >=2-d"),
+    (lambda: dt.linear(tensor(np.ones((2, 3))), tensor(np.ones((4, 5))), tensor(np.ones(5))),
+     "linear: cannot apply (4, 5) weights"),
+    (lambda: dt.attention(*(tensor(np.ones((3, 6))) for _ in range(3)), heads=4),
+     "attention: q (3, 6)"),
+    (lambda: conv2d(tensor(np.ones((1, 4, 4))), tensor(np.ones((1, 1, 2, 2)))),
+     "conv2d: need 4-d operands"),
+    (lambda: conv2d(tensor(np.ones((1, 2, 4, 4))), tensor(np.ones((1, 1, 2, 2)))),
+     "conv2d: channel mismatch"),
+    (lambda: conv2d(tensor(np.ones((1, 1, 2, 2))), tensor(np.ones((1, 1, 3, 3)))),
+     "conv2d: kernel (1, 1, 3, 3) does not fit"),
+    (lambda: depthwise_conv1d(tensor(np.ones(4)), tensor(np.ones((3, 4)))),
+     "depthwise_conv1d: need (..., T, C) input"),
+    (lambda: depthwise_conv1d(tensor(np.ones((5, 4))), tensor(np.ones((3, 2)))),
+     "depthwise_conv1d: channel mismatch"),
+    (lambda: depthwise_conv1d(tensor(np.ones((5, 4))), tensor(np.ones((2, 4)))),
+     "depthwise_conv1d: kernel width must be odd"),
+    (lambda: _backward_with_seed_of_shape(3), "seed shape (3,) != output shape (2, 2)"),
+], ids=["matmul-rank", "linear", "attention", "conv2d-rank", "conv2d-channels",
+        "conv2d-fit", "dwconv-rank", "dwconv-channels", "dwconv-even", "backward-seed"])
+def test_shape_errors_name_the_op(call, prefix):
+    with pytest.raises(ShapeError) as e:
+        call()
+    assert e.type is ShapeError and str(e.value).startswith(prefix), str(e.value)
+
+
 @pytest.mark.parametrize("tc", [(6, 3), (5, 4), (9, 2)])
 def test_grad_depthwise_conv1d(tc):
     t, c = tc

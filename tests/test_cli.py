@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import diarnet
-from diarnet.cli import build_parser, main
+from diarnet.cli import ManifestError, build_parser, main, read_manifest
 from diarnet.frontend import load_wav
 from diarnet.model import ModelConfig, init_model_params
 from diarnet.rttm import read_rttm
@@ -271,6 +272,19 @@ def test_train_malformed_manifest_is_a_manifest_error(dataset, tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ManifestError: ") and message in captured.err
     assert "train done" not in captured.out
+
+
+@pytest.mark.parametrize("text", [
+    "mix000040,mix000040.wav,mix000040.rttm\nmix000041,mix000041.wav,mix000041.rttm\n",
+    "wav,id,rttm\nmix000040,mix000040.wav,mix000040.rttm\n",
+    "",
+], ids=["headerless", "reordered", "empty"])
+def test_manifest_without_its_header_is_a_manifest_error(tmp_path, text):
+    # a first row taken for the header would drop that recording unseen
+    (tmp_path / "manifest.csv").write_text(text)
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(tmp_path))}/manifest.csv:1: "
+                                            "expected an id,wav,rttm header"):
+        read_manifest(tmp_path)
 
 
 def _train_on(dataset, tmp_path, **cfg) -> int:

@@ -80,6 +80,18 @@ def test_unsupported_codec_rejected(tmp_path):
         load_wav(p)
 
 
+def test_zero_channels_rejected(tmp_path):
+    import struct
+    header = b"RIFF" + struct.pack("<I", 36) + b"WAVE"
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 0, 8000, 16000, 2, 16)
+    header += b"data" + struct.pack("<I", 0)
+    p = tmp_path / "ch0.wav"
+    p.write_bytes(header)
+    with pytest.raises(WavParseError) as e:
+        load_wav(p)
+    assert e.type is WavParseError and str(e.value).startswith(f"{p}: zero channels")
+
+
 def test_zero_sample_rate_rejected(tmp_path):
     import struct
     payload = np.zeros(100, dtype="<i2").tobytes()

@@ -312,6 +312,28 @@ def test_config_validation():
         ModelConfig.from_dict([1])
 
 
+def _forward_with(cfg, name, value):
+    params = make(cfg)
+    if value is None:
+        del params[name]
+    else:
+        params[name] = value
+    forward(tensor(np.zeros((5, cfg.embed_dim), dtype=np.float32)), params, cfg)
+
+
+@pytest.mark.parametrize("call,prefix", [
+    (lambda: ModelConfig(embed_dim=40), "embed_dim must be divisible by 16, got 40"),
+    (lambda: _forward_with(tiny_cfg(), "attractors.init", None),
+     "parameter store is missing attractors.init"),
+    (lambda: _forward_with(tiny_cfg(), "attractors.init", tensor(np.zeros((3, 32)))),
+     "attractors.init has shape (3, 32), config wants (4, 32)"),
+], ids=["embed-dim-16", "no-attractors", "attractors-shape"])
+def test_config_errors_name_the_rule(call, prefix):
+    with pytest.raises(ConfigError) as e:
+        call()
+    assert e.type is ConfigError and str(e.value).startswith(prefix), str(e.value)
+
+
 def test_config_round_trip():
     cfg = tiny_cfg(depth=3)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg

@@ -84,6 +84,16 @@ def test_nan_posteriors_are_a_scoring_error():
         posterior_to_segments(np.full((40, 1), np.nan), median_w=1)
 
 
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "a"], ["a", "b", "c", "d"], []],
+                         ids=["fewer", "repeated", "extra", "empty"])
+def test_speaker_names_must_name_each_slot_once(names):
+    probs = np.full((30, 3), 0.9)
+    with pytest.raises(ScoringError, match="^speaker_names must give each of the 3 slots"):
+        posterior_to_segments(probs, speaker_names=names)
+    out = posterior_to_segments(probs, speaker_names=["a", "b", "c"])
+    assert out.segments == [(0.0, 3.0, "a"), (0.0, 3.0, "b"), (0.0, 3.0, "c")]
+
+
 def _runs_reference(mask) -> list:
     """The frame-by-frame run scan that run_edges replaced."""
     out, start = [], None

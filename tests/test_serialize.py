@@ -125,6 +125,16 @@ def test_payload_dims_are_checked_against_manifest_before_reading():
         read_array(_NoOverread(raw), (3,))
 
 
+@pytest.mark.parametrize("raw,prefix", [
+    (b"\x01\x00", "truncated tensor header"),
+    (struct.pack("<II", 2, 3), "truncated shape"),
+], ids=["header", "shape"])
+def test_short_array_record_is_a_serialization_error(raw, prefix):
+    with pytest.raises(SerializationError) as e:
+        read_array(io.BytesIO(raw))
+    assert e.type is SerializationError and str(e.value).startswith(prefix), str(e.value)
+
+
 def test_dims_whose_product_overflows_int64_are_a_serialization_error(tmp_path):
     dims = [2 ** 32 - 1] * 2
     header = {"format": "tensor-bundle-v1", "tensors": [{"name": "w", "shape": dims}]}

@@ -66,6 +66,14 @@ def test_impossible_overlap_raises_after_retries():
         synth_mixture(MixtureSpec(n_speakers=2, duration_s=6, overlap_ratio=0.97, seed=0))
 
 
+def test_too_short_duration_names_its_frame_count():
+    # 2.01 s is 16080 samples: 199 mel rows, 19 frames, one short of the 20 needed
+    with pytest.raises(GenerationError) as e:
+        synth_mixture(MixtureSpec(n_speakers=2, duration_s=2.01, seed=0))
+    assert e.type is GenerationError
+    assert str(e.value).startswith("duration 2.01s yields only 19 frames")
+
+
 # ---------------------------------------------------------------------------
 # the phasor renderer and the linear placer against the loops they replaced
 # ---------------------------------------------------------------------------

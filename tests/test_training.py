@@ -179,6 +179,12 @@ def test_checkpoint_round_trip(tmp_path, monkeypatch):
         assert np.array_equal(back[k].data, params[k].data)
 
 
+def test_training_without_recordings_is_refused():
+    with pytest.raises(ValueError) as e:
+        train(desk_config(), [])
+    assert e.type is ValueError and str(e.value).startswith("no training recordings")
+
+
 def test_checkpoint_rejects_mismatched_config(tmp_path):
     cfg = desk_model()
     params = init_model_params(cfg, np.random.default_rng(7))
