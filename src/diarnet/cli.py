@@ -112,7 +112,7 @@ def read_manifest(data_dir: Path) -> list[tuple[str, Path, Path]]:
         text = manifest.read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:
         raise ManifestError(f"{manifest}: not UTF-8 text: {e}") from e
-    header, *rows = text.strip().splitlines() or [""]
+    header, *rows = text.rstrip().splitlines() or [""]
     if header.split(",")[:3] != ["id", "wav", "rttm"]:
         raise ManifestError(f"{manifest}:1: expected an id,wav,rttm header, got {header!r}")
     specs = []

@@ -150,7 +150,7 @@ def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
     check_segment_options(threshold, median_w)
     probs = np.asarray(probs)
     if probs.ndim != 2:
-        raise ValueError(f"expected (T, S) posteriors, got {probs.shape}")
+        raise ScoringError(f"expected (T, S) posteriors, got {probs.shape}")
     if not np.all((probs >= 0) & (probs <= 1)):
         raise ScoringError("posteriors must lie in [0, 1] and not be NaN")
     s = probs.shape[1]

@@ -200,12 +200,10 @@ def load_checkpoint(path) -> tuple[dict, ModelConfig]:
 
 @dataclass
 class TrainResult:
-    """What `train` returns. `best_params` holds plain arrays, never copies:
-    those `params` held at the lowest validation loss, or without validation
-    data the final ones. A run that diverges before its first validation gets
-    the initial parameters, drawn again from the seed."""
+    """What `train` returns: the final parameters, the logged rows, and the
+    lowest validation total (nan without validation data, inf when the run
+    diverged before its first validation)."""
     params: dict
-    best_params: dict
     history: list
     diverged: bool
     best_val: float
@@ -236,24 +234,20 @@ def _crop_windows(mel: np.ndarray, labels: LabelMatrix, f0: int,
     return window_stack(rows), LabelMatrix(labels.y_pm[f0:f0 + nf].copy())
 
 
-def _mean_losses(crops: list, params: dict, cfg: TrainConfig) -> dict | None:
+def _mean_losses(crops: list, params: dict, cfg: TrainConfig) -> dict:
     """Mean of each loss component over crops given as (mel, labels, f0, nf).
 
     Each crop's windows are built just before its forward. With gradients
     on, each crop backpropagates its share of the mean, which frees its
-    graph before the next crop's is built. Returns None when a
-    value goes non-finite: exploding parameters surface as a NumericError
-    where the first NaN/Inf is made.
+    graph before the next crop's is built. A value that goes non-finite
+    raises NumericError where the first NaN/Inf is made.
     """
     means = dict.fromkeys(LOSS_FIELDS, 0.0)
     for crop in crops:
         windows, labels = _crop_windows(*crop)
-        try:
-            x0 = cnn_encode(windows, params, cfg.model.embed_dim)
-            res = forward(x0, params, cfg.model)
-            bundle = total_loss(res, labels, weights=cfg.weights, mode=cfg.dpcl_mode)
-        except ad.NumericError:
-            return None
+        x0 = cnn_encode(windows, params, cfg.model.embed_dim)
+        res = forward(x0, params, cfg.model)
+        bundle = total_loss(res, labels, weights=cfg.weights, mode=cfg.dpcl_mode)
         if bundle.total_tensor.requires_grad:
             (bundle.total_tensor * (1.0 / len(crops))).backward()
         for k in means:
@@ -263,15 +257,16 @@ def _mean_losses(crops: list, params: dict, cfg: TrainConfig) -> dict | None:
 
 def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = None,
           out_dir=None) -> TrainResult:
-    """Run the epoch loop and keep the best checkpoint.
+    """Run the epoch loop, writing metrics.csv and last.ckpt under out_dir
+    when given, and best.ckpt whenever a validation total improves.
 
     Datasets are iterables of MixtureSpec (synthesized here) or
     LabeledRecording (used as-is), each read once: only its mel rows and
     labels are kept (of a validation recording, only those of the crop
     validation scores), so a generator lets each recording's audio go as
-    soon as its features are made. Writes metrics.csv plus last.ckpt / best.ckpt under out_dir
-    when given. Aborts (diverged=True) as soon as a training or a validation
-    loss goes non-finite, keeping the parameters of the last step.
+    soon as its features are made. Aborts (diverged=True) as soon as a
+    training or a validation loss goes non-finite, keeping the parameters of
+    the last step.
     """
     t_start = time.perf_counter()
     crop_rng = np.random.default_rng([cfg.seed, 1])
@@ -279,86 +274,69 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
 
     nf_crop = int(round(cfg.crop_s / FRAME_S))
     train_data = [_prepare(s, cfg.model.n_attractors, nf_crop) for s in train_specs]
+    n = len(train_data)
+    if n == 0:
+        raise ValueError("no training recordings")
     val_data = [_prepare(s, cfg.model.n_attractors, nf_crop, head=True)
                 for s in val_specs or []]
 
     params = init_model_params(cfg.model, np.random.default_rng([cfg.seed, 0]))
     opt = AdamW(params, weight_decay=cfg.weight_decay)
-
-    n = len(train_data)
-    if n == 0:
-        raise ValueError("no training recordings")
     total_steps = max(cfg.epochs * math.ceil(n / cfg.batch_size), 1)
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        # a best.ckpt left by an earlier run must not pass for this one's
+        (out / "best.ckpt").unlink(missing_ok=True)
 
     history: list[dict] = []
-    best_val = math.inf
-    # references, not copies: AdamW replaces each p.data rather than write
-    # into it, so the arrays a validation takes stay as they were
-    best_params = {}
+    best_val = math.inf if val_data else math.nan
     diverged = False
     step = 0
     lr = one_cycle_lr(0, total_steps, cfg.max_lr)
-    # with epochs=0 the loop takes no step but still validates the initial
-    # parameters
-    for epoch in range(max(cfg.epochs, 1)):
-        order = order_rng.permutation(n) if cfg.epochs else []
-        for b0 in range(0, len(order), cfg.batch_size):
-            zero_grads(params)
-            crops = []
-            for mel, labels, nf in (train_data[i] for i in order[b0:b0 + cfg.batch_size]):
-                f0 = int(crop_rng.integers(0, labels.n_frames - nf + 1))
-                crops.append((mel, labels, f0, nf))
-            means = _mean_losses(crops, params, cfg)
-            if means is None:
-                diverged = True
-                break
-            clip_grad_norm(params, GRAD_CLIP)
-            lr = one_cycle_lr(step, total_steps, cfg.max_lr)
-            opt.step(lr)
-            history.append({"step": step, "epoch": epoch, "split": "train", **means, "lr": lr})
-            step += 1
-        if diverged:
-            break
-        if val_data and ((epoch + 1) % cfg.val_every == 0 or epoch >= cfg.epochs - 1):
-            with ad.no_grad():
-                means = _mean_losses([(mel, labels, 0, nf) for mel, labels, nf in val_data],
-                                     params, cfg)
-            if means is None:
-                diverged = True
-                break
-            history.append({"step": step, "epoch": epoch, "split": "val", **means, "lr": lr})
-            if means["total"] < best_val:
-                best_val = means["total"]
-                best_params = {k: p.data for k, p in params.items()}
-
-    if diverged:
+    try:
+        # epochs=0 takes no step but still validates the initial parameters
+        for epoch in range(max(cfg.epochs, 1)):
+            order = order_rng.permutation(n) if cfg.epochs else []
+            for b0 in range(0, len(order), cfg.batch_size):
+                zero_grads(params)
+                crops = []
+                for mel, labels, nf in (train_data[i] for i in order[b0:b0 + cfg.batch_size]):
+                    f0 = int(crop_rng.integers(0, labels.n_frames - nf + 1))
+                    crops.append((mel, labels, f0, nf))
+                means = _mean_losses(crops, params, cfg)
+                clip_grad_norm(params, GRAD_CLIP)
+                lr = one_cycle_lr(step, total_steps, cfg.max_lr)
+                opt.step(lr)
+                history.append({"step": step, "epoch": epoch, "split": "train", **means,
+                                "lr": lr})
+                step += 1
+            if val_data and ((epoch + 1) % cfg.val_every == 0 or epoch >= cfg.epochs - 1):
+                with ad.no_grad():
+                    means = _mean_losses([(mel, labels, 0, nf) for mel, labels, nf in val_data],
+                                         params, cfg)
+                history.append({"step": step, "epoch": epoch, "split": "val", **means,
+                                "lr": lr})
+                if means["total"] < best_val:
+                    best_val = means["total"]
+                    if out is not None:
+                        save_checkpoint(out / "best.ckpt", params, cfg.model,
+                                        meta={"step": step, "val_total": best_val})
+    except ad.NumericError:
         # parameters change only in opt.step, which runs after every crop of
         # a batch gave a finite loss, so they are those of the last full step
+        diverged = True
         warnings.warn(f"training diverged at step {step}; keeping the last "
                       "finite parameters", RuntimeWarning, stacklevel=2)
 
-    if not val_data:
-        best_params = {k: p.data for k, p in params.items()}
-        best_val = math.nan
-    elif not best_params:
-        # diverged before the first validation; the seed redraws the initial
-        # parameters bit for bit, so no copy of them is held through the run
-        initial = init_model_params(cfg.model, np.random.default_rng([cfg.seed, 0]))
-        best_params = {k: p.data for k, p in initial.items()}
-
     wall = time.perf_counter() - t_start
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         write_metrics(out / "metrics.csv", history)
         save_checkpoint(out / "last.ckpt", params, cfg.model,
                         meta={"step": step, "diverged": diverged})
-        best_tensors = {k: Tensor(v, requires_grad=True) for k, v in best_params.items()}
-        save_checkpoint(out / "best.ckpt", best_tensors, cfg.model,
-                        meta={"step": step, "val_total": best_val})
 
-    return TrainResult(params=params, best_params=best_params, history=history,
-                       diverged=diverged, best_val=best_val, wall_s=wall)
+    return TrainResult(params=params, history=history, diverged=diverged,
+                       best_val=best_val, wall_s=wall)
 
 
 LOSS_FIELDS = ("bce", "dpcl", "ortho", "suppress", "total")   # LossBundle attributes

@@ -287,6 +287,18 @@ def test_manifest_without_its_header_is_a_manifest_error(tmp_path, text):
         read_manifest(tmp_path)
 
 
+def test_manifest_line_numbers_count_leading_blank_lines(tmp_path):
+    # line 1 is the header, so blank lines before it make line 1 the fault
+    (tmp_path / "manifest.csv").write_text("\n\nid,wav,rttm\nmix1,,x.rttm\n")
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(tmp_path))}/manifest.csv:1: "
+                                            "expected an id,wav,rttm header, got ''"):
+        read_manifest(tmp_path)
+    (tmp_path / "manifest.csv").write_text("id,wav,rttm\nmix1,,x.rttm\n\n\n")
+    with pytest.raises(ManifestError, match=f"^{re.escape(str(tmp_path))}/manifest.csv:2: "
+                                            "expected id,wav,rttm fields"):
+        read_manifest(tmp_path)
+
+
 def _train_on(dataset, tmp_path, **cfg) -> int:
     cfg_path = tmp_path / "train.json"
     cfg_path.write_text(json.dumps(desk_train_config(**cfg)))
@@ -324,6 +336,16 @@ def test_train_zero_epochs_writes_checkpoint(dataset, tmp_path):
     assert (out_dir / "last.ckpt").exists()
     assert (out_dir / "best.ckpt").exists()
     assert (out_dir / "metrics.csv").read_text().startswith("step,epoch,split")
+
+
+def test_train_without_validation_writes_no_best_ckpt(dataset, tmp_path, capsys):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(desk_train_config()))
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--data", str(dataset),
+                 "--out", str(out_dir)]) == 0
+    assert "best_val=nan" in capsys.readouterr().out
+    assert sorted(f.name for f in out_dir.iterdir()) == ["last.ckpt", "metrics.csv"]
 
 
 def test_infer_writes_rttm(dataset, tmp_path):

@@ -84,6 +84,12 @@ def test_nan_posteriors_are_a_scoring_error():
         posterior_to_segments(np.full((40, 1), np.nan), median_w=1)
 
 
+@pytest.mark.parametrize("shape", [(5,), (5, 2, 1), ()])
+def test_posteriors_not_two_dimensional_are_a_scoring_error(shape):
+    with pytest.raises(ScoringError, match=r"^expected \(T, S\) posteriors, got "):
+        posterior_to_segments(np.zeros(shape))
+
+
 @pytest.mark.parametrize("names", [["a"], ["a", "b", "a"], ["a", "b", "c", "d"], []],
                          ids=["fewer", "repeated", "extra", "empty"])
 def test_speaker_names_must_name_each_slot_once(names):

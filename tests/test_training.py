@@ -14,7 +14,7 @@ from diarnet.frontend import (FRAME_S, HOP_SAMPLES, WIN_SAMPLES, WINDOW_FRAMES, 
                               AudioClip, ConfigError, cnn_encode, log_mel)
 from diarnet.losses import LabelMatrix, LossWeights, total_loss
 from diarnet.model import ModelConfig, forward, init_model_params, zero_grads
-from diarnet.serialize import SerializationError, save_bundle
+from diarnet.serialize import SerializationError, load_bundle, save_bundle
 from diarnet.synth import LabeledRecording, MixtureSpec, synth_mixture
 from diarnet.training import (
     LOSS_FIELDS,
@@ -183,6 +183,19 @@ def test_training_without_recordings_is_refused():
     with pytest.raises(ValueError) as e:
         train(desk_config(), [])
     assert e.type is ValueError and str(e.value).startswith("no training recordings")
+
+
+def test_empty_training_set_is_refused_before_validation_is_read(monkeypatch):
+    def unread():
+        raise AssertionError("validation data read before the training set was checked")
+        yield
+
+    def no_draw(*args):
+        raise AssertionError("parameters drawn before the training set was checked")
+
+    monkeypatch.setattr(training, "init_model_params", no_draw)
+    with pytest.raises(ValueError, match="^no training recordings"):
+        train(desk_config(), [], val_specs=unread())
 
 
 def test_checkpoint_rejects_mismatched_config(tmp_path):
@@ -418,9 +431,7 @@ def test_validation_rows_ignore_audio_past_the_crop(tmp_path):
 
 
 def test_training_makes_no_initial_parameter_copy():
-    # neither path holds a copy of the parameters: the best parameters are
-    # arrays `params` held, and a run with validation holds no copy of the
-    # initial ones while it trains
+    # a run with validation holds no copy of the parameters while it trains
     cfg = desk_config(epochs=1, batch_size=1, model=ModelConfig(
         depth=2, embed_dim=64, latte_dim=16, n_latents=2, n_attractors=2, ff_expansion=2,
         conv_kernel=3, heads=2))
@@ -432,7 +443,6 @@ def test_training_makes_no_initial_parameter_copy():
     validated, peak_with = traced_peak(train, cfg, [rec], val_specs=[rec])
     for res in (without, validated):
         assert not res.diverged
-        assert all(res.best_params[k] is p.data for k, p in res.params.items())
     # what validation adds is its crop's mel rows and labels
     assert peak_with - peak_without < n_bytes / 2, (peak_with, peak_without, n_bytes)
 
@@ -441,17 +451,65 @@ def test_training_makes_no_initial_parameter_copy():
     desk_config(epochs=4, max_lr=1e12, seed=2, val_every=4),
     desk_config(batch_size=3, epochs=4, max_lr=1e12, val_every=1),
 ], ids=["in-a-step", "in-validation"])
-def test_divergence_before_the_first_validation_keeps_the_initial_parameters(cfg, tmp_path):
+def test_divergence_before_the_first_validation_writes_no_best_ckpt(cfg, tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.warns(RuntimeWarning, match="diverged"):
             result = train(cfg, desk_specs(3), val_specs=desk_specs(1, seed0=80),
                            out_dir=tmp_path)
     assert result.diverged and all(r["split"] == "train" for r in result.history)
-    best, _ = load_checkpoint(tmp_path / "best.ckpt")
-    initial = init_model_params(cfg.model, np.random.default_rng([cfg.seed, 0]))
-    assert best.keys() == initial.keys()
-    for k, p in initial.items():
-        assert best[k].data.tobytes() == p.data.tobytes(), k
+    assert result.best_val == np.inf
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["last.ckpt", "metrics.csv"]
+    last, _ = load_checkpoint(tmp_path / "last.ckpt")
+    for k, p in result.params.items():
+        assert last[k].data.tobytes() == p.data.tobytes(), k
+
+
+def _best_not_last(tmp_path):
+    """A desk run validated after each of its 4 epochs whose lowest validation
+    total is not its last; returns the result and its val rows."""
+    result = train(desk_config(epochs=4, val_every=1), desk_specs(3),
+                   val_specs=desk_specs(1, seed0=80), out_dir=tmp_path)
+    vals = [r for r in result.history if r["split"] == "val"]
+    assert min(vals, key=lambda r: r["total"]) is not vals[-1], [r["total"] for r in vals]
+    return result, vals
+
+
+def test_best_ckpt_header_names_the_step_of_its_validation(tmp_path):
+    result, vals = _best_not_last(tmp_path)
+    best = min(vals, key=lambda r: r["total"])
+    _, header = load_bundle(tmp_path / "best.ckpt")
+    assert header["step"] == best["step"] < vals[-1]["step"]
+    assert header["val_total"] == best["total"] == result.best_val
+    _, last_header = load_bundle(tmp_path / "last.ckpt")
+    assert last_header["step"] == vals[-1]["step"]
+
+
+def test_best_ckpt_does_not_rest_on_how_adamw_writes(monkeypatch, tmp_path):
+    # an AdamW that writes each update into the arrays it already holds, as
+    # an in-place optimizer would, must leave best.ckpt as it was
+    _best_not_last(tmp_path / "replacing")
+    step = AdamW.step
+
+    def in_place(self, lr):
+        held = {k: p.data for k, p in self.params.items()}
+        ok = step(self, lr)
+        for k, p in self.params.items():
+            held[k][...] = p.data
+            p.data = held[k]
+        return ok
+
+    monkeypatch.setattr(AdamW, "step", in_place)
+    _best_not_last(tmp_path / "in-place")
+    for name in ("best.ckpt", "last.ckpt", "metrics.csv"):
+        assert ((tmp_path / "in-place" / name).read_bytes()
+                == (tmp_path / "replacing" / name).read_bytes()), name
+
+
+def test_no_validation_data_writes_no_best_ckpt(tmp_path):
+    (tmp_path / "best.ckpt").write_bytes(b"left by an earlier run")
+    result = train(desk_config(epochs=1), desk_specs(2), out_dir=tmp_path)
+    assert not result.diverged and np.isnan(result.best_val)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["last.ckpt", "metrics.csv"]
 
 
 def _owner(a: np.ndarray) -> np.ndarray:
