@@ -593,10 +593,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 # classification helpers
 # ---------------------------------------------------------------------------
 
-def bce_logits(z: Tensor, targets) -> Tensor:
-    """Elementwise binary cross-entropy on logits; targets are constants."""
-    y = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
-    y = y.astype(z.data.dtype, copy=False)
+def bce_logits(z: Tensor, targets: np.ndarray) -> Tensor:
+    """Elementwise binary cross-entropy on logits; targets are a constant array."""
+    y = targets.astype(z.data.dtype, copy=False)
     zd = z.data
     out = np.maximum(zd, 0.0) - zd * y + np.log1p(np.exp(-np.abs(zd)))
 
@@ -782,28 +781,15 @@ def cast(a: Tensor, dtype) -> Tensor:
     return _make(a.data.astype(dtype, copy=False), (a,), bwd)
 
 
-def _is_basic_index(idx) -> bool:
-    """An int, a slice, ``...`` or a tuple of those: it selects each element
-    at most once."""
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    return all(i is Ellipsis or isinstance(i, (slice, np.integer))
-               or (isinstance(i, int) and not isinstance(i, bool)) for i in parts)
-
-
 def take(a: Tensor, idx) -> Tensor:
-    """Indexing/slicing; gradients write (basic index) or scatter-add
-    (integer arrays, which may repeat an element) back into place. As in
-    numpy, a basic index gives a view of the input and an integer array a
-    copy."""
-    basic = _is_basic_index(idx)
+    """Indexing/slicing; the gradient scatter-adds back into place, so an
+    integer array may repeat an element. As in numpy, a basic index gives a
+    view of the input and an integer array a copy."""
     shape, dtype = a.shape, a.dtype
 
     def bwd(g):
         ga = np.zeros(shape, dtype)
-        if basic:
-            ga[idx] = g
-        else:
-            np.add.at(ga, idx, g)
+        np.add.at(ga, idx, g)
         return (ga,)
 
     return _make(a.data[idx], (a,), bwd)

@@ -72,9 +72,15 @@ def cmd_synth_data(args) -> int:
         mixes = [replace(first, seed=first.seed + i) for i in range(count)]
     # in either form, DIARNET_SEED gives mixture i the seed DIARNET_SEED + i
     specs = [replace(m, seed=_seed_override(m.seed, i)) for i, m in enumerate(mixes)]
+    seen = {}    # seed: the first mixture with it; a mixture's seed names its files
+    for i, mix in enumerate(specs):
+        if seen.setdefault(mix.seed, i) != i:
+            raise ConfigError(f"mixtures {seen[mix.seed]} and {i} share seed {mix.seed}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # a manifest left by an earlier run must not list this one's files
+    (out / "manifest.csv").unlink(missing_ok=True)
     manifest_lines = ["id,wav,rttm,duration_s,n_speakers"]
     for mix in specs:
         rec = synth_mixture(mix)
@@ -168,15 +174,19 @@ def _load_recording(rec_id: str, wav_path: Path, rttm_path: Path):
 
 def cmd_infer(args) -> int:
     file_id = Path(args.wav).stem
-    # refuse bad settings and a file id the RTTM cannot hold before the model runs
+    # before the model runs, refuse bad settings and an RTTM path or file id that cannot be written
     check_segment_options(args.threshold, args.median)
     check_field(args.rttm, "file id", file_id)
+    rttm = Path(args.rttm)
+    os.scandir(rttm.parent).close()    # raises as open would for a bad directory
+    if rttm.is_dir():
+        raise IsADirectoryError(f"{rttm} is a directory")
     params, cfg = load_checkpoint(Path(args.ckpt))
     clip = load_wav(Path(args.wav))
     probs = predict_probs(clip, params, cfg)
     hyp = posterior_to_segments(probs, threshold=args.threshold,
                                 median_w=args.median, file_id=file_id)
-    write_rttm(Path(args.rttm), hyp)
+    write_rttm(rttm, hyp)
     print(f"wrote {args.rttm}: {len(hyp)} segments, {len(hyp.names)} speakers")
     return 0
 
@@ -222,17 +232,12 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone; its usage line
-    names all four either way."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = argparse.ArgumentParser(prog="diarnet",
                                      description="desk-scale neural speaker diarization")
-    # through the metavar a one-command parser's usage still lists all four; the
-    # full parser sets none, as a metavar would also rename `command` in errors
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else [command]:
-        fn, help_text, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, help_text, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
@@ -240,11 +245,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args leaves a parser as it found it
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a call that names its subcommand first builds only that one's parser
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except FileNotFoundError as e:

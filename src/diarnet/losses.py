@@ -70,8 +70,6 @@ class LabelMatrix:
         t, s = self.y_pm.shape
         if n_slots < s:
             raise CapacityError(f"cannot shrink labels from {s} to {n_slots} columns")
-        if n_slots == s:
-            return self
         out = np.full((t, n_slots), -1, dtype=np.int8)
         out[:, :s] = self.y_pm
         return LabelMatrix(out)
@@ -96,10 +94,10 @@ class Alignment:
 # permutation-invariant alignment
 # ---------------------------------------------------------------------------
 
-def bce_cost_matrix(logits, labels: LabelMatrix) -> np.ndarray:
-    """cost[k, s]: mean frame BCE of slot s's logits (a Tensor or an array)
-    against speaker k; more speakers than slots is a CapacityError."""
-    z = np.asarray(logits.data if isinstance(logits, Tensor) else logits, dtype=np.float64)
+def bce_cost_matrix(logits: np.ndarray, labels: LabelMatrix) -> np.ndarray:
+    """cost[k, s]: mean frame BCE of slot s's (T, S) logits against speaker k;
+    more speakers than slots is a CapacityError."""
+    z = np.asarray(logits, dtype=np.float64)
     cols = labels.active_columns
     if len(cols) > z.shape[1]:
         raise CapacityError(f"{len(cols)} speakers exceed {z.shape[1]} slots")

@@ -113,8 +113,6 @@ def cover(lo, hi, rows, n_rows: int, n: int) -> np.ndarray:
 
 def _median_binary(mask: np.ndarray, width: int) -> np.ndarray:
     """Binary median filter: majority vote in a zero-padded window."""
-    if width <= 1:
-        return mask
     pad = width // 2
     padded = np.pad(mask.astype(np.int32), pad)
     csum = np.concatenate([[0], np.cumsum(padded)])

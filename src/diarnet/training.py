@@ -20,9 +20,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .frontend import (FRAME_S, HOP_SAMPLES, WIN_SAMPLES, WINDOW_FRAMES, WINDOW_HOP, AudioClip,
-                       ConfigError, check_number_fields, cnn_encode, from_json, log_mel,
-                       window_stack)
-from .losses import DPCL_MODES, LabelMatrix, LossWeights, total_loss
+                       ConfigError, InsufficientAudioError, check_number_fields, cnn_encode,
+                       from_json, log_mel, window_stack)
+from .losses import DPCL_MODES, CapacityError, LabelMatrix, LossWeights, total_loss
 from .model import ModelConfig, forward, init_model_params, param_specs, zero_grads
 from .serialize import SerializationError, load_bundle, save_bundle
 from .synth import LabeledRecording, synth_mixture
@@ -215,8 +215,15 @@ def _prepare(item, n_slots: int, nf_crop: int,
     """Mel rows, slot-padded labels and crop length in frames of a MixtureSpec
     (synthesized here) or a LabeledRecording (used as-is); with ``head``, only
     those of output frames [0, nf), the rows made from the samples they read
-    (log_mel is prefix-stable)."""
+    (log_mel is prefix-stable). Data errors name the recording."""
     rec = item if isinstance(item, LabeledRecording) else synth_mixture(item)
+    n, need = len(rec.clip.samples), HOP_SAMPLES * (WINDOW_FRAMES - 1) + WIN_SAMPLES
+    if n < need:
+        raise InsufficientAudioError(f"recording {rec.rec_id}: {n} samples < the {need} "
+                                     "that one output frame reads")
+    if rec.labels.n_slots > n_slots:
+        raise CapacityError(f"recording {rec.rec_id}: {rec.labels.n_slots} speakers "
+                            f"exceed {n_slots} attractor slots")
     nf = min(nf_crop, rec.labels.n_frames)
     clip, labels = rec.clip, rec.labels.pad_to(n_slots)
     if head:

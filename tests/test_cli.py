@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import diarnet
+from diarnet import cli
 from diarnet.cli import ManifestError, build_parser, main, read_manifest
 from diarnet.frontend import load_wav
 from diarnet.model import ModelConfig, init_model_params
@@ -579,3 +580,78 @@ def test_parser_text_matches_the_full_parser(capsys, case):
         outcomes.append((e.value.code, *capsys.readouterr()))
     assert outcomes[0] == outcomes[1]
     assert fragment in outcomes[0][1] + outcomes[0][2]
+
+
+def _score_argv(tmp_path) -> list:
+    rttm = tmp_path / "ref.rttm"
+    rttm.write_text("SPEAKER f 1 0.000 2.000 <NA> <NA> a <NA> <NA>\n")
+    return ["score", "--ref", str(rttm), "--hyp", str(rttm)]
+
+
+def test_main_builds_no_parser_per_call(tmp_path, capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", no_build)
+    assert main(_score_argv(tmp_path)) == 0
+    assert capsys.readouterr().out.startswith("DER 0.00")
+
+
+def test_main_runs_after_a_call_that_exited(tmp_path, capsys):
+    argv = _score_argv(tmp_path)
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    for bad in (["score", "--ref"], ["bogus"], ["score", "--help"]):
+        with pytest.raises(SystemExit):
+            main(bad)
+        capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == first
+
+
+def test_synth_data_refuses_mixtures_that_share_a_seed(tmp_path, capsys):
+    # both would be written to mix000001.wav, and the manifest would list it twice
+    spec_path = tmp_path / "spec.json"
+    mixes = [dict(MIXTURE, seed=4), dict(MIXTURE, seed=1), dict(MIXTURE, seed=1, n_speakers=3)]
+    spec_path.write_text(json.dumps({"mixtures": mixes}))
+    out = tmp_path / "out"
+    assert main(["synth-data", "--spec", str(spec_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigError: ") and "1 and 2 share seed 1" in err
+    assert not out.exists()
+
+
+def test_failed_synth_data_leaves_no_earlier_manifest(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    out = tmp_path / "out"
+    spec_path.write_text(json.dumps({"mixtures": [dict(MIXTURE, seed=2)]}))
+    assert main(["synth-data", "--spec", str(spec_path), "--out", str(out)]) == 0
+    assert (out / "manifest.csv").exists()
+    # the second mixture cannot reach its overlap, after the first is written
+    unreachable = dict(MIXTURE, seed=3, duration_s=6.0, overlap_ratio=0.97)
+    spec_path.write_text(json.dumps({"mixtures": [dict(MIXTURE, seed=5), unreachable]}))
+    assert main(["synth-data", "--spec", str(spec_path), "--out", str(out)]) == 1
+    assert "GenerationError" in capsys.readouterr().err
+    assert (out / "mix000005.wav").exists()
+    assert not (out / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize("where,code,error", [
+    pytest.param("no_such_dir/hyp.rttm", 2, "error: ", id="missing-directory"),
+    pytest.param("a_file/hyp.rttm", 1, "error: NotADirectoryError: ", id="parent-is-a-file"),
+    pytest.param("a_dir", 1, "error: IsADirectoryError: ", id="directory"),
+])
+def test_infer_refuses_an_unwritable_rttm_before_the_checkpoint_loads(tmp_path, capsys,
+                                                                      monkeypatch, where,
+                                                                      code, error):
+    def no_load(*args):
+        raise AssertionError("the checkpoint was loaded")
+
+    monkeypatch.setattr(cli, "load_checkpoint", no_load)
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "a_dir").mkdir()
+    rc = main(["infer", "--ckpt", str(tmp_path / "m.ckpt"), "--wav", str(tmp_path / "rec.wav"),
+               "--rttm", str(tmp_path / where)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == code
+    assert len(err) == 1 and err[0].startswith(error) and "AssertionError" not in err[0]

@@ -11,8 +11,9 @@ from diarnet import autodiff as ad, model as model_module, training
 from diarnet.autodiff import Tensor
 from conftest import graph_arrays, traced_peak
 from diarnet.frontend import (FRAME_S, HOP_SAMPLES, WIN_SAMPLES, WINDOW_FRAMES, WINDOW_HOP,
-                              AudioClip, ConfigError, cnn_encode, log_mel)
-from diarnet.losses import LabelMatrix, LossWeights, total_loss
+                              AudioClip, ConfigError, InsufficientAudioError, cnn_encode,
+                              log_mel)
+from diarnet.losses import CapacityError, LabelMatrix, LossWeights, total_loss
 from diarnet.model import ModelConfig, forward, init_model_params, zero_grads
 from diarnet.serialize import SerializationError, load_bundle, save_bundle
 from diarnet.synth import LabeledRecording, MixtureSpec, synth_mixture
@@ -617,3 +618,27 @@ def test_ragged_batch_matches_per_crop_reference():
         assert means[k] == pytest.approx(want[k], rel=1e-5), k
     for k, p in params.items():
         assert np.allclose(got[k], p.grad, rtol=1e-5, atol=1e-12), k
+
+
+def _no_draw(*args):
+    raise AssertionError("parameters drawn before the data was checked")
+
+
+def test_audio_too_short_for_one_frame_is_refused_by_its_id(monkeypatch):
+    # 1319 samples give 14 mel rows, one short of the window one output frame reads
+    good = synth_mixture(desk_specs(1)[0])
+    short = LabeledRecording(clip=AudioClip(good.clip.samples[:1319]),
+                             labels=LabelMatrix(good.labels.y_pm[:0]), rec_id="short1")
+    monkeypatch.setattr(training, "init_model_params", _no_draw)
+    with pytest.raises(InsufficientAudioError, match="^recording short1: 1319 samples < the 1320"):
+        train(desk_config(), [good, short])
+
+
+def test_more_speakers_than_slots_is_refused_by_its_id(monkeypatch):
+    good = synth_mixture(desk_specs(1)[0])
+    wide = np.ones((good.labels.n_frames, 3), dtype=np.int8)
+    crowded = LabeledRecording(clip=good.clip, labels=LabelMatrix.from_activity(wide),
+                               rec_id="crowded")
+    monkeypatch.setattr(training, "init_model_params", _no_draw)
+    with pytest.raises(CapacityError, match="^recording crowded: 3 speakers exceed 2 "):
+        train(desk_config(), [good], val_specs=[crowded])
