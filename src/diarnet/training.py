@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import tempfile
 import time
 import warnings
 from collections.abc import Iterable
@@ -19,9 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frontend import (FRAME_S, HOP_SAMPLES, WIN_SAMPLES, WINDOW_FRAMES, WINDOW_HOP, AudioClip,
-                       ConfigError, InsufficientAudioError, check_number_fields, cnn_encode,
-                       from_json, log_mel, window_stack)
+from .frontend import (FRAME_S, HOP_SAMPLES, N_MELS, WIN_SAMPLES, WINDOW_FRAMES, WINDOW_HOP,
+                       AudioClip, ConfigError, InsufficientAudioError, check_number_fields,
+                       cnn_encode, from_json, log_mel, window_stack)
 from .losses import DPCL_MODES, CapacityError, LabelMatrix, LossWeights, total_loss
 from .model import ModelConfig, forward, init_model_params, param_specs, zero_grads
 from .serialize import SerializationError, load_bundle, save_bundle
@@ -268,31 +269,46 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
     when given, and best.ckpt whenever a validation total improves.
 
     Datasets are iterables of MixtureSpec (synthesized here) or
-    LabeledRecording (used as-is), each read once: only its mel rows and
-    labels are kept (of a validation recording, only those of the crop
-    validation scores), so a generator lets each recording's audio go as
-    soon as its features are made. Aborts (diverged=True) as soon as a
-    training or a validation loss goes non-finite, keeping the parameters of
-    the last step.
+    LabeledRecording (used as-is), each read once: its mel rows go to a
+    read-only mapping of an unlinked file in out_dir (the default temp dir
+    without one) and only its labels stay on the heap (of a validation
+    recording, only those of the crop validation scores), so a generator
+    lets each recording's audio go as soon as its features are made. Aborts
+    (diverged=True) as soon as a training or a validation loss goes
+    non-finite, keeping the parameters of the last step.
     """
     t_start = time.perf_counter()
     crop_rng = np.random.default_rng([cfg.seed, 1])
     order_rng = np.random.default_rng([cfg.seed, 2])
 
     nf_crop = int(round(cfg.crop_s / FRAME_S))
-    train_data = [_prepare(s, cfg.model.n_attractors, nf_crop) for s in train_specs]
-    n = len(train_data)
-    if n == 0:
-        raise ValueError("no training recordings")
-    val_data = [_prepare(s, cfg.model.n_attractors, nf_crop, head=True)
-                for s in val_specs or []]
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    # mel rows go to an unlinked file as each recording is read, so the heap
+    # holds only labels. out_dir rather than a tmpfs temp dir keeps the pages
+    # file-backed, which the OS can drop; the mapping keeps its own descriptor
+    with tempfile.TemporaryFile(dir=out) as f:
+        def stash(mel, labels, nf):
+            start = f.tell() // mel.strides[0]
+            f.write(mel)
+            return slice(start, start + len(mel)), labels, nf
+
+        train_data = [stash(*_prepare(s, cfg.model.n_attractors, nf_crop))
+                      for s in train_specs]
+        n = len(train_data)
+        if n == 0:
+            raise ValueError("no training recordings")
+        val_data = [stash(*_prepare(s, cfg.model.n_attractors, nf_crop, head=True))
+                    for s in val_specs or []]
+        store = np.memmap(f, np.float32, "r").reshape(-1, N_MELS)
+    train_data = [(store[rows], labels, nf) for rows, labels, nf in train_data]
+    val_data = [(store[rows], labels, nf) for rows, labels, nf in val_data]
 
     params = init_model_params(cfg.model, np.random.default_rng([cfg.seed, 0]))
     opt = AdamW(params, weight_decay=cfg.weight_decay)
     total_steps = max(cfg.epochs * math.ceil(n / cfg.batch_size), 1)
-    out = None if out_dir is None else Path(out_dir)
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         # a best.ckpt left by an earlier run must not pass for this one's
         (out / "best.ckpt").unlink(missing_ok=True)
 

@@ -571,7 +571,8 @@ PARSER_CASES = {
 
 @pytest.mark.parametrize("case", sorted(PARSER_CASES))
 def test_parser_text_matches_the_full_parser(capsys, case):
-    # main builds one subcommand's parser when argv names it first
+    # main parses with the parser built at import; its messages must equal
+    # those of a freshly built one
     argv, fragment = PARSER_CASES[case]
     outcomes = []
     for parse in (main, build_parser().parse_args):

@@ -1,5 +1,6 @@
 
 
+import os
 import tracemalloc
 import warnings
 import weakref
@@ -326,10 +327,11 @@ def test_zero_weighted_losses_leave_params_unchanged():
         assert np.array_equal(p.data, reference[k].data), k
 
 
-def test_fixed_seed_reproduces_history():
+def test_fixed_seed_reproduces_history(tmp_path):
+    # the mel store lives in the default temp dir without out_dir, in out_dir with one
     cfg = desk_config()
     a = train(cfg, desk_specs(3), val_specs=desk_specs(1, seed0=90))
-    b = train(cfg, desk_specs(3), val_specs=desk_specs(1, seed0=90))
+    b = train(cfg, desk_specs(3), val_specs=desk_specs(1, seed0=90), out_dir=tmp_path)
     assert len(a.history) == len(b.history)
     for ra, rb in zip(a.history, b.history):
         assert ra == rb
@@ -446,6 +448,16 @@ def test_training_makes_no_initial_parameter_copy():
         assert not res.diverged
     # what validation adds is its crop's mel rows and labels
     assert peak_with - peak_without < n_bytes / 2, (peak_with, peak_without, n_bytes)
+
+
+def test_training_heap_does_not_grow_with_the_dataset():
+    # mel rows live in a mapped file, so 30 more recordings add only their labels
+    cfg = desk_config(epochs=0)
+    train(cfg, desk_specs(1))       # fills the caches a first run allocates
+    peaks = [traced_peak(train, cfg, (s for s in desk_specs(n)))[1] for n in (10, 40)]
+    rec = synth_mixture(desk_specs(1)[0])
+    mel_bytes = log_mel(rec.clip).nbytes
+    assert abs(peaks[1] - peaks[0]) < mel_bytes, (peaks, mel_bytes)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -624,14 +636,21 @@ def _no_draw(*args):
     raise AssertionError("parameters drawn before the data was checked")
 
 
-def test_audio_too_short_for_one_frame_is_refused_by_its_id(monkeypatch):
+def _open_fds() -> int | None:
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def test_audio_too_short_for_one_frame_is_refused_by_its_id(monkeypatch, tmp_path):
     # 1319 samples give 14 mel rows, one short of the window one output frame reads
-    good = synth_mixture(desk_specs(1)[0])
-    short = LabeledRecording(clip=AudioClip(good.clip.samples[:1319]),
-                             labels=LabelMatrix(good.labels.y_pm[:0]), rec_id="short1")
+    good = [synth_mixture(s) for s in desk_specs(2)]
+    short = LabeledRecording(clip=AudioClip(good[0].clip.samples[:1319]),
+                             labels=LabelMatrix(good[0].labels.y_pm[:0]), rec_id="short1")
     monkeypatch.setattr(training, "init_model_params", _no_draw)
+    fds = _open_fds()
     with pytest.raises(InsufficientAudioError, match="^recording short1: 1319 samples < the 1320"):
-        train(desk_config(), [good, short])
+        train(desk_config(), [*good, short], out_dir=tmp_path)
+    # the mel store of the two recordings read before it is gone with its descriptor
+    assert list(tmp_path.iterdir()) == [] and _open_fds() == fds
 
 
 def test_more_speakers_than_slots_is_refused_by_its_id(monkeypatch):
