@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .frontend import (FRAME_S, HOP_SAMPLES, N_MELS, WIN_SAMPLES, WINDOW_FRAMES, WINDOW_HOP,
-                       AudioClip, ConfigError, InsufficientAudioError, check_number_fields,
+                       ConfigError, InsufficientAudioError, check_number_fields,
                        cnn_encode, from_json, log_mel, window_stack)
 from .losses import DPCL_MODES, CapacityError, LabelMatrix, LossWeights, total_loss
 from .model import ModelConfig, forward, init_model_params, param_specs, zero_grads
@@ -211,12 +211,10 @@ class TrainResult:
     wall_s: float
 
 
-def _prepare(item, n_slots: int, nf_crop: int,
-             head: bool = False) -> tuple[np.ndarray, LabelMatrix, int]:
-    """Mel rows, slot-padded labels and crop length in frames of a MixtureSpec
-    (synthesized here) or a LabeledRecording (used as-is); with ``head``, only
-    those of output frames [0, nf), the rows made from the samples they read
-    (log_mel is prefix-stable). Data errors name the recording."""
+def _prepare(item, n_slots: int, nf_crop: int) -> tuple[np.ndarray, LabelMatrix, int]:
+    """Mel rows of the whole recording, slot-padded labels and crop length in
+    frames of a MixtureSpec (synthesized here) or a LabeledRecording (used
+    as-is). Data errors name the recording."""
     rec = item if isinstance(item, LabeledRecording) else synth_mixture(item)
     n, need = len(rec.clip.samples), HOP_SAMPLES * (WINDOW_FRAMES - 1) + WIN_SAMPLES
     if n < need:
@@ -225,13 +223,7 @@ def _prepare(item, n_slots: int, nf_crop: int,
     if rec.labels.n_slots > n_slots:
         raise CapacityError(f"recording {rec.rec_id}: {rec.labels.n_slots} speakers "
                             f"exceed {n_slots} attractor slots")
-    nf = min(nf_crop, rec.labels.n_frames)
-    clip, labels = rec.clip, rec.labels.pad_to(n_slots)
-    if head:
-        n_rows = WINDOW_HOP * (nf - 1) + WINDOW_FRAMES
-        clip = AudioClip(clip.samples[:HOP_SAMPLES * (n_rows - 1) + WIN_SAMPLES])
-        labels = LabelMatrix(labels.y_pm[:nf])
-    return log_mel(clip), labels, nf
+    return log_mel(rec.clip), rec.labels.pad_to(n_slots), min(nf_crop, rec.labels.n_frames)
 
 
 def _crop_windows(mel: np.ndarray, labels: LabelMatrix, f0: int,
@@ -239,7 +231,7 @@ def _crop_windows(mel: np.ndarray, labels: LabelMatrix, f0: int,
     """Windows and labels of output frames [f0, f0 + nf) of a recording, from
     the mel rows those frames read; equal to ``window_stack(mel)[f0:f0 + nf]``."""
     rows = mel[WINDOW_HOP * f0: WINDOW_HOP * (f0 + nf - 1) + WINDOW_FRAMES]
-    return window_stack(rows), LabelMatrix(labels.y_pm[f0:f0 + nf].copy())
+    return window_stack(rows), LabelMatrix(labels.y_pm[f0:f0 + nf])
 
 
 def _mean_losses(crops: list, params: dict, cfg: TrainConfig) -> dict:
@@ -271,11 +263,11 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
     Datasets are iterables of MixtureSpec (synthesized here) or
     LabeledRecording (used as-is), each read once: its mel rows go to a
     read-only mapping of an unlinked file in out_dir (the default temp dir
-    without one) and only its labels stay on the heap (of a validation
-    recording, only those of the crop validation scores), so a generator
-    lets each recording's audio go as soon as its features are made. Aborts
-    (diverged=True) as soon as a training or a validation loss goes
-    non-finite, keeping the parameters of the last step.
+    without one) and only its labels stay on the heap, so a generator lets
+    each recording's audio go as soon as its features are made. Validation
+    scores output frames [0, nf) of each recording. Aborts (diverged=True)
+    as soon as a training or a validation loss goes non-finite, keeping the
+    parameters of the last step.
     """
     t_start = time.perf_counter()
     crop_rng = np.random.default_rng([cfg.seed, 1])
@@ -289,18 +281,17 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
     # holds only labels. out_dir rather than a tmpfs temp dir keeps the pages
     # file-backed, which the OS can drop; the mapping keeps its own descriptor
     with tempfile.TemporaryFile(dir=out) as f:
-        def stash(mel, labels, nf):
+        def stash(item):
+            mel, labels, nf = _prepare(item, cfg.model.n_attractors, nf_crop)
             start = f.tell() // mel.strides[0]
             f.write(mel)
             return slice(start, start + len(mel)), labels, nf
 
-        train_data = [stash(*_prepare(s, cfg.model.n_attractors, nf_crop))
-                      for s in train_specs]
+        train_data = [stash(s) for s in train_specs]
         n = len(train_data)
         if n == 0:
             raise ValueError("no training recordings")
-        val_data = [stash(*_prepare(s, cfg.model.n_attractors, nf_crop, head=True))
-                    for s in val_specs or []]
+        val_data = [stash(s) for s in val_specs or []]
         store = np.memmap(f, np.float32, "r").reshape(-1, N_MELS)
     train_data = [(store[rows], labels, nf) for rows, labels, nf in train_data]
     val_data = [(store[rows], labels, nf) for rows, labels, nf in val_data]

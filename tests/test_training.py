@@ -394,28 +394,6 @@ def _crop_rows(nf: int) -> int:
     return WINDOW_HOP * (nf - 1) + WINDOW_FRAMES
 
 
-def test_validation_keeps_only_the_rows_its_crop_reads(monkeypatch):
-    cfg = desk_config(epochs=1)
-    val = desk_specs(2, seed0=90)
-    kept = {}
-    prepare = training._prepare
-
-    def spy(item, *args, **kwargs):
-        kept[item.seed] = prepare(item, *args, **kwargs)
-        return kept[item.seed]
-
-    monkeypatch.setattr(training, "_prepare", spy)
-    train(cfg, desk_specs(2), val_specs=val)
-    nf = round(cfg.crop_s / FRAME_S)
-    for spec in val:
-        mel, labels, n = kept[spec.seed]
-        rec = synth_mixture(spec)
-        assert rec.labels.n_frames > nf and n == nf
-        assert mel.shape[0] == _crop_rows(nf)
-        assert mel.tobytes() == log_mel(rec.clip)[:_crop_rows(nf)].tobytes()
-        assert np.array_equal(labels.y_pm, rec.labels.pad_to(2).y_pm[:nf])
-
-
 def test_validation_rows_ignore_audio_past_the_crop(tmp_path):
     cfg = desk_config(epochs=2)
     nf = round(cfg.crop_s / FRAME_S)
