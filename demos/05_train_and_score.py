@@ -21,7 +21,12 @@ from diarnet import (
     synth_mixture,
     train,
 )
-from diarnet.cli import _reference
+
+
+def reference(rec):
+    """The exact timeline of a labeled recording, speakers named by label column."""
+    return posterior_to_segments(rec.labels.y_01, median_w=1, file_id=rec.rec_id)
+
 
 # ## Data: 10 train + 2 validation recordings, 60 s, 20% overlapped speech
 
@@ -52,7 +57,7 @@ for spec in val_specs:
     probs = predict_probs(rec.clip, result.params, cfg.model)
     hyp = posterior_to_segments(probs, threshold=0.5, median_w=11,
                                 file_id=rec.rec_id)
-    reports.append(der_score(_reference(rec), hyp, collar_s=0.25))
+    reports.append(der_score(reference(rec), hyp, collar_s=0.25))
 
 combined = aggregate_reports(reports)
 print("validation:", combined)
@@ -63,10 +68,10 @@ print("validation:", combined)
 # confuses the speaker it is not mapped to.
 val_recs = [synth_mixture(spec) for spec in val_specs]
 silence = aggregate_reports([
-    der_score(_reference(r), DiarizationHypothesis(segments=[], file_id=r.rec_id))
+    der_score(reference(r), DiarizationHypothesis(segments=[], file_id=r.rec_id))
     for r in val_recs])
 one_speaker = aggregate_reports([
-    der_score(_reference(r), DiarizationHypothesis([(0.0, r.clip.duration_s, "all")],
+    der_score(reference(r), DiarizationHypothesis([(0.0, r.clip.duration_s, "all")],
                                                    file_id=r.rec_id))
     for r in val_recs])
 print(f"silence baseline DER {silence.der:.1f}%, one-speaker baseline DER "

@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .frontend import ConfigError, frame_count, from_json, load_wav, write_wav
+from .frontend import ConfigError, checked_frame_count, from_json, load_wav, write_wav
 from .model import predict_probs
 from .rttm import check_field, read_rttm, write_rttm
 from .scoring import (DiarizationHypothesis, ScoringError, aggregate_reports,
@@ -168,22 +168,22 @@ def _load_recording(rec_id: str, wav_path: Path, rttm_path: Path):
         found = f"its only file id is {next(iter(hyps))}" if len(hyps) == 1 else (
             f"it holds {len(hyps)} file ids")
         raise ManifestError(f"{rttm_path}: no segments for id {rec_id} ({found})")
-    labels, _ = labels_from_segments(timeline, frame_count(len(clip.samples)))
+    labels, _ = labels_from_segments(timeline, checked_frame_count(len(clip.samples), wav_path))
     return LabeledRecording(clip=clip, labels=labels, rec_id=rec_id)
 
 
 def cmd_infer(args) -> int:
     file_id = Path(args.wav).stem
-    # before the model runs, refuse bad settings and an RTTM path or file id that cannot be written
+    # refuse bad settings, an unwritable RTTM path or file id, and short audio before loading
     check_segment_options(args.threshold, args.median)
     check_field(args.rttm, "file id", file_id)
     rttm = Path(args.rttm)
     os.scandir(rttm.parent).close()    # raises as open would for a bad directory
     if rttm.is_dir():
         raise IsADirectoryError(f"{rttm} is a directory")
-    params, cfg = load_checkpoint(Path(args.ckpt))
     clip = load_wav(Path(args.wav))
-    probs = predict_probs(clip, params, cfg)
+    checked_frame_count(len(clip.samples), args.wav)
+    probs = predict_probs(clip, *load_checkpoint(Path(args.ckpt)))
     hyp = posterior_to_segments(probs, threshold=args.threshold,
                                 median_w=args.median, file_id=file_id)
     write_rttm(rttm, hyp)

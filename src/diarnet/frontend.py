@@ -224,6 +224,15 @@ def frame_count(n_samples: int) -> int:
     return max((n_mel - WINDOW_FRAMES) // WINDOW_HOP + 1, 0)
 
 
+def checked_frame_count(n_samples: int, where) -> int:
+    """`frame_count(n_samples)`; below 1 it is an InsufficientAudioError naming `where`."""
+    if frame_count(n_samples) < 1:
+        need = HOP_SAMPLES * (WINDOW_FRAMES - 1) + WIN_SAMPLES
+        raise InsufficientAudioError(f"{where}: {n_samples} samples < the {need} "
+                                     "that one output frame reads")
+    return frame_count(n_samples)
+
+
 def window_stack(mel: np.ndarray) -> np.ndarray:
     """Stack (T0, N_MELS) mel frames into (T, WINDOW_FRAMES, N_MELS) windows
     (hop 10, overlap 5)."""

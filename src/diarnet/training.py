@@ -20,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .frontend import (FRAME_S, HOP_SAMPLES, N_MELS, WIN_SAMPLES, WINDOW_FRAMES, WINDOW_HOP,
-                       ConfigError, InsufficientAudioError, check_number_fields,
+from .frontend import (FRAME_S, N_MELS, WINDOW_FRAMES, WINDOW_HOP, ConfigError,
+                       InsufficientAudioError, check_number_fields, checked_frame_count,
                        cnn_encode, from_json, log_mel, window_stack)
 from .losses import DPCL_MODES, CapacityError, LabelMatrix, LossWeights, total_loss
 from .model import ModelConfig, forward, init_model_params, param_specs, zero_grads
@@ -212,17 +212,17 @@ class TrainResult:
 
 
 def _prepare(item, n_slots: int, nf_crop: int) -> tuple[np.ndarray, LabelMatrix, int]:
-    """Mel rows of the whole recording, slot-padded labels and crop length in
-    frames of a MixtureSpec (synthesized here) or a LabeledRecording (used
-    as-is). Data errors name the recording."""
+    """Mel rows, slot-padded labels and crop length in frames of a MixtureSpec
+    (synthesized here) or a LabeledRecording (used as-is), whose labels span 1
+    to as many frames as its audio gives. Data errors name the recording."""
     rec = item if isinstance(item, LabeledRecording) else synth_mixture(item)
-    n, need = len(rec.clip.samples), HOP_SAMPLES * (WINDOW_FRAMES - 1) + WIN_SAMPLES
-    if n < need:
-        raise InsufficientAudioError(f"recording {rec.rec_id}: {n} samples < the {need} "
-                                     "that one output frame reads")
+    n_audio = checked_frame_count(len(rec.clip.samples), f"recording {rec.rec_id}")
     if rec.labels.n_slots > n_slots:
         raise CapacityError(f"recording {rec.rec_id}: {rec.labels.n_slots} speakers "
                             f"exceed {n_slots} attractor slots")
+    if not 1 <= rec.labels.n_frames <= n_audio:
+        raise InsufficientAudioError(f"recording {rec.rec_id}: {rec.labels.n_frames} label "
+                                     f"frames, outside the 1 to {n_audio} its audio gives")
     return log_mel(rec.clip), rec.labels.pad_to(n_slots), min(nf_crop, rec.labels.n_frames)
 
 

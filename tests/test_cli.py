@@ -12,7 +12,7 @@ import pytest
 import diarnet
 from diarnet import cli
 from diarnet.cli import ManifestError, build_parser, main, read_manifest
-from diarnet.frontend import load_wav
+from diarnet.frontend import AudioClip, load_wav, write_wav
 from diarnet.model import ModelConfig, init_model_params
 from diarnet.rttm import read_rttm
 from diarnet.training import save_checkpoint
@@ -236,6 +236,19 @@ def test_train_short_manifest_row_names_the_line(dataset, tmp_path, capsys):
     assert f"{manifest}:3:" in captured.err and "mix_broken" in captured.err
     assert "ManifestError" in captured.err
     assert "train done" not in captured.out
+
+
+def test_train_names_a_wav_too_short_for_one_frame(dataset, tmp_path, capsys):
+    wav = sorted(dataset.glob("*.wav"))[1]
+    write_wav(wav, AudioClip(np.zeros(1319, dtype=np.float32)))
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(desk_train_config()))
+    rc = main(["train", "--config", str(cfg_path), "--data", str(dataset),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: InsufficientAudioError: {wav}: 1319 samples < the 1320 "
+        "that one output frame reads"]
 
 
 def _header_only(dataset):
@@ -656,3 +669,19 @@ def test_infer_refuses_an_unwritable_rttm_before_the_checkpoint_loads(tmp_path, 
     err = capsys.readouterr().err.splitlines()
     assert rc == code
     assert len(err) == 1 and err[0].startswith(error) and "AssertionError" not in err[0]
+
+
+def test_infer_names_a_wav_too_short_for_one_frame_before_the_checkpoint_loads(
+        tmp_path, capsys, monkeypatch):
+    def no_load(*args):
+        raise AssertionError("the checkpoint was loaded")
+
+    monkeypatch.setattr(cli, "load_checkpoint", no_load)
+    wav = tmp_path / "short.wav"
+    write_wav(wav, AudioClip(np.zeros(1319, dtype=np.float32)))
+    rc = main(["infer", "--ckpt", str(tmp_path / "m.ckpt"), "--wav", str(wav),
+               "--rttm", str(tmp_path / "hyp.rttm")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == [f"error: InsufficientAudioError: {wav}: 1319 samples < the 1320 "
+                   "that one output frame reads"]

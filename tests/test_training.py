@@ -438,6 +438,18 @@ def test_training_heap_does_not_grow_with_the_dataset():
     assert abs(peaks[1] - peaks[0]) < mel_bytes, (peaks, mel_bytes)
 
 
+def test_validation_heap_does_not_grow_with_the_validation_set():
+    # validation rows live in the mapped file too, so 30 more recordings add only
+    # their labels; one spec repeated keeps the peak of reading any one of them equal
+    cfg = desk_config(epochs=0)
+    spec = desk_specs(1, seed0=90)[0]
+    train(cfg, desk_specs(1), val_specs=[spec])       # fills the caches a first run allocates
+    peaks = [traced_peak(train, cfg, desk_specs(1), val_specs=(spec for _ in range(n)))[1]
+             for n in (10, 40)]
+    mel_bytes = log_mel(synth_mixture(spec).clip).nbytes
+    assert abs(peaks[1] - peaks[0]) < mel_bytes, (peaks, mel_bytes)
+
+
 @pytest.mark.parametrize("cfg", [
     desk_config(epochs=4, max_lr=1e12, seed=2, val_every=4),
     desk_config(batch_size=3, epochs=4, max_lr=1e12, val_every=1),
@@ -629,6 +641,27 @@ def test_audio_too_short_for_one_frame_is_refused_by_its_id(monkeypatch, tmp_pat
         train(desk_config(), [*good, short], out_dir=tmp_path)
     # the mel store of the two recordings read before it is gone with its descriptor
     assert list(tmp_path.iterdir()) == [] and _open_fds() == fds
+
+
+def test_labels_past_the_audio_are_refused_by_its_id(monkeypatch):
+    # 4 s of audio give 39 output frames; the 8 s labels keep all 79
+    good = synth_mixture(desk_specs(1)[0])
+    cut = LabeledRecording(clip=AudioClip(good.clip.samples[:32000]), labels=good.labels,
+                           rec_id="cut")
+    monkeypatch.setattr(training, "init_model_params", _no_draw)
+    with pytest.raises(InsufficientAudioError,
+                       match="^recording cut: 79 label frames, outside the 1 to 39 "):
+        train(desk_config(), [good, cut])
+
+
+def test_labels_of_no_frame_are_refused_by_its_id(monkeypatch):
+    good = synth_mixture(desk_specs(1)[0])
+    empty = LabeledRecording(clip=good.clip, labels=LabelMatrix(good.labels.y_pm[:0]),
+                             rec_id="empty")
+    monkeypatch.setattr(training, "init_model_params", _no_draw)
+    with pytest.raises(InsufficientAudioError,
+                       match="^recording empty: 0 label frames, outside the 1 to 79 "):
+        train(desk_config(), [good, empty])
 
 
 def test_more_speakers_than_slots_is_refused_by_its_id(monkeypatch):
