@@ -643,25 +643,18 @@ def test_audio_too_short_for_one_frame_is_refused_by_its_id(monkeypatch, tmp_pat
     assert list(tmp_path.iterdir()) == [] and _open_fds() == fds
 
 
-def test_labels_past_the_audio_are_refused_by_its_id(monkeypatch):
-    # 4 s of audio give 39 output frames; the 8 s labels keep all 79
+@pytest.mark.parametrize("n_samples,n_frames,text", [
+    (32000, 79, "79 label frames, outside the 1 to 39 "),     # 4 s of audio, 8 s of labels
+    (64000, 0, "0 label frames, outside the 1 to 79 "),
+], ids=["past-the-audio", "no-frame"])
+def test_labels_the_audio_cannot_back_are_refused_by_its_id(monkeypatch, n_samples,
+                                                             n_frames, text):
     good = synth_mixture(desk_specs(1)[0])
-    cut = LabeledRecording(clip=AudioClip(good.clip.samples[:32000]), labels=good.labels,
-                           rec_id="cut")
+    bad = LabeledRecording(clip=AudioClip(good.clip.samples[:n_samples]),
+                           labels=LabelMatrix(good.labels.y_pm[:n_frames]), rec_id="bad")
     monkeypatch.setattr(training, "init_model_params", _no_draw)
-    with pytest.raises(InsufficientAudioError,
-                       match="^recording cut: 79 label frames, outside the 1 to 39 "):
-        train(desk_config(), [good, cut])
-
-
-def test_labels_of_no_frame_are_refused_by_its_id(monkeypatch):
-    good = synth_mixture(desk_specs(1)[0])
-    empty = LabeledRecording(clip=good.clip, labels=LabelMatrix(good.labels.y_pm[:0]),
-                             rec_id="empty")
-    monkeypatch.setattr(training, "init_model_params", _no_draw)
-    with pytest.raises(InsufficientAudioError,
-                       match="^recording empty: 0 label frames, outside the 1 to 79 "):
-        train(desk_config(), [good, empty])
+    with pytest.raises(InsufficientAudioError, match=f"^recording bad: {text}"):
+        train(desk_config(), [good, bad])
 
 
 def test_more_speakers_than_slots_is_refused_by_its_id(monkeypatch):
