@@ -24,8 +24,8 @@ Conventions:
   * training math runs in float32, gradient checks in float64 (dtype follows
     the inputs, so building float64 leaves is enough);
   * broadcasting is supported for leading batch axes and singleton axes;
-    anything fancier needs an explicit reshape. `linear`, `attention` and
-    `depthwise_conv1d` take any number of leading batch axes;
+    anything fancier needs an explicit reshape. `linear` and `attention`
+    take any number of leading batch axes, `depthwise_conv1d` none;
   * guarded normalizations (`rms_norm`, `l2_normalize`) use a
     ``max(norm, NORM_EPS)`` denominator; `layer_norm` adds ``LN_EPS`` to the
     variance;
@@ -253,8 +253,8 @@ class Tensor:
     def transpose(self, *axes):
         return transpose(self, axes or None)
 
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return sum_(self, axis=axis)
 
 
 tensor = Tensor     # a leaf tensor, float32 unless the data says otherwise
@@ -488,25 +488,25 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 # reductions
 # ---------------------------------------------------------------------------
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def sum_(a: Tensor, axis=None) -> Tensor:
+    out = a.data.sum(axis=axis)
     shape = a.shape
 
     def bwd(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape),)
 
     return _make(np.asarray(out, dtype=a.data.dtype), (a,), bwd)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+def mean(a: Tensor, axis=None) -> Tensor:
+    out = a.data.mean(axis=axis)
     count = a.data.size / max(np.asarray(out).size, 1)
     shape = a.shape
 
     def bwd(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, shape) / count,)
 
@@ -714,35 +714,34 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 def depthwise_conv1d(x: Tensor, w: Tensor) -> Tensor:
     """Per-channel 1-d convolution along the time axis, same padding.
 
-    x is (..., T, C), w is (k, C) with odd k; output is (..., T, C).
+    x is (T, C), w is (k, C) with odd k; output is (T, C).
     """
-    if x.ndim < 2 or w.ndim != 2:
-        raise ShapeError(f"depthwise_conv1d: need (..., T, C) input and a 2-d kernel, "
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeError(f"depthwise_conv1d: need (T, C) input and a 2-d kernel, "
                          f"got {x.shape} and {w.shape}")
     k, c = w.shape
-    if c != x.shape[-1]:
+    t, xc = x.shape
+    if c != xc:
         raise ShapeError(f"depthwise_conv1d: channel mismatch, input {x.shape} kernel {w.shape}")
     if k % 2 != 1:
         raise ShapeError(f"depthwise_conv1d: kernel width must be odd, got {k}")
-    t = x.shape[-2]
     pad = k // 2
-    xp = np.zeros(x.shape[:-2] + (t + 2 * pad, c), dtype=x.data.dtype)
-    xp[..., pad:pad + t, :] = x.data
+    xp = np.zeros((t + 2 * pad, c), dtype=x.data.dtype)
+    xp[pad:pad + t] = x.data
     wv = w.data
     # one shifted multiply-add per tap, summed in tap order
-    out = xp[..., :t, :] * wv[0]
+    out = xp[:t] * wv[0]
     for i in range(1, k):
-        out += xp[..., i:i + t, :] * wv[i]
+        out += xp[i:i + t] * wv[i]
     _audit_macs(x.size * k)
-    lead = "ABCDEFGH"[:x.ndim - 2]   # einsum keeps "..." axes, so name them
 
     def bwd(g):
-        win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-2)  # (..., T, C, k)
-        gw = np.einsum(f"{lead}tck,{lead}tc->kc", win, g)
+        win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=0)  # (T, C, k)
+        gw = np.einsum("tck,tc->kc", win, g)
         gxp = np.zeros_like(xp)
         for i in range(k):
-            gxp[..., i:i + t, :] += g * wv[i]
-        return gxp[..., pad:pad + t, :], gw
+            gxp[i:i + t] += g * wv[i]
+        return gxp[pad:pad + t], gw
 
     return _make(out, (x, w), bwd)
 

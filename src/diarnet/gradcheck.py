@@ -13,6 +13,10 @@ import numpy as np
 
 from .autodiff import Tensor, no_grad
 
+H = 1e-5            # central-difference step
+ABS_FLOOR = 1e-9    # a check passes when every absolute error is within this
+REL_FLOOR = 1e-6    # relative error counts only where a gradient exceeds this
+
 
 @dataclass
 class GradReport:
@@ -20,8 +24,6 @@ class GradReport:
     max_rel_error: float
     max_abs_error: float
     passed: bool
-    tol: float
-    abs_floor: float
 
     def __str__(self):
         flag = "ok" if self.passed else "FAIL"
@@ -29,16 +31,14 @@ class GradReport:
                 f"abs={self.max_abs_error:.3e}")
 
 
-def grad_check(fn, inputs, tol: float = 1e-5, h: float = 1e-5,
-               abs_floor: float = 1e-9, rel_floor: float = 1e-6,
-               name: str = "") -> GradReport:
+def grad_check(fn, inputs, tol: float = 1e-5, name: str = "") -> GradReport:
     """Compare analytic gradients of ``fn(*inputs)`` against central differences.
 
     ``fn`` must return a scalar Tensor; supply a reduction if the op under
     test does not. Relative error is taken over elements whose gradient
-    magnitude exceeds ``rel_floor``; the report passes when the worst
+    magnitude exceeds ``REL_FLOOR``; the report passes when the worst
     relative error is within ``tol`` or the worst absolute error is within
-    ``abs_floor``.
+    ``ABS_FLOOR``.
     """
     leaves = [Tensor(np.asarray(t.data if isinstance(t, Tensor) else t, dtype=np.float64),
                      requires_grad=True) for t in inputs]
@@ -56,20 +56,19 @@ def grad_check(fn, inputs, tol: float = 1e-5, h: float = 1e-5,
             flat = t.data.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + h
+                flat[i] = orig + H
                 f_plus = float(fn(*leaves).data)
-                flat[i] = orig - h
+                flat[i] = orig - H
                 f_minus = float(fn(*leaves).data)
                 flat[i] = orig
-                gn = (f_plus - f_minus) / (2.0 * h)
+                gn = (f_plus - f_minus) / (2.0 * H)
                 a = ga.reshape(-1)[i]
                 abs_err = abs(a - gn)
                 max_abs = max(max_abs, abs_err)
                 denom = max(abs(a), abs(gn))
-                if denom >= rel_floor:
+                if denom >= REL_FLOOR:
                     max_rel = max(max_rel, abs_err / denom)
 
-    passed = max_rel <= tol or max_abs <= abs_floor
+    passed = max_rel <= tol or max_abs <= ABS_FLOOR
     return GradReport(op_name=name or getattr(fn, "__name__", "fn"),
-                      max_rel_error=max_rel, max_abs_error=max_abs,
-                      passed=passed, tol=tol, abs_floor=abs_floor)
+                      max_rel_error=max_rel, max_abs_error=max_abs, passed=passed)

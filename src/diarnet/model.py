@@ -13,13 +13,6 @@ One recording flows as:
 
 Self-attention over time goes through a small set of learned latents, so no
 T x T score matrix is ever formed and cost stays linear in T.
-
-A batch of B equal-length crops runs as one graph: `forward` also takes
-(B, T, E), and every tensor above gains a leading B axis. The learned
-latents and the initial attractor slots have none; they broadcast over the
-batch, and attractors become (B, S, E) at the first cross-attention to the
-frames. Samples never mix, so sample b of a batched forward equals a forward
-of crop b alone, up to float rounding.
 """
 
 from __future__ import annotations
@@ -66,8 +59,7 @@ class ModelConfig:
 
 @dataclass
 class ForwardResult:
-    """Everything the losses need from one forward pass; a batched pass puts
-    a leading B axis on all but the global bias."""
+    """Everything the losses need from one forward pass."""
     logits: Tensor            # (T, S)
     frames: Tensor            # (T, E) final embeddings, used by clustering losses
     attractor_dirs: Tensor    # (S, E) post-split directions a_s
@@ -181,11 +173,11 @@ def latte_attention(x: Tensor, params: dict, name: str, cfg: ModelConfig) -> Ten
     heads = cfg.heads
     k1 = _apply_linear(x, params, name + ".k1")
     v1 = _apply_linear(x, params, name + ".v1")
-    z = ad.attention(params[name + ".latents"], k1, v1, heads)  # (..., n_latents, L)
+    z = ad.attention(params[name + ".latents"], k1, v1, heads)  # (n_latents, L)
     q2 = _apply_linear(x, params, name + ".q2")
     k2 = _apply_linear(z, params, name + ".k2")
     v2 = _apply_linear(z, params, name + ".v2")
-    out = ad.attention(q2, k2, v2, heads)                       # (..., T, L)
+    out = ad.attention(q2, k2, v2, heads)                       # (T, L)
     return _apply_linear(out, params, name + ".o")
 
 
@@ -235,8 +227,8 @@ def sap_pool(stack: list[Tensor], params: dict, name: str) -> Tensor:
     """Score each depth entry per time step, softmax over depth, weighted sum."""
     if not stack:
         raise ConfigError("depth stack is empty")
-    h = ad.stack(stack, axis=0)                       # (d, ..., T, E)
-    weights = ad.softmax(_mlp(h, params, name), axis=0)   # (d, ..., T, 1), over depth
+    h = ad.stack(stack, axis=0)                       # (d, T, E)
+    weights = ad.softmax(_mlp(h, params, name), axis=0)   # (d, T, 1), over depth
     return (weights * h).sum(axis=0)
 
 
@@ -251,17 +243,15 @@ def split_attractors(attractors: Tensor, params: dict) -> tuple[Tensor, Tensor]:
     keeps logit scale independent of decoder depth.
     """
     a_n = _apply_ln(attractors, params, "head.ln")
-    proj = _apply_linear(a_n, params, "head.split")   # (..., S, E+1)
+    proj = _apply_linear(a_n, params, "head.split")   # (S, E+1)
     e = attractors.shape[-1]
     return proj[..., :e], proj[..., e]
 
 
 def forward(x0: Tensor, params: dict, cfg: ModelConfig) -> ForwardResult:
-    """Run the decoder stack on the front-end embeddings of one recording,
-    (T, E), or of a batch of equal-length crops, (B, T, E)."""
-    if x0.ndim not in (2, 3) or x0.shape[-1] != cfg.embed_dim:
-        raise ConfigError(f"expected (T, {cfg.embed_dim}) or (B, T, {cfg.embed_dim}) "
-                          f"embeddings, got {x0.shape}")
+    """Run the decoder stack on the front-end embeddings of one recording, (T, E)."""
+    if x0.ndim != 2 or x0.shape[-1] != cfg.embed_dim:
+        raise ConfigError(f"expected (T, {cfg.embed_dim}) embeddings, got {x0.shape}")
     if "attractors.init" not in params:
         raise ConfigError("parameter store is missing attractors.init")
     if params["attractors.init"].shape != (cfg.n_attractors, cfg.embed_dim):
@@ -282,9 +272,8 @@ def forward(x0: Tensor, params: dict, cfg: ModelConfig) -> ForwardResult:
         stack.append(x)
 
     dirs, biases = split_attractors(attractors, params)
-    lead = tuple(range(dirs.ndim - 2))
-    logits = ad.matmul(x, dirs.transpose(*lead, dirs.ndim - 1, dirs.ndim - 2)) \
-        + biases.reshape(*biases.shape[:-1], 1, -1) + params["head.b_global"]
+    logits = ad.matmul(x, dirs.transpose(1, 0)) + biases.reshape(1, -1) \
+        + params["head.b_global"]
     return ForwardResult(logits=logits, frames=x, attractor_dirs=dirs,
                          attractor_biases=biases, global_bias=params["head.b_global"])
 

@@ -23,7 +23,7 @@ import numpy as np
 from .frontend import (FRAME_S, SAMPLE_RATE, SAMPLES_PER_FRAME, AudioClip, ConfigError,
                        check_number_fields, frame_count)
 from .losses import LabelMatrix
-from .scoring import DiarizationHypothesis, cover, run_edges
+from .scoring import cover, run_edges
 
 # fundamental-frequency bands per speaker index; far apart on the mel axis
 _F0_BANDS = ((100.0, 135.0), (215.0, 265.0), (150.0, 185.0), (320.0, 380.0))
@@ -59,10 +59,6 @@ class LabeledRecording:
     clip: AudioClip
     labels: LabelMatrix        # (T, n_speakers) on the 100 ms grid
     rec_id: str
-
-    @property
-    def n_frames(self) -> int:
-        return self.labels.n_frames
 
 
 def overlap_fraction(activity: np.ndarray) -> float:
@@ -191,15 +187,12 @@ def synth_mixture(spec: MixtureSpec) -> LabeledRecording:
 
 
 def labels_from_segments(timeline, n_frames: int) -> tuple[LabelMatrix, list[str]]:
-    """Rasterize a timeline (a DiarizationHypothesis, or (start_s, end_s,
-    speaker) triples) onto the label grid.
+    """Rasterize a DiarizationHypothesis onto the label grid.
 
     A frame is active when a segment covers its midpoint, which is exact for
     segments aligned to the grid. Returns the matrix plus the sorted speaker
     names backing its columns.
     """
-    if not isinstance(timeline, DiarizationHypothesis):
-        timeline = DiarizationHypothesis(timeline)
     mids = (np.arange(n_frames) + 0.5) * FRAME_S
     # frames lo..hi-1 are those with start <= mid < end
     lo = np.searchsorted(mids, timeline.starts)

@@ -45,7 +45,7 @@ class ScheduleError(ValueError):
 
 @dataclass
 class TrainConfig:
-    """Full-scale defaults are batch 64 / 2000 epochs / 50 s crops; the desk
+    """Full-scale defaults are batch 64 / 200 epochs / 50 s crops; the desk
     presets used by the test suite shrink all three."""
     batch_size: int = 64
     epochs: int = 200

@@ -180,6 +180,16 @@ def test_train_negative_epochs_is_a_config_error(dataset, tmp_path, capsys):
     assert "train done" not in captured.out
 
 
+def test_train_on_a_directory_without_a_manifest_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps(desk_train_config()))
+    rc = main(["train", "--config", str(cfg_path), "--data", str(tmp_path),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {tmp_path / 'manifest.csv'} not found; run synth-data first"]
+
+
 @pytest.mark.parametrize("override,key", [
     pytest.param({"bogus": 1}, "bogus", id="bogus"),
     pytest.param({"betas": [0.9, 0.999]}, "betas", id="betas"),

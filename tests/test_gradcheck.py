@@ -39,6 +39,13 @@ def test_wrong_gradient_rule_fails():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("op,flag", [(lambda u: u * u, "[ok] sq: rel="),
+                                     (_negated_square, "[FAIL] sq: rel=")], ids=["ok", "fail"])
+def test_report_text_opens_with_its_verdict(op, flag):
+    x = tensor(np.array([0.7, -1.3]), requires_grad=True, dtype=np.float64)
+    assert str(grad_check(lambda u: mean(op(u)), [x], name="sq")).startswith(flag)
+
+
 def test_non_scalar_output_rejected():
     x = tensor(np.ones(3), requires_grad=True, dtype=np.float64)
     with pytest.raises(ValueError):

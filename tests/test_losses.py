@@ -411,6 +411,18 @@ def test_silent_crop_trains_on_bce_and_suppression_only(mode):
     assert np.all(np.isfinite(res.attractor_dirs.grad))
 
 
+@pytest.mark.parametrize("call,prefix", [
+    (lambda: LabelMatrix(np.ones(3)), "labels must be (T, S), got (3,)"),
+    (lambda: total_loss(random_result(np.random.default_rng(16), 10, 4, 8),
+                        LabelMatrix(-np.ones((10, 4), dtype=np.int8)), mode="bogus"),
+     "mode must be one of ('activity', 'attractor', 'none'), got 'bogus'"),
+], ids=["labels-rank", "dpcl-mode"])
+def test_malformed_loss_inputs_are_value_errors(call, prefix):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value).startswith(prefix), str(e.value)
+
+
 def test_total_is_weighted_sum():
     rng = np.random.default_rng(11)
     res = random_result(rng, 12, 4, 8)

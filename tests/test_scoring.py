@@ -240,6 +240,17 @@ def test_min_cost_assignment_of_an_empty_side_is_empty(shape):
     assert rows.shape == cols.shape == (0,) and rows.dtype == cols.dtype == np.intp
 
 
+@pytest.mark.parametrize("call,error,text", [
+    (lambda: min_cost_assignment(np.zeros((2, 2, 2))), ValueError,
+     "expected a matrix (2-D array), got a 3-D array"),
+    (lambda: aggregate_reports([]), ScoringError, "nothing to aggregate"),
+], ids=["assignment-rank", "aggregate-nothing"])
+def test_scoring_refuses_inputs_it_cannot_score(call, error, text):
+    with pytest.raises(error) as e:
+        call()
+    assert e.type is error and str(e.value) == text
+
+
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
 def test_min_cost_assignment_refuses_nan_and_minus_inf(shape, bad):

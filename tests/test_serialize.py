@@ -135,6 +135,13 @@ def test_short_array_record_is_a_serialization_error(raw, prefix):
     assert e.type is SerializationError and str(e.value).startswith(prefix), str(e.value)
 
 
+def test_write_array_refuses_a_rank_above_the_limit_before_writing():
+    buf = io.BytesIO()
+    with pytest.raises(SerializationError, match=r"^rank 9 exceeds limit 8$"):
+        write_array(buf, np.zeros((1,) * 9, dtype=np.float32))
+    assert buf.getvalue() == b""
+
+
 def test_dims_whose_product_overflows_int64_are_a_serialization_error(tmp_path):
     dims = [2 ** 32 - 1] * 2
     header = {"format": "tensor-bundle-v1", "tensors": [{"name": "w", "shape": dims}]}

@@ -5,6 +5,7 @@ import synth_reference
 from diarnet import synth
 from diarnet.frontend import FRAME_S, frame_count, log_mel, window_stack, write_wav
 from diarnet.model import ModelConfig
+from diarnet.scoring import DiarizationHypothesis
 from diarnet.synth import (
     GenerationError,
     MixtureSpec,
@@ -38,6 +39,10 @@ def test_overlap_ratio_is_steered():
     rec = synth_mixture(MixtureSpec(n_speakers=2, duration_s=60, overlap_ratio=0.3, seed=5))
     measured = overlap_fraction(rec.labels.y_01.astype(bool))
     assert abs(measured - 0.3) <= 0.1
+
+
+def test_overlap_fraction_of_silence_is_zero():
+    assert overlap_fraction(np.zeros((5, 2), dtype=bool)) == 0.0
 
 
 def test_every_speaker_talks():
@@ -120,7 +125,7 @@ def test_crop_longer_than_recording_is_identity():
     # a crop_s past the recording trains on the whole recording, exactly as a
     # crop of the recording's own length does
     specs = [MixtureSpec(n_speakers=2, duration_s=8.0, seed=21 + i) for i in range(2)]
-    whole_s = synth_mixture(specs[0]).n_frames * FRAME_S
+    whole_s = synth_mixture(specs[0]).labels.n_frames * FRAME_S
     model = ModelConfig(depth=1, embed_dim=32, latte_dim=16, n_latents=2, n_attractors=2,
                         ff_expansion=2, conv_kernel=3, heads=2)
     runs = [train(TrainConfig(batch_size=2, epochs=1, crop_s=crop_s, model=model),
@@ -143,7 +148,7 @@ def test_fifty_second_crop_has_500_frames():
 def test_crop_labels_match_source_slice():
     rec = synth_mixture(MixtureSpec(n_speakers=2, duration_s=30, seed=23))
     mel, nf = log_mel(rec.clip), 100
-    for f0 in (0, rec.n_frames - nf):
+    for f0 in (0, rec.labels.n_frames - nf):
         _, labels = _crop_windows(mel, rec.labels, f0, nf)
         assert np.array_equal(labels.y_pm, rec.labels.y_pm[f0:f0 + nf])
 
@@ -152,7 +157,7 @@ def test_crop_features_match_source_windows():
     rec = synth_mixture(MixtureSpec(n_speakers=2, duration_s=20, seed=24))
     mel, nf = log_mel(rec.clip), 60
     full = window_stack(mel)
-    for f0 in (0, rec.n_frames - nf):
+    for f0 in (0, rec.labels.n_frames - nf):
         windows, _ = _crop_windows(mel, rec.labels, f0, nf)
         assert np.array_equal(windows, full[f0:f0 + nf])
 
@@ -163,7 +168,7 @@ def test_crop_features_match_source_windows():
 
 def test_labels_from_segments_grid_aligned():
     segs = [(0.0, 0.5, "a"), (0.3, 0.9, "b")]
-    lm, speakers = labels_from_segments(segs, n_frames=10)
+    lm, speakers = labels_from_segments(DiarizationHypothesis(segs), n_frames=10)
     assert speakers == ["a", "b"]
     assert np.array_equal(lm.y_01[:, 0], [1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
     assert np.array_equal(lm.y_01[:, 1], [0, 0, 0, 1, 1, 1, 1, 1, 1, 0])
@@ -192,7 +197,7 @@ def test_labels_from_segments_matches_midpoint_masks():
                       n_frames))
     cases.append(([(0.05, 0.15, "b"), (0.15, 0.25, "a"), (0.1, 0.2, "b")], 4))  # on midpoints
     for segs, n_frames in cases:
-        lm, speakers = labels_from_segments(segs, n_frames)
+        lm, speakers = labels_from_segments(DiarizationHypothesis(segs), n_frames)
         want = _labels_reference(segs, n_frames)
         assert speakers == sorted({seg[2] for seg in segs})
         assert np.array_equal(lm.y_pm, np.where(want, 1, -1))
