@@ -106,7 +106,7 @@ class Node:
     """A tensor's place in the graph: its gradient, its parents' nodes (None
     for a parent that needs no gradient), the backward closure, which returns
     a gradient or None per parent, and the shape. A leaf has neither parents
-    nor closure."""
+    nor closure; a node that `backward()` has freed has parents None."""
 
     __slots__ = ("grad", "parents", "backward", "shape")
 
@@ -188,7 +188,8 @@ class Tensor:
             if seed.shape != self.data.shape:
                 raise ShapeError(f"seed shape {seed.shape} != output shape {self.data.shape}")
         root = self.node
-        if root is None:    # nothing it depends on needs a gradient
+        # None: nothing it depends on needs a gradient; parents None: a freed node
+        if root is None or root.parents is None:
             return
 
         topo: list[Node] = []
@@ -224,7 +225,7 @@ class Tensor:
                     p.grad = g if p.grad is None else p.grad + g
             node.grad = None
             node.backward = None
-            node.parents = ()
+            node.parents = None
 
     # -- operator sugar -------------------------------------------------------
 

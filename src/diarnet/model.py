@@ -225,8 +225,6 @@ def attractor_decode(attractors: Tensor, x: Tensor, params: dict, name: str,
 
 def sap_pool(stack: list[Tensor], params: dict, name: str) -> Tensor:
     """Score each depth entry per time step, softmax over depth, weighted sum."""
-    if not stack:
-        raise ConfigError("depth stack is empty")
     h = ad.stack(stack, axis=0)                       # (d, T, E)
     weights = ad.softmax(_mlp(h, params, name), axis=0)   # (d, T, 1), over depth
     return (weights * h).sum(axis=0)

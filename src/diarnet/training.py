@@ -8,7 +8,10 @@ the optimizer step is strictly serial.
 from __future__ import annotations
 
 import csv
+import json
 import math
+import os
+import struct
 import tempfile
 import time
 import warnings
@@ -25,7 +28,6 @@ from .frontend import (FRAME_S, N_MELS, WINDOW_FRAMES, WINDOW_HOP, ConfigError,
                        cnn_encode, from_json, log_mel, window_stack)
 from .losses import DPCL_MODES, CapacityError, LabelMatrix, LossWeights, total_loss
 from .model import ModelConfig, forward, init_model_params, param_specs, zero_grads
-from .serialize import SerializationError, load_bundle, save_bundle
 from .synth import LabeledRecording, synth_mixture
 
 
@@ -161,37 +163,71 @@ def clip_grad_norm(params: dict, max_norm: float) -> float:
 # checkpoints
 # ---------------------------------------------------------------------------
 
+class SerializationError(ValueError):
+    pass
+
+
 def save_checkpoint(path, params: dict, model_cfg: ModelConfig,
                     meta: dict | None = None) -> None:
-    extra = {"model": model_cfg.to_dict()}
-    if meta:
-        extra.update(meta)
-    save_bundle(path, {k: p.data for k, p in params.items()}, extra=extra)
+    """Write a JSON header line naming each tensor's shape and carrying the
+    model config and `meta`, then each tensor in `params` order as
+    ``uint32 rank | uint32 dims[rank] | float32 data``, all little-endian."""
+    header = {"format": "tensor-bundle-v1",
+              "tensors": [{"name": k, "shape": list(p.data.shape)} for k, p in params.items()],
+              "extra": {"model": model_cfg.to_dict(), **(meta or {})}}
+    with open(path, "wb") as f:
+        f.write(json.dumps(header).encode("utf-8") + b"\n")
+        for p in params.values():
+            f.write(struct.pack(f"<{p.data.ndim + 1}I", p.data.ndim, *p.data.shape))
+            f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path) -> tuple[dict, ModelConfig]:
-    """Parameters and model config of a checkpoint; tensor names and shapes
-    must be exactly those `param_specs` lists for its config."""
-    named, extra = load_bundle(path)
-    if not isinstance(extra.get("model"), dict):
-        raise SerializationError(f"{path}: checkpoint carries no model config")
-    try:
-        cfg = ModelConfig.from_dict(extra["model"])
-    except (TypeError, ValueError) as e:
-        raise SerializationError(f"{path}: bad model config: {e}") from e
-    params = {}
-    for k, shape, _ in param_specs(cfg):
-        if k not in named:
-            raise SerializationError(f"{path}: checkpoint lacks tensor {k} of its config")
-        if named[k].shape != shape:
-            raise SerializationError(f"{path}: {k} has shape {named[k].shape}, expected {shape}")
+    """Parameters and model config of a checkpoint. Its tensors must be
+    exactly those `param_specs` lists for its config, in that order. Each
+    one's header entry, record rank and dims, and payload size are checked
+    against the table before its payload is read, so a header naming a
+    larger model is refused with nothing of its size allocated."""
+    with open(path, "rb") as f:
         try:
-            params[k] = Tensor(named[k], requires_grad=True)
-        except ad.NumericError as e:
-            raise SerializationError(f"{path}: non-finite value in tensor {k}") from e
-    if len(params) != len(named):
-        unnamed = [k for k in named if k not in params]
-        raise SerializationError(f"{path}: tensors its config does not name: {unnamed[:4]}")
+            header = json.loads(f.readline().decode("utf-8"))
+        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, too deep, too many digits
+            raise SerializationError(f"{path}: bad checkpoint header: {e}") from e
+        if not isinstance(header, dict) or header.get("format") != "tensor-bundle-v1":
+            raise SerializationError(f"{path} is not a checkpoint")
+        entries, extra = header.get("tensors"), header.get("extra")
+        if not isinstance(entries, list):
+            raise SerializationError(f"{path}: header has no tensor list")
+        if not (isinstance(extra, dict) and isinstance(extra.get("model"), dict)):
+            raise SerializationError(f"{path}: checkpoint carries no model config")
+        try:
+            cfg = ModelConfig.from_dict(extra["model"])
+        except (TypeError, ValueError) as e:
+            raise SerializationError(f"{path}: bad model config: {e}") from e
+        size = os.fstat(f.fileno()).st_size
+        params = {}
+        for i, (k, shape, _) in enumerate(param_specs(cfg)):
+            found = entries[i] if i < len(entries) else "nothing"
+            if found != {"name": k, "shape": list(shape)}:
+                raise SerializationError(f"{path}: header entry {i} should be {k} of shape "
+                                         f"{list(shape)}, found {found!r:.80}")
+            dims = f.read(4 * len(shape) + 4)
+            if len(dims) != 4 * len(shape) + 4 or struct.unpack(
+                    f"<{len(shape) + 1}I", dims) != (len(shape), *shape):
+                raise SerializationError(f"{path}: record of {k} does not start with its "
+                                         f"rank and dims {shape}")
+            nbytes = 4 * math.prod(shape)
+            if nbytes > size - f.tell():
+                raise SerializationError(f"{path}: truncated payload of {k}: {nbytes} bytes "
+                                         f"for shape {shape}, {size - f.tell()} left")
+            data = np.frombuffer(f.read(nbytes), dtype="<f4").reshape(shape).astype(np.float32)
+            try:
+                params[k] = Tensor(data, requires_grad=True)
+            except ad.NumericError as e:
+                raise SerializationError(f"{path}: non-finite value in tensor {k}") from e
+    if len(entries) > len(params):
+        raise SerializationError(f"{path}: {len(entries) - len(params)} tensors its config "
+                                 f"does not name, first {entries[len(params)]!r:.80}")
     return params, cfg
 
 

@@ -657,7 +657,7 @@ def test_backward_frees_the_graph():
     out = mean(sq)
     out.backward()
     for t in (prod, sq, out):
-        assert t.grad is None and t.node.backward is None and t.node.parents == ()
+        assert t.grad is None and t.node.backward is None and t.node.parents is None
     assert np.allclose(x.grad, 2.0 * x.data * w.data ** 2 / 12, atol=1e-15)
     assert np.allclose(w.grad, 2.0 * w.data * x.data ** 2 / 12, atol=1e-15)
 
@@ -669,6 +669,9 @@ def test_a_second_backward_through_a_freed_graph_leaves_grad_unchanged():
     first = x.grad.copy()
     out.backward()
     assert np.array_equal(x.grad, first)
+    assert out.grad is None
+    x.backward(np.ones(3))      # a leaf root still takes its seed
+    assert np.array_equal(x.grad, first + 1.0)
 
 
 def test_a_tensor_without_a_gradient_takes_none_and_backpropagates_nothing():

@@ -1,6 +1,9 @@
 
 
+import dataclasses
+import json
 import os
+import struct
 import tracemalloc
 import warnings
 import weakref
@@ -15,13 +18,13 @@ from diarnet.frontend import (FRAME_S, HOP_SAMPLES, WIN_SAMPLES, WINDOW_FRAMES, 
                               AudioClip, ConfigError, InsufficientAudioError, cnn_encode,
                               log_mel)
 from diarnet.losses import CapacityError, LabelMatrix, LossWeights, total_loss
-from diarnet.model import ModelConfig, forward, init_model_params, zero_grads
-from diarnet.serialize import SerializationError, load_bundle, save_bundle
+from diarnet.model import ModelConfig, forward, init_model_params, param_specs, zero_grads
 from diarnet.synth import LabeledRecording, MixtureSpec, synth_mixture
 from diarnet.training import (
     LOSS_FIELDS,
     AdamW,
     ScheduleError,
+    SerializationError,
     TrainConfig,
     _crop_windows,
     _mean_losses,
@@ -168,6 +171,23 @@ def _no_model(*args):
     raise AssertionError("load_checkpoint built a model")
 
 
+def _write_raw(path, named: dict, extra: dict) -> None:
+    """Any named float32 arrays, in the file layout `save_checkpoint` writes."""
+    header = {"format": "tensor-bundle-v1",
+              "tensors": [{"name": k, "shape": list(v.shape)} for k, v in named.items()],
+              "extra": extra}
+    with open(path, "wb") as f:
+        f.write(json.dumps(header).encode() + b"\n")
+        for v in named.values():
+            f.write(struct.pack(f"<{v.ndim + 1}I", v.ndim, *v.shape) + v.astype("<f4").tobytes())
+
+
+def _header_extra(path) -> dict:
+    """The model config and meta of a checkpoint's JSON header line."""
+    with open(path, "rb") as f:
+        return json.loads(f.readline())["extra"]
+
+
 def test_checkpoint_round_trip(tmp_path, monkeypatch):
     cfg = desk_model()
     params = init_model_params(cfg, np.random.default_rng(7))
@@ -240,7 +260,7 @@ def test_corrupt_checkpoint_raises_serialization_error(tmp_path, case):
     named = {k: p.data for k, p in init_model_params(cfg, np.random.default_rng(7)).items()}
     named, extra, tensor_name = _corrupt_checkpoint(case, named, cfg.to_dict())
     p = tmp_path / "m.ckpt"
-    save_bundle(p, named, extra=extra)
+    _write_raw(p, named, extra)
     with pytest.raises(SerializationError) as e:
         load_checkpoint(p)
     assert str(p) in str(e.value) and tensor_name in str(e.value)
@@ -300,6 +320,132 @@ def test_checkpoint_byte_mutants_load_or_raise_serialization_error(tmp_path):
         except Exception as e:  # any other exception type is the fault looked for
             pytest.fail(f"mutant {i} ({kind} {new!r} at byte {at}) raised {e!r}")
     assert outcomes["loaded"] and outcomes["refused"], outcomes
+
+
+def test_checkpoint_layout_is_a_json_line_then_rank_dims_floats(tmp_path):
+    cfg = desk_model()
+    params = init_model_params(cfg, np.random.default_rng(7))
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, params, cfg, meta={"step": 3})
+    head, rest = p.read_bytes().split(b"\n", 1)
+    assert json.loads(head) == {
+        "format": "tensor-bundle-v1",
+        "tensors": [{"name": k, "shape": list(shape)} for k, shape, _ in param_specs(cfg)],
+        "extra": {"model": cfg.to_dict(), "step": 3}}
+    w = params["frontend.conv1.w"].data
+    assert w.shape == (2, 1, 3, 3)
+    assert rest[:20] == struct.pack("<5I", 4, 2, 1, 3, 3)
+    assert np.array_equal(np.frombuffer(rest[20:20 + w.nbytes], "<f4"), w.reshape(-1))
+    raw = tmp_path / "raw.ckpt"
+    _write_raw(raw, {k: t.data for k, t in params.items()}, {"model": cfg.to_dict(), "step": 3})
+    assert raw.read_bytes() == p.read_bytes()
+
+
+def _corrupt_header(case: str, head: bytes) -> bytes:
+    """A desk checkpoint's JSON header line, newline cut off, broken as `case` says."""
+    if case == "not JSON":
+        return head[:-1]
+    if case == "undecodable bytes":
+        return b"\xff\xfe" + head
+    if case == "int past the digit limit":
+        assert head.count(b'"depth": 1,') == 1
+        return head.replace(b'"depth": 1,', b'"depth": ' + b"9" * 5000 + b",")
+    if case == "nested past the recursion limit":
+        return b"[" * 100_000 + b"]" * 100_000
+    h = json.loads(head)
+    if case == "JSON array":
+        return json.dumps(h["tensors"]).encode()
+    if case == "no tensor list":
+        del h["tensors"]
+    elif case == "extra not an object":
+        h["extra"] = [h["extra"]]
+    elif case == "entry without a name":
+        del h["tensors"][0]["name"]
+    else:   # a name that is not a string
+        h["tensors"][0]["name"] = ["frontend.conv1.w"]
+    return json.dumps(h).encode()
+
+
+_HEADER_REFUSALS = {      # case: what the error says
+    "not JSON": "bad checkpoint header",
+    "undecodable bytes": "bad checkpoint header",
+    "int past the digit limit": "bad checkpoint header",
+    "nested past the recursion limit": "bad checkpoint header",
+    "JSON array": "is not a checkpoint",
+    "no tensor list": "no tensor list",
+    "extra not an object": "no model config",
+    "entry without a name": "header entry 0 should be frontend.conv1.w",
+    "name not a string": "header entry 0 should be frontend.conv1.w",
+}
+
+
+@pytest.mark.parametrize("case", _HEADER_REFUSALS)
+def test_corrupt_checkpoint_header_raises_serialization_error(tmp_path, case):
+    head, rest = _desk_checkpoint(tmp_path)
+    p = tmp_path / "bad.ckpt"
+    p.write_bytes(_corrupt_header(case, head[:-1]) + b"\n" + rest)
+    with pytest.raises(SerializationError) as e:
+        load_checkpoint(p)
+    message = _HEADER_REFUSALS[case]
+    assert str(e.value).startswith(str(p)) and message in str(e.value), str(e.value)
+
+
+@pytest.mark.parametrize("cut,message", [
+    pytest.param(4, "truncated payload of head.b_global", id="last payload"),   # rank 0, 1 float
+    pytest.param(12, "truncated payload of head.split.b", id="last two payloads"),
+    pytest.param(6, "record of head.b_global does not start with its rank", id="last rank"),
+    pytest.param(None, "record of frontend.conv1.w does not start with its rank",
+                 id="first dims"),
+])
+def test_bad_record_is_refused_naming_its_tensor(tmp_path, cut, message):
+    head, rest = _desk_checkpoint(tmp_path)
+    p = tmp_path / "bad.ckpt"
+    if cut is None:     # the first record's dims disagree with its header entry
+        rest = struct.pack("<5I", 4, 3, 1, 3, 2) + rest[20:]
+    else:
+        rest = rest[:-cut]
+    p.write_bytes(head + rest)
+    with pytest.raises(SerializationError) as e:
+        load_checkpoint(p)
+    assert str(e.value).startswith(str(p)) and message in str(e.value), str(e.value)
+
+
+@pytest.mark.parametrize("embed_dim,message", [
+    pytest.param(2 ** 31, "truncated payload of frontend.conv1.w", id="9 * 2**27 floats"),
+    pytest.param(2 ** 40, "record of frontend.conv1.w does not start", id="dims past uint32"),
+])
+def test_record_claiming_more_than_the_file_holds_is_refused_before_reading(
+        tmp_path, embed_dim, message):
+    cfg = dataclasses.replace(desk_model(), embed_dim=embed_dim)
+    name, shape, _ = next(param_specs(cfg))
+    header = {"format": "tensor-bundle-v1", "tensors": [{"name": name, "shape": list(shape)}],
+              "extra": {"model": cfg.to_dict()}}
+    dims = [min(d, 2 ** 32 - 1) for d in shape]
+    p = tmp_path / "huge.ckpt"
+    p.write_bytes(json.dumps(header).encode() + b"\n" + struct.pack("<5I", 4, *dims)
+                  + b"\x00" * 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SerializationError, match=message) as e:
+            load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value).startswith(str(p))
+    assert peak < 8 * 2 ** 20
+
+
+def test_tensors_out_of_param_specs_order_are_refused(tmp_path):
+    cfg = desk_model()
+    named = {k: p.data for k, p in init_model_params(cfg, np.random.default_rng(7)).items()}
+    keys = list(named)
+    keys[2], keys[3] = keys[3], keys[2]
+    p = tmp_path / "swapped.ckpt"
+    _write_raw(p, {k: named[k] for k in keys}, {"model": cfg.to_dict()})
+    with pytest.raises(SerializationError) as e:
+        load_checkpoint(p)
+    assert str(e.value).startswith(f"{p}: header entry 2 should be frontend.conv2.w "), \
+        str(e.value)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +627,10 @@ def _best_not_last(tmp_path):
 def test_best_ckpt_header_names_the_step_of_its_validation(tmp_path):
     result, vals = _best_not_last(tmp_path)
     best = min(vals, key=lambda r: r["total"])
-    _, header = load_bundle(tmp_path / "best.ckpt")
+    header = _header_extra(tmp_path / "best.ckpt")
     assert header["step"] == best["step"] < vals[-1]["step"]
     assert header["val_total"] == best["total"] == result.best_val
-    _, last_header = load_bundle(tmp_path / "last.ckpt")
+    last_header = _header_extra(tmp_path / "last.ckpt")
     assert last_header["step"] == vals[-1]["step"]
 
 
