@@ -1,153 +1,126 @@
-import io
+"""The checkpoint file layout: a JSON header line naming each tensor's shape,
+then each tensor as ``uint32 rank | uint32 dims[rank] | float32 data``."""
+
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from diarnet.serialize import (
-    SerializationError,
-    load_bundle,
-    read_array,
-    save_bundle,
-    write_array,
-)
+from diarnet.model import ModelConfig, init_model_params, param_specs
+from diarnet.training import SerializationError, load_checkpoint, save_checkpoint
 
 
-def _round_trip(arr: np.ndarray) -> np.ndarray:
-    buf = io.BytesIO()
-    write_array(buf, arr)
-    buf.seek(0)
-    return read_array(buf)
+def _cfg() -> ModelConfig:
+    return ModelConfig(depth=1, embed_dim=32, latte_dim=16, n_latents=2,
+                       n_attractors=2, ff_expansion=2, conv_kernel=3, heads=2)
 
 
-def test_array_round_trip():
+def _saved(tmp_path, meta=None):
+    """Parameters of a small model, and the path they were saved to."""
+    params = init_model_params(_cfg(), np.random.default_rng(7))
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, params, _cfg(), meta=meta)
+    return params, p
+
+
+def test_array_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    arr = rng.standard_normal((3, 5, 2)).astype(np.float32)
-    back = _round_trip(arr)
-    assert back.dtype == np.float32
-    assert np.array_equal(back, arr)
+    params = init_model_params(_cfg(), rng)
+    for t in params.values():     # values no initialiser draws, every rank included
+        t.data = rng.standard_normal(t.data.shape).astype(np.float32)
+    assert {t.data.ndim for t in params.values()} >= {0, 1, 2, 4}
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, params, _cfg())
+    back, _ = load_checkpoint(p)
+    assert list(back) == list(params)
+    for k, t in params.items():
+        assert back[k].data.dtype == np.float32
+        assert np.array_equal(back[k].data, t.data)
 
 
-def test_array_layout_is_rank_shape_floats():
-    arr = np.arange(6, dtype=np.float32).reshape(2, 3)
-    buf = io.BytesIO()
-    write_array(buf, arr)
-    raw = buf.getvalue()
-    assert raw[:4] == (2).to_bytes(4, "little")
-    assert raw[4:8] == (2).to_bytes(4, "little")
-    assert raw[8:12] == (3).to_bytes(4, "little")
-    assert np.array_equal(np.frombuffer(raw[12:], dtype="<f4"), arr.reshape(-1))
-
-
-def test_truncated_file_rejected():
-    buf = io.BytesIO()
-    write_array(buf, np.ones((4, 4), dtype=np.float32))
-    with pytest.raises(SerializationError):
-        read_array(io.BytesIO(buf.getvalue()[:-8]))
+def test_array_layout_is_rank_shape_floats(tmp_path):
+    params, p = _saved(tmp_path)
+    rest = p.read_bytes().split(b"\n", 1)[1]
+    w = params["frontend.conv1.w"].data
+    assert w.shape == (2, 1, 3, 3)
+    assert rest[:20] == struct.pack("<5I", 4, 2, 1, 3, 3)
+    assert np.array_equal(np.frombuffer(rest[20:20 + w.nbytes], "<f4"), w.reshape(-1))
+    last = params["head.b_global"].data       # rank 0: no dims, one float
+    assert last.shape == ()
+    assert rest[-8:] == struct.pack("<I", 0) + last.astype("<f4").tobytes()
 
 
 def test_bundle_round_trip_and_manifest(tmp_path):
-    rng = np.random.default_rng(1)
-    named = {
-        "enc.w": rng.standard_normal((4, 3)).astype(np.float32),
-        "enc.b": np.zeros(4, dtype=np.float32),
-    }
-    p = tmp_path / "ckpt.bin"
-    save_bundle(p, named, extra={"note": "unit", "dims": [4, 3]})
+    _, p = _saved(tmp_path, meta={"note": "unit", "step": 3})
     manifest = json.loads(p.read_bytes().split(b"\n", 1)[0])
-    assert manifest["tensors"] == [{"name": "enc.w", "shape": [4, 3]},
-                                   {"name": "enc.b", "shape": [4]}]
-    back, extra = load_bundle(p)
-    assert extra == {"note": "unit", "dims": [4, 3]}
-    assert list(back) == list(named)
-    for k in named:
-        assert np.array_equal(back[k], named[k])
+    assert manifest == {
+        "format": "tensor-bundle-v1",
+        "tensors": [{"name": k, "shape": list(shape)} for k, shape, _ in param_specs(_cfg())],
+        "extra": {"model": _cfg().to_dict(), "note": "unit", "step": 3}}
+    _, cfg = load_checkpoint(p)
+    assert cfg == _cfg()
 
 
 def test_bundle_rejects_foreign_file(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"\x00\x01\x02\x03 not json\n")
-    with pytest.raises(SerializationError):
-        load_bundle(p)
+    with pytest.raises(SerializationError, match="bad checkpoint header"):
+        load_checkpoint(p)
 
 
-@pytest.mark.parametrize("header", [
-    b"{not json\n",                                   # JSONDecodeError
-    b"\xff\xfe\x00garbage\n",                        # UnicodeDecodeError
-    b'{"format": "tensor-bundle-v1", "extra": {}}\n',  # no tensor list
-    b'{"format": "tensor-bundle-v1", "tensors": [{"shape": [2]}]}\n',
-    b"[1, 2, 3]\n",
-    b'{"format": "tensor-bundle-v1", "tensors": [], "extra": [1]}\n',
-    b'{"format": "tensor-bundle-v1", "tensors": [{"name": ["a"], "shape": []}]}\n',
-    pytest.param(b'{"format": "tensor-bundle-v1", "tensors": [], "extra": ' + b"9" * 5000
-                 + b"}\n", id="int past the digit limit"),
-])
+@pytest.mark.parametrize("header", [b"{not json\n"])
 def test_corrupt_bundle_header_raises_serialization_error(tmp_path, header):
-    p = tmp_path / "bad.ckpt"
-    p.write_bytes(header + b"\x00" * 16)
-    with pytest.raises(SerializationError):
-        load_bundle(p)
+    _, p = _saved(tmp_path)
+    rest = p.read_bytes().split(b"\n", 1)[1]
+    p.write_bytes(header + rest)
+    with pytest.raises(SerializationError) as e:
+        load_checkpoint(p)
+    assert str(e.value).startswith(f"{p}: bad checkpoint header"), str(e.value)
 
 
 @pytest.mark.parametrize("cut", [0, 8])
 def test_bundle_payload_must_match_manifest(tmp_path, cut):
-    p = tmp_path / "m.ckpt"
-    save_bundle(p, {"head.w": np.zeros(3, dtype=np.float32)})
+    _, p = _saved(tmp_path)
     raw = p.read_bytes()
-    if cut:
-        p.write_bytes(raw[:-cut])                          # truncated payload
-    else:
-        p.write_bytes(raw.replace(b'"shape": [3]', b'"shape": [2]'))
+    if cut:         # the last record, rank 0 and one float, cut off whole
+        p.write_bytes(raw[:-cut])
+        name = "head.b_global"
+    else:           # the first record's dims disagree with its header entry
+        head, rest = raw.split(b"\n", 1)
+        p.write_bytes(head + b"\n" + struct.pack("<5I", 4, 3, 1, 3, 2) + rest[20:])
+        name = "frontend.conv1.w"
     with pytest.raises(SerializationError) as e:
-        load_bundle(p)
-    assert str(p) in str(e.value) and "head.w" in str(e.value)
+        load_checkpoint(p)
+    assert str(e.value).startswith(f"{p}: record of {name} does not start with its rank"), \
+        str(e.value)
 
 
-class _NoOverread(io.BytesIO):
-    """A stream that fails the test on a read past its end: a real file
-    would first allocate the bytes asked for."""
-
-    def read(self, n=-1):
-        assert n <= len(self.getbuffer()) - self.tell(), f"read of {n} bytes past the end"
-        return super().read(n)
-
-
-def test_payload_larger_than_file_is_refused_before_reading():
-    raw = struct.pack("<II", 1, 2 ** 30) + b"\x00" * 16
-    with pytest.raises(SerializationError, match="truncated tensor payload"):
-        read_array(_NoOverread(raw))
-
-
-def test_payload_dims_are_checked_against_manifest_before_reading():
-    raw = struct.pack("<II", 1, 2 ** 30) + b"\x00" * 12
-    with pytest.raises(SerializationError, match=r"\(1073741824,\) != manifest \[3\]"):
-        read_array(_NoOverread(raw), (3,))
+def test_payload_dims_are_checked_against_manifest_before_reading(tmp_path):
+    _, p = _saved(tmp_path)
+    head = p.read_bytes().split(b"\n", 1)[0]
+    p.write_bytes(head + b"\n" + struct.pack("<5I", 4, 2 ** 30, 1, 3, 3) + b"\x00" * 12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SerializationError,
+                           match=r"record of frontend\.conv1\.w does not start") as e:
+            load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value).startswith(str(p))
+    assert peak < 8 * 2 ** 20
 
 
-@pytest.mark.parametrize("raw,prefix", [
-    (b"\x01\x00", "truncated tensor header"),
-    (struct.pack("<II", 2, 3), "truncated shape"),
-], ids=["header", "shape"])
-def test_short_array_record_is_a_serialization_error(raw, prefix):
+@pytest.mark.parametrize("keep", [2, 12], ids=["header", "shape"])
+def test_short_array_record_is_a_serialization_error(tmp_path, keep):
+    """The first record ends `keep` bytes in: inside its rank, or inside its dims."""
+    _, p = _saved(tmp_path)
+    head, rest = p.read_bytes().split(b"\n", 1)
+    p.write_bytes(head + b"\n" + rest[:keep])
     with pytest.raises(SerializationError) as e:
-        read_array(io.BytesIO(raw))
-    assert e.type is SerializationError and str(e.value).startswith(prefix), str(e.value)
-
-
-def test_write_array_refuses_a_rank_above_the_limit_before_writing():
-    buf = io.BytesIO()
-    with pytest.raises(SerializationError, match=r"^rank 9 exceeds limit 8$"):
-        write_array(buf, np.zeros((1,) * 9, dtype=np.float32))
-    assert buf.getvalue() == b""
-
-
-def test_dims_whose_product_overflows_int64_are_a_serialization_error(tmp_path):
-    dims = [2 ** 32 - 1] * 2
-    header = {"format": "tensor-bundle-v1", "tensors": [{"name": "w", "shape": dims}]}
-    p = tmp_path / "huge.ckpt"
-    p.write_bytes(json.dumps(header).encode() + b"\n" + struct.pack("<3I", 2, *dims)
-                  + b"\x00" * 64)
-    with pytest.raises(SerializationError, match="truncated tensor payload") as e:
-        load_bundle(p)
-    assert str(p) in str(e.value) and "for w" in str(e.value)
+        load_checkpoint(p)
+    assert e.type is SerializationError
+    assert str(e.value).startswith(f"{p}: record of frontend.conv1.w does not start"), \
+        str(e.value)

@@ -322,20 +322,11 @@ def test_checkpoint_byte_mutants_load_or_raise_serialization_error(tmp_path):
     assert outcomes["loaded"] and outcomes["refused"], outcomes
 
 
-def test_checkpoint_layout_is_a_json_line_then_rank_dims_floats(tmp_path):
+def test_write_raw_writes_what_save_checkpoint_writes(tmp_path):
     cfg = desk_model()
     params = init_model_params(cfg, np.random.default_rng(7))
     p = tmp_path / "m.ckpt"
     save_checkpoint(p, params, cfg, meta={"step": 3})
-    head, rest = p.read_bytes().split(b"\n", 1)
-    assert json.loads(head) == {
-        "format": "tensor-bundle-v1",
-        "tensors": [{"name": k, "shape": list(shape)} for k, shape, _ in param_specs(cfg)],
-        "extra": {"model": cfg.to_dict(), "step": 3}}
-    w = params["frontend.conv1.w"].data
-    assert w.shape == (2, 1, 3, 3)
-    assert rest[:20] == struct.pack("<5I", 4, 2, 1, 3, 3)
-    assert np.array_equal(np.frombuffer(rest[20:20 + w.nbytes], "<f4"), w.reshape(-1))
     raw = tmp_path / "raw.ckpt"
     _write_raw(raw, {k: t.data for k, t in params.items()}, {"model": cfg.to_dict(), "step": 3})
     assert raw.read_bytes() == p.read_bytes()
@@ -343,8 +334,6 @@ def test_checkpoint_layout_is_a_json_line_then_rank_dims_floats(tmp_path):
 
 def _corrupt_header(case: str, head: bytes) -> bytes:
     """A desk checkpoint's JSON header line, newline cut off, broken as `case` says."""
-    if case == "not JSON":
-        return head[:-1]
     if case == "undecodable bytes":
         return b"\xff\xfe" + head
     if case == "int past the digit limit":
@@ -367,7 +356,6 @@ def _corrupt_header(case: str, head: bytes) -> bytes:
 
 
 _HEADER_REFUSALS = {      # case: what the error says
-    "not JSON": "bad checkpoint header",
     "undecodable bytes": "bad checkpoint header",
     "int past the digit limit": "bad checkpoint header",
     "nested past the recursion limit": "bad checkpoint header",
@@ -393,18 +381,11 @@ def test_corrupt_checkpoint_header_raises_serialization_error(tmp_path, case):
 @pytest.mark.parametrize("cut,message", [
     pytest.param(4, "truncated payload of head.b_global", id="last payload"),   # rank 0, 1 float
     pytest.param(12, "truncated payload of head.split.b", id="last two payloads"),
-    pytest.param(6, "record of head.b_global does not start with its rank", id="last rank"),
-    pytest.param(None, "record of frontend.conv1.w does not start with its rank",
-                 id="first dims"),
 ])
 def test_bad_record_is_refused_naming_its_tensor(tmp_path, cut, message):
     head, rest = _desk_checkpoint(tmp_path)
     p = tmp_path / "bad.ckpt"
-    if cut is None:     # the first record's dims disagree with its header entry
-        rest = struct.pack("<5I", 4, 3, 1, 3, 2) + rest[20:]
-    else:
-        rest = rest[:-cut]
-    p.write_bytes(head + rest)
+    p.write_bytes(head + rest[:-cut])
     with pytest.raises(SerializationError) as e:
         load_checkpoint(p)
     assert str(e.value).startswith(str(p)) and message in str(e.value), str(e.value)
