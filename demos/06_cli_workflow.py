@@ -10,13 +10,18 @@ from pathlib import Path
 
 from diarnet.cli import main
 
-root = Path(tempfile.mkdtemp(prefix="diarnet_demo_"))
+# the working directory and everything in it are removed when the demo ends
+tmp = tempfile.TemporaryDirectory(prefix="diarnet_demo_")
+root = Path(tmp.name)
 print("working in", root)
 
 # ## 1. synthesize a labeled dataset (WAV + reference RTTM + manifest)
+#
+# The spec is a list of mixtures; each one's seed draws its audio and names
+# its files, mix000040.wav to mix000045.wav here.
 
-spec = {"count": 6, "n_speakers": 2, "duration_s": 20.0, "overlap_ratio": 0.2,
-        "noise_snr_db": 15.0, "seed": 40}
+spec = {"mixtures": [{"n_speakers": 2, "duration_s": 20.0, "overlap_ratio": 0.2,
+                      "noise_snr_db": 15.0, "seed": seed} for seed in range(40, 46)]}
 (root / "spec.json").write_text(json.dumps(spec, indent=2))
 assert main(["synth-data", "--spec", str(root / "spec.json"),
              "--out", str(root / "data")]) == 0
@@ -51,3 +56,4 @@ assert main(["infer", "--ckpt", str(root / "run" / "best.ckpt"),
 ref = wav.with_suffix(".rttm")
 assert main(["score", "--ref", str(ref), "--hyp", str(root / "hyp.rttm"),
              "--collar", "0.25"]) == 0
+tmp.cleanup()

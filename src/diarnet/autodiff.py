@@ -24,8 +24,8 @@ Conventions:
   * training math runs in float32, gradient checks in float64 (dtype follows
     the inputs, so building float64 leaves is enough);
   * broadcasting is supported for leading batch axes and singleton axes;
-    anything fancier needs an explicit reshape. `linear` and `attention`
-    take any number of leading batch axes, `depthwise_conv1d` none;
+    anything fancier needs an explicit reshape. `linear` takes any number of
+    leading batch axes, `attention` and `depthwise_conv1d` none;
   * guarded normalizations (`rms_norm`, `l2_normalize`) use a
     ``max(norm, NORM_EPS)`` denominator; `layer_norm` adds ``LN_EPS`` to the
     variance;
@@ -396,14 +396,13 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention on projected inputs, one node.
 
-    q is (..., Nq, D), k and v are (..., Nk, D); each of the `heads` slices of
-    width dh = D / heads computes softmax(q k^T / sqrt(dh)) v (Vaswani et al.,
-    arXiv:1706.03762). Leading axes broadcast, so one (Nq, D) query set can
-    attend to a (B, Nk, D) batch. The backward is written by hand from the
-    stored weights, the only (..., H, Nq, Nk) array.
+    q is (Nq, D), k and v are (Nk, D); each of the `heads` slices of width
+    dh = D / heads computes softmax(q k^T / sqrt(dh)) v (Vaswani et al.,
+    arXiv:1706.03762). The backward is written by hand from the stored
+    weights, the only (H, Nq, Nk) array.
     """
     d = q.shape[-1]
-    if k.shape[-1] != d or v.shape != k.shape or d % heads:
+    if q.ndim != 2 or k.ndim != 2 or k.shape[-1] != d or v.shape != k.shape or d % heads:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} "
                          f"with {heads} heads")
     scale = 1.0 / math.sqrt(d // heads)

@@ -1,8 +1,6 @@
 """Command-line surface: synth-data | train | infer | score.
 
 Exit codes: 0 success, 2 usage errors / missing files, 1 runtime failures.
-The DIARNET_SEED environment variable (a non-negative integer) overrides
-config seeds.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .frontend import ConfigError, checked_frame_count, from_json, load_wav, write_wav
@@ -27,16 +24,6 @@ class ManifestError(ValueError):
     """A dataset manifest, or an RTTM it names, that does not list its recordings."""
 
 
-def _seed_override(seed: int, offset: int = 0) -> int:
-    """`seed`, or DIARNET_SEED + `offset` when that variable is set."""
-    env = os.environ.get("DIARNET_SEED")
-    if not env:
-        return seed
-    if not env.isdecimal():
-        raise ConfigError(f"DIARNET_SEED must be a non-negative integer, got {env!r}")
-    return int(env) + offset
-
-
 def _load_json(path: Path, where: str) -> dict:
     with open(path) as f:
         d = json.load(f)
@@ -49,29 +36,14 @@ def _load_json(path: Path, where: str) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _non_negative_int(spec: dict, key: str, default: int) -> int:
-    """Pop `key`, a setting that no config class holds, from `spec`."""
-    v = spec.pop(key, default)
-    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-        raise ConfigError(f"{key} must be a non-negative integer, got {v!r}")
-    return v
-
-
 def cmd_synth_data(args) -> int:
     spec = _load_json(Path(args.spec), "synth-data spec")
-    if "mixtures" in spec:
-        mixes = spec.pop("mixtures")
-        if not isinstance(mixes, list):
-            raise ConfigError(f"mixtures must be a list, got {mixes!r}")
-        if spec:
-            raise ConfigError(f"a spec with mixtures takes no other keys, got {sorted(spec)}")
-        mixes = [from_json(MixtureSpec, d, "mixture") for d in mixes]
-    else:
-        count = _non_negative_int(spec, "count", 1)
-        first = from_json(MixtureSpec, spec, "synth-data spec")
-        mixes = [replace(first, seed=first.seed + i) for i in range(count)]
-    # in either form, DIARNET_SEED gives mixture i the seed DIARNET_SEED + i
-    specs = [replace(m, seed=_seed_override(m.seed, i)) for i, m in enumerate(mixes)]
+    mixes = spec.pop("mixtures", None)
+    if spec:
+        raise ConfigError(f"a synth-data spec holds only a mixtures list, got {sorted(spec)}")
+    if not isinstance(mixes, list):
+        raise ConfigError(f"mixtures must be a list, got {mixes!r}")
+    specs = [from_json(MixtureSpec, d, "mixture") for d in mixes]
     seen = {}    # seed: the first mixture with it; a mixture's seed names its files
     for i, mix in enumerate(specs):
         if seen.setdefault(mix.seed, i) != i:
@@ -136,11 +108,10 @@ def read_manifest(data_dir: Path) -> list[tuple[str, Path, Path]]:
 
 def cmd_train(args) -> int:
     cfg_dict = _load_json(Path(args.config), "train config")
-    if args.epochs is not None:
-        cfg_dict["epochs"] = args.epochs
-    val_count = _non_negative_int(cfg_dict, "val_count", 0)
+    val_count = cfg_dict.pop("val_count", 0)    # a setting that no config class holds
+    if isinstance(val_count, bool) or not isinstance(val_count, int) or val_count < 0:
+        raise ConfigError(f"val_count must be a non-negative integer, got {val_count!r}")
     cfg = TrainConfig.from_dict(cfg_dict)
-    cfg.seed = _seed_override(cfg.seed)
 
     specs = read_manifest(Path(args.data))
     n_train = len(specs) - val_count
@@ -217,8 +188,7 @@ _COMMANDS = {
     "train": (cmd_train, "train on a synthesized dataset", [
         ("--config", {"required": True, "help": "JSON train config"}),
         ("--data", {"required": True, "help": "dataset directory (manifest.csv)"}),
-        ("--out", {"required": True, "help": "output directory for checkpoints"}),
-        ("--epochs", {"type": int, "default": None, "help": "override config epochs"})]),
+        ("--out", {"required": True, "help": "output directory for checkpoints"})]),
     "infer": (cmd_infer, "diarize a WAV with a trained checkpoint", [
         ("--ckpt", {"required": True}),
         ("--wav", {"required": True}),

@@ -187,7 +187,8 @@ def load_checkpoint(path) -> tuple[dict, ModelConfig]:
     exactly those `param_specs` lists for its config, in that order. Each
     one's header entry, record rank and dims, and payload size are checked
     against the table before its payload is read, so a header naming a
-    larger model is refused with nothing of its size allocated."""
+    larger model is refused with nothing of its size allocated. Bytes after
+    the last tensor are refused too."""
     with open(path, "rb") as f:
         try:
             header = json.loads(f.readline().decode("utf-8"))
@@ -225,9 +226,11 @@ def load_checkpoint(path) -> tuple[dict, ModelConfig]:
                 params[k] = Tensor(data, requires_grad=True)
             except ad.NumericError as e:
                 raise SerializationError(f"{path}: non-finite value in tensor {k}") from e
-    if len(entries) > len(params):
-        raise SerializationError(f"{path}: {len(entries) - len(params)} tensors its config "
-                                 f"does not name, first {entries[len(params)]!r:.80}")
+        if len(entries) > len(params):
+            raise SerializationError(f"{path}: {len(entries) - len(params)} tensors its "
+                                     f"config does not name, first {entries[len(params)]!r:.80}")
+        if f.tell() != size:
+            raise SerializationError(f"{path}: {size - f.tell()} bytes after the last tensor")
     return params, cfg
 
 

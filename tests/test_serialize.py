@@ -124,3 +124,14 @@ def test_short_array_record_is_a_serialization_error(tmp_path, keep):
     assert e.type is SerializationError
     assert str(e.value).startswith(f"{p}: record of frontend.conv1.w does not start"), \
         str(e.value)
+
+
+@pytest.mark.parametrize("tail", ["junk", "second-checkpoint"])
+def test_bytes_after_the_last_tensor_are_a_serialization_error(tmp_path, tail):
+    _, p = _saved(tmp_path)
+    raw = p.read_bytes()
+    extra = b"26 bytes of junk after it!" if tail == "junk" else raw
+    p.write_bytes(raw + extra)
+    with pytest.raises(SerializationError) as e:
+        load_checkpoint(p)
+    assert str(e.value) == f"{p}: {len(extra)} bytes after the last tensor"
