@@ -41,8 +41,8 @@ def cmd_synth_data(args) -> int:
     mixes = spec.pop("mixtures", None)
     if spec:
         raise ConfigError(f"a synth-data spec holds only a mixtures list, got {sorted(spec)}")
-    if not isinstance(mixes, list):
-        raise ConfigError(f"mixtures must be a list, got {mixes!r}")
+    if not (isinstance(mixes, list) and mixes):
+        raise ConfigError(f"mixtures must be a non-empty list, got {mixes!r}")
     specs = [from_json(MixtureSpec, d, "mixture") for d in mixes]
     seen = {}    # seed: the first mixture with it; a mixture's seed names its files
     for i, mix in enumerate(specs):

@@ -29,10 +29,11 @@ from .scoring import cover, run_edges
 _F0_BANDS = ((100.0, 135.0), (215.0, 265.0), (150.0, 185.0), (320.0, 380.0))
 _MAX_SPEAKERS = 4
 _PLACEMENT_RETRIES = 5
+_MIN_FRAMES = 20                 # output frames a mixture needs: 2.065 s or more
 
 
 class GenerationError(RuntimeError):
-    """Mixture constraints cannot be satisfied."""
+    """Utterance placement missed its overlap target in all `_PLACEMENT_RETRIES` tries."""
 
 
 @dataclass
@@ -49,9 +50,15 @@ class MixtureSpec:
             raise ConfigError(f"n_speakers must be in 1..{_MAX_SPEAKERS}, got {self.n_speakers}")
         if self.overlap_ratio > 1:
             raise ConfigError(f"overlap_ratio must be in [0, 1], got {self.overlap_ratio}")
-        if self.duration_s <= 2:
-            raise ConfigError(f"duration_s must be above 2 s to place utterances, "
-                              f"got {self.duration_s}")
+        if self.n_speakers == 1 and self.overlap_ratio > 0:
+            raise ConfigError(f"overlap_ratio must be 0 for one speaker, got {self.overlap_ratio}")
+        n_samples = self.duration_s * SAMPLE_RATE
+        if not np.isfinite(n_samples):
+            raise ConfigError(f"duration_s must hold finitely many samples, got {self.duration_s}")
+        n_frames = frame_count(round(n_samples))
+        if n_frames < _MIN_FRAMES:
+            raise ConfigError(f"duration_s {self.duration_s} yields only {n_frames} frames, "
+                              f"and synthesis needs {_MIN_FRAMES}")
 
 
 @dataclass
@@ -145,20 +152,13 @@ def _render_speaker(rng: np.random.Generator, sig: np.ndarray, mask: np.ndarray,
 
 def synth_mixture(spec: MixtureSpec) -> LabeledRecording:
     """Generate one labeled mixture; deterministic in the mixture seed."""
-    if spec.n_speakers == 1 and spec.overlap_ratio > 0.0:
-        raise GenerationError("cannot overlap a single speaker")
-    n_samples = int(round(spec.duration_s * SAMPLE_RATE))
+    n_samples = round(spec.duration_s * SAMPLE_RATE)
     n_frames = frame_count(n_samples)
-    if n_frames < 20:
-        raise GenerationError(f"duration {spec.duration_s}s yields only {n_frames} frames")
-
     activity = None
     for attempt in range(_PLACEMENT_RETRIES):
         rng = np.random.default_rng([spec.seed, attempt])
         cand = _place_utterances(rng, n_frames, spec.n_speakers, spec.overlap_ratio)
-        if cand.any(axis=0).sum() < spec.n_speakers:
-            continue
-        if spec.n_speakers == 1 or abs(overlap_fraction(cand) - spec.overlap_ratio) <= 0.1:
+        if cand.any(axis=0).all() and abs(overlap_fraction(cand) - spec.overlap_ratio) <= 0.1:
             activity = cand
             break
     if activity is None:

@@ -31,10 +31,11 @@ from .model import ModelConfig, forward, init_model_params, param_specs, zero_gr
 from .synth import LabeledRecording, synth_mixture
 
 
-# The fixed optimizer recipe: AdamW moments and epsilon, the global gradient
-# norm clip, and the one-cycle shape (warmup share, start and final divisors).
+# The fixed optimizer recipe: AdamW moments, epsilon and weight decay, the global
+# gradient norm clip, and the one-cycle shape (warmup share, start and final divisors).
 BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
 GRAD_CLIP = 5.0
 WARMUP_FRAC = 0.3
 DIV_FACTOR = 25.0
@@ -57,7 +58,6 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     dpcl_mode: str = "attractor"
     model: ModelConfig = field(default_factory=ModelConfig)
-    weight_decay: float = 0.01
     val_every: int = 10
 
     def __post_init__(self):
@@ -65,8 +65,7 @@ class TrainConfig:
             v = getattr(self, name)
             if not isinstance(v, kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {v!r}")
-        check_number_fields(self, minimum=dict(batch_size=1, val_every=1, epochs=0, seed=0,
-                                               weight_decay=0))
+        check_number_fields(self, minimum=dict(batch_size=1, val_every=1, epochs=0, seed=0))
         check_number_fields(self.weights, "weights.", dict.fromkeys(asdict(self.weights), 0))
         if self.dpcl_mode not in DPCL_MODES:
             raise ConfigError(f"dpcl_mode must be one of {DPCL_MODES}, got {self.dpcl_mode!r}")
@@ -112,9 +111,8 @@ def one_cycle_lr(step: int, total_steps: int, max_lr: float) -> float:
 class AdamW:
     """Decoupled weight decay Adam over a named parameter store."""
 
-    def __init__(self, params: dict, weight_decay: float = 0.01):
+    def __init__(self, params: dict):
         self.params = params
-        self.weight_decay = weight_decay
         self.t = 0
         self.skipped = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -140,7 +138,7 @@ class AdamW:
             self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
             self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
             update = (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + ADAM_EPS)
-            p.data = p.data - lr * (update + self.weight_decay * p.data)
+            p.data = p.data - lr * (update + WEIGHT_DECAY * p.data)
         return True
 
 
@@ -336,7 +334,7 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
     val_data = [(store[rows], labels, nf) for rows, labels, nf in val_data]
 
     params = init_model_params(cfg.model, np.random.default_rng([cfg.seed, 0]))
-    opt = AdamW(params, weight_decay=cfg.weight_decay)
+    opt = AdamW(params)
     total_steps = max(cfg.epochs * math.ceil(n / cfg.batch_size), 1)
     if out is not None:
         # a best.ckpt left by an earlier run must not pass for this one's

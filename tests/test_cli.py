@@ -24,7 +24,7 @@ DESK_MODEL = {"depth": 1, "embed_dim": 32, "latte_dim": 16, "n_latents": 2,
 
 def desk_train_config(**kw) -> dict:
     d = {"batch_size": 2, "epochs": 1, "max_lr": 1e-3, "crop_s": 3.0, "seed": 0,
-         "dpcl_mode": "attractor", "weight_decay": 0.01, "val_every": 10,
+         "dpcl_mode": "attractor", "val_every": 10,
          "weights": [1.0, 0.5, 0.1, 0.1], "model": dict(DESK_MODEL)}
     d.update(kw)
     return d
@@ -86,6 +86,12 @@ def _one(**fields) -> dict:
                  id="overlap_ratio--inf"),
     pytest.param({"mixtures": [MIXTURE], "duration_s": 30, "count": 5}, "duration_s",
                  id="mixtures-with-top-level-keys"),
+    pytest.param({"mixtures": []}, "mixtures", id="mixtures-empty"),
+    # a mixture that synthesis cannot make is refused before any is written
+    pytest.param({"mixtures": [dict(MIXTURE, seed=1),
+                               dict(MIXTURE, n_speakers=1, overlap_ratio=0.2, seed=2)]},
+                 "overlap_ratio", id="one-speaker-overlap-after-a-valid-mixture"),
+    pytest.param(_one(duration_s=1e305), "duration_s", id="duration_s-samples-inf"),
 ])
 def test_synth_data_bad_spec_key_is_a_config_error(tmp_path, capsys, spec, key):
     spec_path = tmp_path / "spec.json"
@@ -95,6 +101,7 @@ def test_synth_data_bad_spec_key_is_a_config_error(tmp_path, capsys, spec, key):
     captured = capsys.readouterr()
     assert "ConfigError" in captured.err and key in captured.err
     assert "wrote" not in captured.out
+    assert not (tmp_path / "data").exists()
 
 
 def test_score_identical_files_prints_zero(dataset, capsys):
@@ -186,6 +193,7 @@ def test_train_on_a_directory_without_a_manifest_exits_2(tmp_path, capsys):
     pytest.param({"bogus": 1}, "bogus", id="bogus"),
     pytest.param({"betas": [0.9, 0.999]}, "betas", id="betas"),
     pytest.param({"warmup_frac": 0.3}, "warmup_frac", id="warmup_frac"),
+    pytest.param({"weight_decay": 0.01}, "weight_decay", id="weight_decay"),
     pytest.param({"model": dict(DESK_MODEL, depht=2)}, "depht", id="model.depht"),
     pytest.param({"weights": [1.0, 0.5, 0.1, 0.1, 0.1]}, "weights", id="weights5"),
     pytest.param({"batch_size": "2"}, "batch_size", id="batch_size-str"),

@@ -71,7 +71,7 @@ TRAIN_CONFIG = {"batch_size": 5, "epochs": 4, "max_lr": 2e-3, "crop_s": 15.0, "s
                 "model": {"depth": 2, "embed_dim": 64, "latte_dim": 32, "n_latents": 8,
                           "n_attractors": 4, "ff_expansion": 4, "conv_kernel": 9,
                           "heads": 4},
-                "weight_decay": 0.01, "val_every": 25}
+                "val_every": 25}
 MIXTURE_SPEC = {"n_speakers": 3, "duration_s": 20.0, "overlap_ratio": 0.2,
                 "noise_snr_db": 15.0, "seed": 11}
 

@@ -3,7 +3,8 @@ import pytest
 import synth_reference
 
 from diarnet import synth
-from diarnet.frontend import FRAME_S, frame_count, log_mel, window_stack, write_wav
+from diarnet.frontend import (FRAME_S, SAMPLE_RATE, ConfigError, frame_count, log_mel,
+                              window_stack, write_wav)
 from diarnet.model import ModelConfig
 from diarnet.scoring import DiarizationHypothesis
 from diarnet.synth import (
@@ -51,8 +52,12 @@ def test_every_speaker_talks():
 
 
 def test_labels_align_with_frontend_frames():
-    rec = synth_mixture(MixtureSpec(n_speakers=2, duration_s=17.3, overlap_ratio=0.2, seed=7))
-    assert rec.labels.n_frames == frame_count(len(rec.clip.samples))
+    # 2.065 s, 16520 samples, is the shortest mixture: 205 mel rows, 20 frames
+    for spec, n_frames in [
+            (MixtureSpec(n_speakers=2, duration_s=17.3, overlap_ratio=0.2, seed=7), 172),
+            (MixtureSpec(n_speakers=1, duration_s=2.065, overlap_ratio=0.0, seed=7), 20)]:
+        rec = synth_mixture(spec)
+        assert rec.labels.n_frames == frame_count(len(rec.clip.samples)) == n_frames
 
 
 def test_amplitudes_bounded():
@@ -62,8 +67,8 @@ def test_amplitudes_bounded():
 
 
 def test_single_speaker_with_overlap_is_infeasible():
-    with pytest.raises(GenerationError):
-        synth_mixture(MixtureSpec(n_speakers=1, duration_s=20, overlap_ratio=0.5, seed=0))
+    with pytest.raises(ConfigError, match="overlap_ratio must be 0 for one speaker, got 0.5"):
+        MixtureSpec(n_speakers=1, duration_s=20, overlap_ratio=0.5, seed=0)
 
 
 def test_impossible_overlap_raises_after_retries():
@@ -72,11 +77,13 @@ def test_impossible_overlap_raises_after_retries():
 
 
 def test_too_short_duration_names_its_frame_count():
-    # 2.01 s is 16080 samples: 199 mel rows, 19 frames, one short of the 20 needed
-    with pytest.raises(GenerationError) as e:
-        synth_mixture(MixtureSpec(n_speakers=2, duration_s=2.01, seed=0))
-    assert e.type is GenerationError
-    assert str(e.value).startswith("duration 2.01s yields only 19 frames")
+    # 2.01 s is 16080 samples: 199 mel rows, 19 frames, one short of the 20 needed;
+    # 16519 samples, one short of the shortest mixture, are 204 mel rows and 19 frames
+    for duration_s in (2.01, 16519 / SAMPLE_RATE):
+        with pytest.raises(ConfigError) as e:
+            MixtureSpec(n_speakers=1, duration_s=duration_s, overlap_ratio=0.0, seed=0)
+        assert str(e.value) == (f"duration_s {duration_s} yields only 19 frames, "
+                                "and synthesis needs 20")
 
 
 # ---------------------------------------------------------------------------

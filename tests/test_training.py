@@ -22,6 +22,7 @@ from diarnet.model import ModelConfig, forward, init_model_params, param_specs, 
 from diarnet.synth import LabeledRecording, MixtureSpec, synth_mixture
 from diarnet.training import (
     LOSS_FIELDS,
+    WEIGHT_DECAY,
     AdamW,
     ScheduleError,
     SerializationError,
@@ -89,27 +90,23 @@ def _param(v):
 
 
 def test_adamw_first_step_unit_gradient():
+    # the bias-corrected first step is one unit, plus the decay of 0.01 * p
     params = _param([1.0, 2.0, 3.0])
-    opt = AdamW(params, weight_decay=0.0)
+    opt = AdamW(params)
     params["p"].grad = np.ones(3, dtype=np.float32)
     opt.step(lr=0.01)
-    assert np.allclose(params["p"].data, [0.99, 1.99, 2.99], atol=1e-6)
-
-
-def test_adamw_zero_gradient_no_decay_is_fixed_point():
-    params = _param([1.5, -2.0])
-    opt = AdamW(params, weight_decay=0.0)
-    params["p"].grad = np.zeros(2, dtype=np.float32)
-    opt.step(lr=0.5)
-    assert np.array_equal(params["p"].data, np.asarray([1.5, -2.0], dtype=np.float32))
+    assert np.allclose(params["p"].data, [0.9899, 1.9898, 2.9897], atol=1e-6)
 
 
 def test_adamw_decoupled_decay_shrinks():
-    params = _param([2.0])
-    opt = AdamW(params, weight_decay=0.1)
-    params["p"].grad = np.zeros(1, dtype=np.float32)
-    opt.step(lr=0.1)
-    assert params["p"].data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.1), rel=1e-6)
+    # a zero gradient makes a zero Adam update, so only the decay moves p
+    params = _param([2.0, 1.5, -2.0])
+    p0 = params["p"].data
+    opt = AdamW(params)
+    params["p"].grad = np.zeros(3, dtype=np.float32)
+    opt.step(lr=0.5)
+    assert np.array_equal(params["p"].data, p0 - 0.5 * (0.0 + WEIGHT_DECAY * p0))
+    assert WEIGHT_DECAY == 0.01
 
 
 def test_adamw_skips_nan_gradients():
@@ -140,18 +137,17 @@ def test_clip_grad_norm():
     ("max_lr", float("nan")), ("max_lr", 0.0), ("max_lr", -1e-3),
     # a wrongly typed value: a string, a bool or a float is not an int
     ("batch_size", "2"), ("batch_size", True), ("epochs", 2.5), ("seed", "x"),
-    ("max_lr", "1e-3"), ("crop_s", "3"), ("weight_decay", "0"),
+    ("max_lr", "1e-3"), ("crop_s", "3"),
     # a value that trains silently into nonsense or reads as divergence
-    ("seed", -1), ("weight_decay", float("nan")), ("weight_decay", -5.0),
+    ("seed", -1),
     pytest.param("weights", LossWeights(-1.0, 0.5, 0.1, 0.1), id="weights-negative"),
     pytest.param("weights", LossWeights(1.0, float("nan"), 0.1, 0.1), id="weights-nan"),
     pytest.param("weights", LossWeights(1.0, 0.5, True, 0.1), id="weights-bool"),
     # every float field is finite
     ("max_lr", float("inf")), ("max_lr", float("-inf")), ("crop_s", float("inf")),
-    ("crop_s", float("-inf")), ("weight_decay", float("inf")),
+    ("crop_s", float("-inf")),
     # finite, but its frame count is not
     ("crop_s", 1e308), ("crop_s", -1e308),
-    ("weight_decay", float("-inf")),
     pytest.param("weights", LossWeights(1.0, 0.5, float("inf"), 0.1), id="weights-inf"),
     pytest.param("weights", LossWeights(1.0, 0.5, 0.1, float("-inf")), id="weights--inf"),
     # a nested config is an object, not its JSON form
@@ -444,14 +440,15 @@ def test_zero_epochs_writes_initial_checkpoint(tmp_path):
 
 
 def test_zero_weighted_losses_leave_params_unchanged():
-    # With every loss weight at zero the gradients vanish; decoupled decay is
-    # disabled so the optimizer really is a no-op.
-    cfg = desk_config(epochs=1, weights=LossWeights(0.0, 0.0, 0.0, 0.0),
-                      weight_decay=0.0)
+    # With every loss weight at zero the gradients vanish, so the losses leave
+    # each parameter as it was and only the decoupled decay moves it.
+    cfg = desk_config(epochs=1, weights=LossWeights(0.0, 0.0, 0.0, 0.0))
     reference = init_model_params(cfg.model, np.random.default_rng([cfg.seed, 0]))
     result = train(cfg, desk_specs(2))
+    lr = one_cycle_lr(0, 1, cfg.max_lr)        # 2 recordings at batch 2: one step
     for k, p in result.params.items():
-        assert np.array_equal(p.data, reference[k].data), k
+        want = reference[k].data - lr * (0.0 + WEIGHT_DECAY * reference[k].data)
+        assert np.array_equal(p.data, want), k
 
 
 def test_fixed_seed_reproduces_history(tmp_path):
