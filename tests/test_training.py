@@ -98,6 +98,16 @@ def test_adamw_first_step_unit_gradient():
     assert np.allclose(params["p"].data, [0.9899, 1.9898, 2.9897], atol=1e-6)
 
 
+def test_adamw_zero_gradient_no_decay_is_fixed_point(monkeypatch):
+    # with the decay taken out, a zero gradient must leave p exactly where it was
+    monkeypatch.setattr(training, "WEIGHT_DECAY", 0.0)
+    params = _param([1.5, -2.0])
+    opt = AdamW(params)
+    params["p"].grad = np.zeros(2, dtype=np.float32)
+    opt.step(lr=0.5)
+    assert np.array_equal(params["p"].data, np.asarray([1.5, -2.0], dtype=np.float32))
+
+
 def test_adamw_decoupled_decay_shrinks():
     # a zero gradient makes a zero Adam update, so only the decay moves p
     params = _param([2.0, 1.5, -2.0])
