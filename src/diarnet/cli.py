@@ -43,11 +43,14 @@ def cmd_synth_data(args) -> int:
         raise ConfigError(f"a synth-data spec holds only a mixtures list, got {sorted(spec)}")
     if not (isinstance(mixes, list) and mixes):
         raise ConfigError(f"mixtures must be a non-empty list, got {mixes!r}")
-    specs = [from_json(MixtureSpec, d, "mixture") for d in mixes]
-    seen = {}    # seed: the first mixture with it; a mixture's seed names its files
-    for i, mix in enumerate(specs):
-        if seen.setdefault(mix.seed, i) != i:
-            raise ConfigError(f"mixtures {seen[mix.seed]} and {i} share seed {mix.seed}")
+    specs, seen = [], {}    # seen: seed -> its first mixture; a mixture's seed names its files
+    for i, d in enumerate(mixes):
+        try:
+            specs.append(from_json(MixtureSpec, d, "mixture"))
+        except ConfigError as e:
+            raise ConfigError(f"mixture {i}: {e}") from None
+        if seen.setdefault(specs[i].seed, i) != i:
+            raise ConfigError(f"mixtures {seen[specs[i].seed]} and {i} share seed {specs[i].seed}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -139,7 +142,7 @@ def _load_recording(rec_id: str, wav_path: Path, rttm_path: Path):
         found = f"its only file id is {next(iter(hyps))}" if len(hyps) == 1 else (
             f"it holds {len(hyps)} file ids")
         raise ManifestError(f"{rttm_path}: no segments for id {rec_id} ({found})")
-    labels, _ = labels_from_segments(timeline, checked_frame_count(len(clip.samples), wav_path))
+    labels = labels_from_segments(timeline, checked_frame_count(len(clip.samples), wav_path))
     return LabeledRecording(clip=clip, labels=labels, rec_id=rec_id)
 
 

@@ -270,8 +270,7 @@ def forward(x0: Tensor, params: dict, cfg: ModelConfig) -> ForwardResult:
         stack.append(x)
 
     dirs, biases = split_attractors(attractors, params)
-    logits = ad.matmul(x, dirs.transpose(1, 0)) + biases.reshape(1, -1) \
-        + params["head.b_global"]
+    logits = ad.matmul(x, dirs.transpose(1, 0)) + biases + params["head.b_global"]
     return ForwardResult(logits=logits, frames=x, attractor_dirs=dirs,
                          attractor_biases=biases, global_bias=params["head.b_global"])
 

@@ -52,7 +52,10 @@ class DiarizationHypothesis:
 
     @classmethod
     def from_columns(cls, starts, ends, speakers: list, file_id: str = "rec"):
-        """A timeline from start and end arrays and a speaker name per segment."""
+        """A timeline from 1-D start and end arrays and a speaker name per segment."""
+        if len({np.shape(starts), np.shape(ends), (len(speakers),)}) != 1:
+            raise ScoringError(f"starts {np.shape(starts)}, ends {np.shape(ends)} and "
+                               f"{len(speakers)} speakers are not 1-D columns of one length")
         self = cls.__new__(cls)
         self._fill(starts, ends, speakers, file_id)
         return self

@@ -186,17 +186,14 @@ def synth_mixture(spec: MixtureSpec) -> LabeledRecording:
                             rec_id=f"mix{spec.seed:06d}")
 
 
-def labels_from_segments(timeline, n_frames: int) -> tuple[LabelMatrix, list[str]]:
-    """Rasterize a DiarizationHypothesis onto the label grid.
-
-    A frame is active when a segment covers its midpoint, which is exact for
-    segments aligned to the grid. Returns the matrix plus the sorted speaker
-    names backing its columns.
-    """
+def labels_from_segments(timeline, n_frames: int) -> LabelMatrix:
+    """Rasterize a DiarizationHypothesis onto the label grid, one column per
+    name of `timeline.names`. A frame is active when a segment covers its
+    midpoint, which is exact for segments aligned to the grid."""
     mids = (np.arange(n_frames) + 0.5) * FRAME_S
     # frames lo..hi-1 are those with start <= mid < end
     lo = np.searchsorted(mids, timeline.starts)
     hi = np.searchsorted(mids, timeline.ends)
     act = cover(lo, hi, timeline.codes, max(len(timeline.names), 1), n_frames)
     # (frames, speakers), C order
-    return LabelMatrix.from_activity(act.T.copy()), list(timeline.names)
+    return LabelMatrix.from_activity(act.T.copy())

@@ -109,7 +109,7 @@ def one_cycle_lr(step: int, total_steps: int, max_lr: float) -> float:
 
 
 class AdamW:
-    """Decoupled weight decay Adam over a named parameter store."""
+    """Decoupled weight decay Adam over a named parameter store; each step clips first."""
 
     def __init__(self, params: dict):
         self.params = params
@@ -119,22 +119,20 @@ class AdamW:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def step(self, lr: float) -> bool:
-        """Apply one update; returns False (and counts) on non-finite grads."""
-        grads = {}
-        for k, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                self.skipped += 1
-                warnings.warn(f"non-finite gradient in {k}; step {self.t + 1} skipped "
-                              f"({self.skipped} total)", RuntimeWarning, stacklevel=2)
-                return False
-            grads[k] = g
+        """Clip to GRAD_CLIP, then update; returns False (and counts) on a non-finite norm."""
+        if not math.isfinite(clip_grad_norm(self.params)):
+            k = next(k for k, p in self.params.items()
+                     if p.grad is not None and not np.isfinite(p.grad).all())
+            self.skipped += 1
+            warnings.warn(f"non-finite gradient in {k}; step {self.t + 1} skipped "
+                          f"({self.skipped} total)", RuntimeWarning, stacklevel=2)
+            return False
         self.t += 1
         b1, b2 = BETAS
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for k, p in self.params.items():
-            g = grads[k]
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
             self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
             self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
             update = (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + ADAM_EPS)
@@ -142,15 +140,16 @@ class AdamW:
         return True
 
 
-def clip_grad_norm(params: dict, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+def clip_grad_norm(params: dict) -> float:
+    """Scale all gradients to a global L2 norm of at most GRAD_CLIP; the norm, summed
+    in float64, is returned and is finite exactly when every gradient is."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float((p.grad.astype(np.float64) ** 2).sum())
     norm = math.sqrt(total)
-    if max_norm > 0 and norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
+    if norm > GRAD_CLIP:
+        scale = GRAD_CLIP / (norm + 1e-12)
         for p in params.values():
             if p.grad is not None:
                 p.grad = p.grad * scale
@@ -286,7 +285,7 @@ def _mean_losses(crops: list, params: dict, cfg: TrainConfig) -> dict:
         res = forward(x0, params, cfg.model)
         bundle = total_loss(res, labels, weights=cfg.weights, mode=cfg.dpcl_mode)
         if bundle.total_tensor.requires_grad:
-            (bundle.total_tensor * (1.0 / len(crops))).backward()
+            bundle.total_tensor.backward(1.0 / len(crops))
         for k in means:
             means[k] += getattr(bundle, k) / len(crops)
     return means
@@ -356,7 +355,6 @@ def train(cfg: TrainConfig, train_specs: Iterable, val_specs: Iterable | None = 
                     f0 = int(crop_rng.integers(0, labels.n_frames - nf + 1))
                     crops.append((mel, labels, f0, nf))
                 means = _mean_losses(crops, params, cfg)
-                clip_grad_norm(params, GRAD_CLIP)
                 lr = one_cycle_lr(step, total_steps, cfg.max_lr)
                 opt.step(lr)
                 history.append({"step": step, "epoch": epoch, "split": "train", **means,

@@ -87,10 +87,11 @@ def _one(**fields) -> dict:
     pytest.param({"mixtures": [MIXTURE], "duration_s": 30, "count": 5}, "duration_s",
                  id="mixtures-with-top-level-keys"),
     pytest.param({"mixtures": []}, "mixtures", id="mixtures-empty"),
-    # a mixture that synthesis cannot make is refused before any is written
+    # a mixture that synthesis cannot make is refused, by its index, before any is written
     pytest.param({"mixtures": [dict(MIXTURE, seed=1),
                                dict(MIXTURE, n_speakers=1, overlap_ratio=0.2, seed=2)]},
-                 "overlap_ratio", id="one-speaker-overlap-after-a-valid-mixture"),
+                 "ConfigError: mixture 1: overlap_ratio must be 0 for one speaker, got 0.2",
+                 id="one-speaker-overlap-after-a-valid-mixture"),
     pytest.param(_one(duration_s=1e305), "duration_s", id="duration_s-samples-inf"),
 ])
 def test_synth_data_bad_spec_key_is_a_config_error(tmp_path, capsys, spec, key):

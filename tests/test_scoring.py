@@ -244,7 +244,16 @@ def test_min_cost_assignment_of_an_empty_side_is_empty(shape):
     (lambda: min_cost_assignment(np.zeros((2, 2, 2))), ValueError,
      "expected a matrix (2-D array), got a 3-D array"),
     (lambda: aggregate_reports([]), ScoringError, "nothing to aggregate"),
-], ids=["assignment-rank", "aggregate-nothing"])
+    (lambda: DiarizationHypothesis.from_columns([0.0], [1.0, 2.0], ["a", "b"]), ScoringError,
+     "starts (1,), ends (2,) and 2 speakers are not 1-D columns of one length"),
+    (lambda: DiarizationHypothesis.from_columns([0.0, 1.0], [1.0, 2.0], ["a"]), ScoringError,
+     "starts (2,), ends (2,) and 1 speakers are not 1-D columns of one length"),
+    (lambda: DiarizationHypothesis.from_columns([[0.0, 1.0]], [[1.0, 2.0]], ["a"]), ScoringError,
+     "starts (1, 2), ends (1, 2) and 1 speakers are not 1-D columns of one length"),
+    (lambda: DiarizationHypothesis.from_columns(0.0, 1.0, ["a"]), ScoringError,
+     "starts (), ends () and 1 speakers are not 1-D columns of one length"),
+], ids=["assignment-rank", "aggregate-nothing", "columns-fewer-starts",
+        "columns-fewer-speakers", "columns-2-D-times", "columns-0-D-times"])
 def test_scoring_refuses_inputs_it_cannot_score(call, error, text):
     with pytest.raises(error) as e:
         call()

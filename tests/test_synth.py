@@ -175,8 +175,8 @@ def test_crop_features_match_source_windows():
 
 def test_labels_from_segments_grid_aligned():
     segs = [(0.0, 0.5, "a"), (0.3, 0.9, "b")]
-    lm, speakers = labels_from_segments(DiarizationHypothesis(segs), n_frames=10)
-    assert speakers == ["a", "b"]
+    lm = labels_from_segments(DiarizationHypothesis(segs), n_frames=10)
+    assert lm.n_slots == 2
     assert np.array_equal(lm.y_01[:, 0], [1, 1, 1, 1, 1, 0, 0, 0, 0, 0])
     assert np.array_equal(lm.y_01[:, 1], [0, 0, 0, 1, 1, 1, 1, 1, 1, 0])
 
@@ -204,9 +204,8 @@ def test_labels_from_segments_matches_midpoint_masks():
                       n_frames))
     cases.append(([(0.05, 0.15, "b"), (0.15, 0.25, "a"), (0.1, 0.2, "b")], 4))  # on midpoints
     for segs, n_frames in cases:
-        lm, speakers = labels_from_segments(DiarizationHypothesis(segs), n_frames)
+        lm = labels_from_segments(DiarizationHypothesis(segs), n_frames)
         want = _labels_reference(segs, n_frames)
-        assert speakers == sorted({seg[2] for seg in segs})
         assert np.array_equal(lm.y_pm, np.where(want, 1, -1))
         assert lm.y_pm.flags["C_CONTIGUOUS"]
 

@@ -129,12 +129,38 @@ def test_adamw_skips_nan_gradients():
     assert params["p"].data[0] == 1.0
 
 
-def test_clip_grad_norm():
+def test_clip_grad_norm(monkeypatch):
+    monkeypatch.setattr(training, "GRAD_CLIP", 1.0)
     params = _param([0.0, 0.0])
     params["p"].grad = np.asarray([3.0, 4.0], dtype=np.float32)
-    norm = clip_grad_norm(params, 1.0)
+    norm = clip_grad_norm(params)
     assert norm == pytest.approx(5.0)
     assert np.linalg.norm(params["p"].grad) == pytest.approx(1.0, rel=1e-5)
+
+
+def test_adamw_step_clips_the_gradients_to_grad_clip():
+    params = {"a": Tensor(np.zeros(2, dtype=np.float32), requires_grad=True),
+              "b": Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)}
+    params["a"].grad = np.asarray([30.0, 0.0], dtype=np.float32)
+    params["b"].grad = np.asarray([40.0], dtype=np.float32)     # global norm 50
+    assert AdamW(params).step(lr=0.1)
+    norm = np.linalg.norm(np.concatenate([params["a"].grad, params["b"].grad]))
+    assert norm == pytest.approx(training.GRAD_CLIP, rel=1e-6)
+
+
+def test_adamw_skips_an_infinite_gradient_and_names_it():
+    # the clip scales every gradient by GRAD_CLIP / inf: finite ones go to 0, inf to NaN
+    params = {k: Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+              for k in ("unused", "w", "b")}
+    params["w"].grad = np.asarray([1.0, 2.0], dtype=np.float32)
+    params["b"].grad = np.asarray([np.inf, 1.0], dtype=np.float32)
+    opt = AdamW(params)
+    with np.errstate(invalid="ignore"), pytest.warns(
+            RuntimeWarning, match=r"non-finite gradient in b; step 1 skipped \(1 total\)"):
+        assert not opt.step(lr=0.1)
+    assert opt.skipped == 1 and opt.t == 0
+    assert np.isnan(params["b"].grad[0]) and np.array_equal(params["w"].grad, [0.0, 0.0])
+    assert all(np.array_equal(p.data, [1.0, 1.0]) for p in params.values())
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +692,25 @@ def _desk_crop():
     spec = MixtureSpec(n_speakers=2, duration_s=15.0, overlap_ratio=0.2, noise_snr_db=15.0,
                        seed=100)
     return model, params, *_crop_windows(*_prepare(spec, model.n_attractors, 150)[:2], 0, 150)
+
+
+def test_seeded_backward_equals_backward_of_the_scaled_loss():
+    # a crop's share of a 5-crop mean: seeding backward with 1/5 must give the
+    # gradients of backward() through the product of the loss and 1/5
+    model, params, windows, labels = _desk_crop()
+    grads = []
+    for seeded in (True, False):
+        zero_grads(params)
+        res = forward(cnn_encode(windows, params, model.embed_dim), params, model)
+        total = total_loss(res, labels, weights=LossWeights(1.0, 0.5, 0.1, 0.1)).total_tensor
+        if seeded:
+            total.backward(1.0 / 5)
+        else:
+            (total * (1.0 / 5)).backward()
+        grads.append({k: p.grad for k, p in params.items()})
+    assert len(grads[0]) == 195
+    for k, g in grads[0].items():
+        assert g.dtype == np.float32 and g.tobytes() == grads[1][k].tobytes(), k
 
 
 def test_desk_crop_graph_holds_no_array_only_for_its_shape(monkeypatch):
