@@ -11,8 +11,10 @@ by optimal assignment on overlap durations inside the scored regions, and
 missed/false-alarm/confusion time is a dot product of per-cell speaker
 counts with the scored cell durations. Overlapping speech is always scored;
 a collar around every reference boundary is excluded. Cost: O(N log N) for
-N segments plus O(S·C) for S speakers and C cells; the two float (S, C)
-matrices of the speaker map are the largest temporaries.
+N segments plus O(S·C) for S speakers and C cells. The speaker map is built
+in blocks of MAP_BLOCK cells, so its float temporaries are bounded by the
+block; the largest temporaries left are `cover`'s bool (S + 1, C) matrix
+and a few float (C,) rows of per-cell speaker counts.
 
 A timeline (`DiarizationHypothesis`) is stored as columns: float64 `starts`
 and `ends` in seconds, an intp speaker code per segment and the tuple of
@@ -32,6 +34,7 @@ import numpy as np
 from .frontend import FRAME_S
 
 _TIME_DECIMALS = 9
+MAP_BLOCK = 4096                   # cells per block of the speaker map's overlap product
 
 
 class ScoringError(ValueError):
@@ -288,7 +291,12 @@ def _optimal_speaker_map(ref_act: np.ndarray, hyp_act: np.ndarray,
                          weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Global 1-1 speaker map (ref rows, hyp rows) maximizing matched time
     in scored regions; pairs that never co-occur are left unmapped."""
-    overlap = (ref_act * weight) @ hyp_act.astype(float).T
+    # in blocks of cells, so the float temporaries are (speakers, MAP_BLOCK);
+    # one block has the operands and layouts of a single product
+    overlap = np.zeros((len(ref_act), len(hyp_act)))
+    for i in range(0, len(weight), MAP_BLOCK):
+        c = slice(i, i + MAP_BLOCK)
+        overlap += (ref_act[:, c] * weight[c]) @ hyp_act[:, c].T.astype(float)
     rows, cols = min_cost_assignment(-overlap)
     keep = overlap[rows, cols] > 0
     return rows[keep], cols[keep]
@@ -326,9 +334,10 @@ def der_score(ref: DiarizationHypothesis, hyp: DiarizationHypothesis,
     at = np.empty_like(order)
     at[order] = np.cumsum(new) - 1
     weight = np.diff(bounds[new])                       # cell duration, 0 in a collar
+    del edges, bounds, order, new                       # before cover's bool matrix
     act = cover(at[:len(owner)], at[len(owner):], owner, n_ref + n_hyp + 1, len(weight))
     weight[act[-1]] = 0.0
-    del edges, owner, bounds, order, new, at            # before the map's float matrices
+    del owner, at                                       # before the map and the counts
     ref_act, hyp_act = act[:n_ref], act[n_ref:-1]
     rows, cols = _optimal_speaker_map(ref_act, hyp_act, weight)
     # float speaker counts: the same values as integer ones, with no casts in the dot products

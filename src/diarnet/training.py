@@ -142,13 +142,14 @@ class AdamW:
 
 def clip_grad_norm(params: dict) -> float:
     """Scale all gradients to a global L2 norm of at most GRAD_CLIP; the norm, summed
-    in float64, is returned and is finite exactly when every gradient is."""
+    in float64, is returned and is finite exactly when every gradient is. A
+    non-finite norm leaves the gradients as they are: its step is skipped."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float((p.grad.astype(np.float64) ** 2).sum())
     norm = math.sqrt(total)
-    if norm > GRAD_CLIP:
+    if GRAD_CLIP < norm < math.inf:
         scale = GRAD_CLIP / (norm + 1e-12)
         for p in params.values():
             if p.grad is not None:

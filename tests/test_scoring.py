@@ -10,10 +10,12 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import scoring_reference
+from conftest import traced_peak
 from der_oracle import corrupt_timeline, frame_der, random_timeline
 from diarnet.cli import _segments_from_labels
 from diarnet.rttm import RttmParseError, read_rttm, write_rttm
 from diarnet.scoring import (
+    MAP_BLOCK,
     DerReport,
     DiarizationHypothesis,
     ScoringError,
@@ -23,6 +25,7 @@ from diarnet.scoring import (
     min_cost_assignment,
     posterior_to_segments,
     run_edges,
+    _optimal_speaker_map,
 )
 from diarnet.synth import MixtureSpec, synth_mixture
 
@@ -278,6 +281,27 @@ def test_min_cost_assignment_of_a_row_of_inf():
     # a tall matrix leaves that row out instead
     rows, cols = min_cost_assignment(np.array([[1.0, 2.0], [np.inf, np.inf], [3.0, 4.0]]))
     assert rows.tolist() == [0, 2] and cols.tolist() == [0, 1]
+
+
+def _single_product_map(ref_act, hyp_act, weight):
+    """The speaker map from one (ref, cells) @ (cells, hyp) product."""
+    overlap = (ref_act * weight) @ hyp_act.astype(float).T
+    rows, cols = min_cost_assignment(-overlap)
+    keep = overlap[rows, cols] > 0
+    return rows[keep], cols[keep]
+
+
+@pytest.mark.parametrize("n_cells", [MAP_BLOCK - 1, MAP_BLOCK, MAP_BLOCK + 1, 3 * MAP_BLOCK + 17])
+@pytest.mark.parametrize("n_ref,n_hyp", [(3, 5), (6, 2), (4, 0)])
+def test_blocked_speaker_map_equals_single_product(n_cells, n_ref, n_hyp):
+    rng = np.random.default_rng(n_cells + 10 * n_ref + n_hyp)
+    for _ in range(5):
+        ref_act = rng.random((n_ref, n_cells)) < rng.uniform(0.05, 0.5)
+        hyp_act = rng.random((n_hyp, n_cells)) < rng.uniform(0.05, 0.5)
+        weight = rng.random(n_cells) * (rng.random(n_cells) < 0.8)    # some cells in a collar
+        for got, want in zip(_optimal_speaker_map(ref_act, hyp_act, weight),
+                             _single_product_map(ref_act, hyp_act, weight)):
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -574,28 +598,39 @@ def test_scorer_peak_memory_is_at_most_the_unique_scorers(tmp_path):
     assert peaks[1] <= peaks[0], peaks
 
 
-def test_scorer_at_ten_thousand_segments_matches_frame_oracle():
-    rng = np.random.default_rng(77)
+def _long_pair(rng, n_speakers: int, per_speaker: int) -> tuple[list, list]:
+    """A reference of back-to-back 10 ms-grid turns per speaker and its
+    corrupted hypothesis."""
     ref_segs = []
-    for spk in range(4):
+    for spk in range(n_speakers):
         cursor = int(rng.integers(0, 300))
-        for _ in range(1400):
+        for _ in range(per_speaker):
             dur = int(rng.integers(80, 600))
             ref_segs.append((cursor / 100, (cursor + dur) / 100, f"spk{spk}"))
             cursor += dur + int(rng.integers(20, 500))
-    span = max(e for _, e, _ in ref_segs)
-    hyp_segs = corrupt_timeline(rng, ref_segs, span_s=span)
+    return ref_segs, corrupt_timeline(rng, ref_segs, span_s=max(e for _, e, _ in ref_segs))
+
+
+def test_scorer_at_ten_thousand_segments_matches_frame_oracle():
+    ref_segs, hyp_segs = _long_pair(np.random.default_rng(77), 4, 1400)
     assert len(ref_segs) + len(hyp_segs) >= 10_000
     ref, h = hyp(ref_segs), hyp(hyp_segs)
-    tracemalloc.start()
-    rep = der_score(ref, h, collar_s=0.25)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    rep, peak = traced_peak(der_score, ref, h, collar_s=0.25)
     oracle = frame_der(ref, h, collar_s=0.25)
     for key in ("der", "ms", "fa", "cf", "sad_ms", "sad_fa"):
         assert getattr(rep, key) == pytest.approx(oracle[key], abs=0.05), key
-    # a few (speakers, cells) float rows; nothing grows as cells x cells
+    # cover's bool (speakers + 1, cells) matrix and a few float cell rows;
+    # nothing grows as cells x cells
     assert peak < 12 * 2**20
+
+
+def test_scorer_at_24_speakers_a_side_is_exact_in_bounded_memory():
+    ref, h = map(hyp, _long_pair(np.random.default_rng(24), 24, 800))
+    assert len(ref.names) == len(h.names) == 24 and len(ref) + len(h) >= 35_000
+    rep, peak = traced_peak(der_score, ref, h, collar_s=0.25)
+    assert dataclasses.asdict(rep) == dataclasses.asdict(scoring_reference.der_score(ref, h))
+    # one map product over all cells peaks at 53 MiB here, blocks of cells at 15 MiB
+    assert peak < 20 * 2**20, peak / 2**20
 
 
 def test_aggregate_reports_weights_by_duration():
