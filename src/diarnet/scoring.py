@@ -117,21 +117,15 @@ def cover(lo, hi, rows, n_rows: int, n: int) -> np.ndarray:
 # posteriors -> segments
 # ---------------------------------------------------------------------------
 
-def _median_binary(mask: np.ndarray, width: int) -> np.ndarray:
-    """Binary median filter: majority vote in a zero-padded window."""
-    pad = width // 2
-    padded = np.pad(mask.astype(np.int32), pad)
-    csum = np.concatenate([[0], np.cumsum(padded)])
-    counts = csum[width:] - csum[:-width]
-    return counts > width // 2
-
-
-def run_edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end indices of the contiguous [start, end) runs of a
-    boolean vector."""
-    padded = np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0]))
-    edges = np.flatnonzero(np.diff(padded))
-    return edges[::2], edges[1::2]
+def run_edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The contiguous [start, end) runs of each row of a (rows, n) bool
+    array, as (rows, starts, ends) in row-major order: the inverse of
+    `cover(starts, ends, rows, len(mask), n)`."""
+    mask = np.asarray(mask)
+    padded = np.zeros((mask.shape[0], mask.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    row, edge = np.nonzero(np.diff(padded, axis=1))
+    return row[::2], edge[::2], edge[1::2]
 
 
 def check_segment_options(threshold: float, median_w: int) -> None:
@@ -146,7 +140,8 @@ def check_segment_options(threshold: float, median_w: int) -> None:
 def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
                           median_w: int = 11, file_id: str = "rec",
                           speaker_names: list | None = None) -> DiarizationHypothesis:
-    """Threshold per slot, median-filter, merge runs on the frame grid.
+    """Threshold every slot, median-filter, merge runs on the frame grid;
+    segments come slot by slot, in time order within a slot.
 
     `threshold` and the posteriors lie in [0, 1]; `median_w` is an odd int >= 1 (1: no filter).
     `speaker_names`, if given, names each of the S slots, each by its own name.
@@ -162,16 +157,15 @@ def posterior_to_segments(probs: np.ndarray, threshold: float = 0.5,
     if len(names) != s or len(set(names)) != s:
         raise ScoringError(f"speaker_names must give each of the {s} slots its own name, "
                            f"got {names!r}")
-    starts, ends, speakers = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], []
-    for slot in range(s):
-        lo, hi = run_edges(_median_binary(probs[:, slot] >= threshold, median_w))
-        starts.append(lo)
-        ends.append(hi)
-        speakers += [names[slot]] * len(lo)
+    # binary median filter: a frame is on when more than half of its
+    # zero-padded window is, from one running count over time of every slot
+    half = median_w // 2
+    votes = np.cumsum(np.pad(probs >= threshold, ((half + 1, half), (0, 0))), axis=0)
+    slot, starts, ends = run_edges((votes[median_w:] - votes[:-median_w] > half).T)
     # frame edges in seconds, rounded to 1 ms exactly as Python's round() would
-    return DiarizationHypothesis.from_columns(np.round(np.concatenate(starts) * FRAME_S, 3),
-                                              np.round(np.concatenate(ends) * FRAME_S, 3),
-                                              speakers, file_id)
+    return DiarizationHypothesis.from_columns(np.round(starts * FRAME_S, 3),
+                                              np.round(ends * FRAME_S, 3),
+                                              [names[k] for k in slot.tolist()], file_id)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +310,7 @@ def der_score(ref: DiarizationHypothesis, hyp: DiarizationHypothesis,
     if not len(ref):
         raise ScoringError("reference timeline is empty")
     # the row that owns each range: one per ref speaker, one per hyp speaker, the collar
-    edges = np.concatenate([ref.starts, ref.ends]) if collar_s > 0 else np.zeros(0)
+    edges = np.concatenate([ref.starts, ref.ends])    # collar zones; width 0 covers nothing
     n_ref, n_hyp = len(ref.names), len(hyp.names)
     owner = np.concatenate([ref.codes, hyp.codes + n_ref, np.full(len(edges), n_ref + n_hyp)])
     bounds = np.concatenate([ref.starts, hyp.starts, edges - collar_s,
@@ -342,7 +336,9 @@ def der_score(ref: DiarizationHypothesis, hyp: DiarizationHypothesis,
     rows, cols = _optimal_speaker_map(ref_act, hyp_act, weight)
     # float speaker counts: the same values as integer ones, with no casts in the dot products
     nr, nh = ref_act.sum(axis=0, dtype=float), hyp_act.sum(axis=0, dtype=float)
-    n_correct = (ref_act[rows] & hyp_act[cols]).sum(axis=0, dtype=float)
+    n_correct = np.zeros(len(weight))
+    for r, c in zip(rows.tolist(), cols.tolist()):      # pair by pair: no (speakers, C) copies
+        n_correct += ref_act[r] & hyp_act[c]
     speech, hyp_speech = nr > 0, nh > 0
     return DerReport.from_seconds(
         total_scored_s=float(weight.sum()), ref_speaker_s=float(weight @ nr),

@@ -125,7 +125,7 @@ def _render_speaker(rng: np.random.Generator, sig: np.ndarray, mask: np.ndarray,
     n_harm = max(1, int(3600.0 // f0))
     amps = np.arange(1, n_harm + 1, dtype=np.float64) ** (-tilt)
     amps /= np.linalg.norm(amps)
-    starts, ends = run_edges(mask)
+    _, starts, ends = run_edges(mask[None])
     # frame_count leaves 800·T <= len(sig) - 520, so no run reaches past the signal
     for f_start, f_end in zip(starts.tolist(), ends.tolist()):
         s0, s1 = f_start * SAMPLES_PER_FRAME, f_end * SAMPLES_PER_FRAME

@@ -51,7 +51,7 @@ def render_speaker(rng: np.random.Generator, sig: np.ndarray, mask: np.ndarray,
     n_harm = max(1, int(3600.0 // f0))
     amps = np.arange(1, n_harm + 1, dtype=np.float64) ** (-tilt)
     amps /= np.linalg.norm(amps)
-    starts, ends = run_edges(mask)
+    _, starts, ends = run_edges(mask[None])
     for f_start, f_end in zip(starts.tolist(), ends.tolist()):
         s0, s1 = f_start * SAMPLES_PER_FRAME, f_end * SAMPLES_PER_FRAME
         s1 = min(s1, len(sig))
